@@ -8,6 +8,7 @@ table, `trace-parse` validates a mobility trace file. Exit codes:
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -61,6 +62,18 @@ def build_parser():
     return parser
 
 
+def _check_flags(args):
+    """Reject numeric overrides a run cannot use, naming the flag."""
+    for flag, value, zero_ok in (("--duration", args.duration, False),
+                                 ("--window", args.window, False),
+                                 ("--range", args.radio_range, True)):
+        if value is None:
+            continue
+        if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+            wanted = "non-negative" if zero_ok else "positive"
+            raise ConfigError(f"{flag} must be a finite {wanted} number, got {value}")
+
+
 def _resolve_config(args, protocol):
     if args.scenario in BUILTIN_SCENARIOS:
         if protocol is None:
@@ -89,6 +102,7 @@ def _resolve_config(args, protocol):
 
 
 def _cmd_run(args) -> int:
+    _check_flags(args)
     protocol = args.protocol.upper() if args.protocol else None
     config = _resolve_config(args, protocol)
     report = run(config, out_dir=args.out, window=args.window)
@@ -97,6 +111,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_flags(args)
     reports = []
     for protocol in ("AODV", "DSDV"):
         config = _resolve_config(args, protocol)

@@ -3,7 +3,9 @@
 Every node carries a full motion plan: an ordered list of constant-speed
 legs. Because the plan is data rather than scheduled state, a node's
 position is computable for any time, past or future, which is what lets
-the radio model solve link-break times analytically.
+the radio model solve link-break times analytically. Each plan also
+records when the node settles for good and where, so reading a parked
+node's position never walks its legs.
 """
 
 import math
@@ -55,6 +57,9 @@ class MobilityError(ValueError):
 @dataclass
 class _NodePlan:
     home: Point
+    # the node sits at `rest` for every time strictly after `settled_at`
+    rest: Point
+    settled_at: float = -math.inf
     legs: list[MotionLeg] = field(default_factory=list)
 
 
@@ -64,6 +69,8 @@ class MobilityModel:
     def __init__(self, field_config: Optional[FieldConfig] = None):
         self.field = field_config or FieldConfig()
         self._plans: dict[int, _NodePlan] = {}
+        # node -> arrival of its last leg, for nodes that have any legs
+        self._arrivals: dict[int, float] = {}
         # bumped on every added leg so cached motion analysis can detect
         # that previously computed link-break times went stale
         self.plan_version = 0
@@ -75,7 +82,7 @@ class MobilityModel:
             raise MobilityError(
                 f"node {node_id} initial position ({x}, {y}) outside field"
             )
-        self._plans[node_id] = _NodePlan(home=(x, y))
+        self._plans[node_id] = _NodePlan(home=(x, y), rest=(x, y))
 
     def node_ids(self) -> list[int]:
         return sorted(self._plans)
@@ -113,12 +120,22 @@ class MobilityModel:
             )
         origin = self.position_at(node_id, start_t)
         arrival = start_t + distance(origin, dest) / speed
-        plan.legs.append(MotionLeg(start_t, origin, tuple(dest), speed, arrival))
+        leg = MotionLeg(start_t, origin, tuple(dest), speed, arrival)
+        plan.legs.append(leg)
+        plan.settled_at = arrival
+        plan.rest = leg.dest
+        self._arrivals[node_id] = arrival
         self.plan_version += 1
         return arrival
 
+    def moving_at(self, t: float) -> tuple[int, ...]:
+        """Nodes not yet settled at t, in the order they first got a leg."""
+        return tuple(n for n, arrival in self._arrivals.items() if t <= arrival)
+
     def position_at(self, node_id: int, t: float) -> Point:
         plan = self._plan(node_id)
+        if t > plan.settled_at:
+            return plan.rest
         pos = plan.home
         for leg in plan.legs:
             if t <= leg.start_t:

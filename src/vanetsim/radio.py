@@ -4,10 +4,12 @@ A frame occupies its sender for size*8/bandwidth seconds; transmissions
 queue behind the sender's previous frames. Range is a closed disk
 evaluated at the moment the frame actually hits the air (its airtime
 start), and delivery lands exactly transmission time plus a fixed
-per-hop overhead later. There is no contention model: receivers are
-never busy, only senders serialize.
+per-hop overhead later. One frame's receptions are one scheduler event,
+which hands the frame to each receiver in ascending id order. There is
+no contention model: receivers are never busy, only senders serialize.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -68,10 +70,17 @@ class RadioMedium:
         self.mobility = mobility
         self.config = config or RadioConfig()
         self._receivers: dict[int, Callable[[Frame], None]] = {}
+        self._ids: list[int] = []  # registered ids, ascending
         self._busy_until: dict[int, float] = {}
+        # settled node -> its settled neighbours, valid while _memo_key holds
+        self._memo: dict[int, list[int]] = {}
+        self._memo_key = None
         self.tap = None
 
     def register(self, node_id: int, on_receive: Callable[[Frame], None]) -> None:
+        if node_id not in self._receivers:
+            bisect.insort(self._ids, node_id)
+            self._memo = {}
         self._receivers[node_id] = on_receive
         self._busy_until.setdefault(node_id, 0.0)
 
@@ -80,11 +89,33 @@ class RadioMedium:
         return d <= self.config.radio_range
 
     def neighbors(self, node_id: int, t: float) -> list[int]:
-        return [
-            other
-            for other in sorted(self._receivers)
-            if other != node_id and self.in_range(node_id, other, t)
-        ]
+        """Registered nodes other than node_id in range at t, ascending.
+
+        A node settled at t sits at its final rest point, so the range
+        checks among settled nodes hold for every query with the same
+        plan version and the same moving nodes, earlier times included;
+        they are memoised on that key.
+        """
+        position_at = self.mobility.position_at
+        r = self.config.radio_range
+        p = position_at(node_id, t)
+
+        def near(ids):
+            return [o for o in ids
+                    if o != node_id and distance(p, position_at(o, t)) <= r]
+
+        moving = self.mobility.moving_at(t)
+        if node_id in moving:
+            return near(self._ids)
+        key = (self.mobility.plan_version, moving)
+        if key != self._memo_key:
+            self._memo = {}
+            self._memo_key = key
+        settled = self._memo.get(node_id)
+        if settled is None:
+            settled = self._memo[node_id] = near(
+                [o for o in self._ids if o not in moving])
+        return sorted(settled + near([o for o in moving if o in self._receivers]))
 
     def transmit(self, frame: Frame, on_fail: Optional[Callable[[Frame], None]] = None):
         """Queue a frame on the sender's FIFO.
@@ -114,24 +145,24 @@ class RadioMedium:
                 if self.tap is not None:
                     self.tap.on_loss(frame, "no-neighbors", now)
                 return
-            for target in targets:
-                self._schedule_delivery(frame, target, deliver_at)
+        elif frame.dst in self._receivers and self.in_range(frame.src, frame.dst, now):
+            targets = (frame.dst,)
         else:
-            if frame.dst in self._receivers and self.in_range(frame.src, frame.dst, now):
-                self._schedule_delivery(frame, frame.dst, deliver_at)
-            else:
-                if self.tap is not None:
-                    self.tap.on_loss(frame, "out-of-range", now)
-                if on_fail is not None:
-                    on_fail(frame)
-
-    def _schedule_delivery(self, frame: Frame, target: int, deliver_at: float) -> None:
-        def deliver():
             if self.tap is not None:
-                self.tap.on_delivery(frame, target, self.sched.now)
-            self._receivers[target](frame)
+                self.tap.on_loss(frame, "out-of-range", now)
+            if on_fail is not None:
+                on_fail(frame)
+            return
 
-        self.sched.schedule(deliver_at, "rx", str(target), deliver)
+        def deliver():
+            now = self.sched.now
+            tap = self.tap
+            for target in targets:
+                if tap is not None:
+                    tap.on_delivery(frame, target, now)
+                self._receivers[target](frame)
+
+        self.sched.schedule(deliver_at, "rx", str(frame.dst), deliver)
 
     def link_break_time(self, a: int, b: int, from_t: float) -> float:
         """Earliest time >= from_t at which a and b are out of range.

@@ -73,6 +73,29 @@ def test_invalid_document_is_a_validation_error(tmp_path, capsys):
     assert "placements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("flag, value", [
+    ("--window", "0"), ("--window", "-1"), ("--window", "nan"),
+    ("--range", "-5"), ("--range", "inf"),
+    ("--duration", "0"), ("--duration", "-3"), ("--duration", "inf"),
+])
+def test_out_of_range_numeric_flags_are_validation_errors(
+        scenario_file, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(scenario_file),
+                 flag, value, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+def test_zero_range_is_accepted(scenario_file, tmp_path, capsys):
+    code = main(["run", "--scenario", str(scenario_file), "--range", "0",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
 def test_unwritable_out_dir_is_an_io_error(scenario_file, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")

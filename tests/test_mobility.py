@@ -62,6 +62,22 @@ def test_past_and_future_queries_are_both_answerable():
     assert late == (345.0, 270.0)
 
 
+def test_node_settles_at_its_last_destination():
+    m = make_model()
+    m.add_node(0, 0.0, 0.0)
+    m.add_node(1, 10.0, 10.0)
+    assert m.moving_at(0.0) == ()
+    arrival = m.set_motion(0, (100.0, 0.0), 10.0, 5.0)
+    # a planned leg counts as moving from before it starts until arrival
+    assert m.moving_at(0.0) == (0,)
+    assert m.moving_at(arrival) == (0,)
+    assert m.moving_at(arrival + 1e-9) == ()
+    assert m.position_at(0, 5.0) == (0.0, 0.0)
+    assert m.position_at(0, arrival + 1e-9) == (100.0, 0.0)
+    assert m.position_at(0, 1e9) == (100.0, 0.0)
+    assert m.position_at(1, 1e9) == (10.0, 10.0)
+
+
 def test_legs_must_not_overlap():
     m = make_model()
     m.add_node(1, 100.0, 100.0)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim.engine import Scheduler
 from vanetsim.mobility import MobilityModel
@@ -137,6 +139,89 @@ def test_neighbors_sorted_and_symmetric():
         for b in (3, 5, 7, 9):
             if a != b:
                 assert (b in radio.neighbors(a, 0.0)) == (a in radio.neighbors(b, 0.0))
+
+
+def test_broadcast_receptions_are_one_event_in_receiver_order():
+    sched, mob, radio, inbox, tap = build(
+        {0: (0, 0), 1: (100, 0), 2: (0, 100), 3: (100, 100)}
+    )
+    sched.event_log = []
+    order = []
+
+    class OrderTap:
+        def on_send(self, frame, t):
+            order.append(("send", frame.src, frame.kind))
+
+        def on_delivery(self, frame, node, t):
+            order.append(("deliver", node, frame.kind))
+
+        def on_loss(self, frame, reason, t):
+            order.append(("loss", frame.src, reason))
+
+    radio.tap = OrderTap()
+
+    def first_receiver(frame):
+        if frame.kind == "RREQ":
+            radio.transmit(Frame("RREP", 1, 0, 64))
+            sched.schedule(sched.now, "probe", "1",
+                           lambda: order.append(("same-time event",)))
+
+    radio.register(1, first_receiver)
+    radio.transmit(Frame("RREQ", 0, BROADCAST, 64))
+    sched.run_until(1.0)
+    assert order[:6] == [
+        ("send", 0, "RREQ"),
+        ("deliver", 1, "RREQ"),
+        ("send", 1, "RREP"),
+        ("deliver", 2, "RREQ"),
+        ("deliver", 3, "RREQ"),
+        ("same-time event",),
+    ]
+    assert order[6:] == [("deliver", 0, "RREP")]
+    assert [line.split()[2] for line in sched.event_log] == ["rx", "probe", "rx"]
+
+
+def test_late_registration_joins_neighbour_lists():
+    sched, mob, radio, inbox, tap = build({0: (0, 0), 1: (100, 0)})
+    assert radio.neighbors(0, 0.0) == [1]
+    mob.add_node(2, 0, 100)
+    radio.register(2, lambda f: None)
+    assert radio.neighbors(0, 0.0) == [1, 2]
+    assert radio.neighbors(2, 0.0) == [0, 1]
+
+
+# multiples of 50 m put many pairs exactly 250 m apart, on an axis or as
+# a 150-200-250 triangle, so the closed-disk boundary is hit exactly
+GRID_POINT = st.builds(lambda i, j: (50.0 * i, 50.0 * j),
+                       st.integers(0, 16), st.integers(0, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_neighbors_match_brute_force_range_checks(data):
+    positions = data.draw(st.dictionaries(
+        st.integers(0, 11), GRID_POINT, min_size=2, max_size=8))
+    sched, mob, radio, inbox, tap = build(positions)
+    ids = sorted(positions)
+    times = [0.0]
+
+    def check(t):
+        for n in ids:
+            expected = [o for o in ids if o != n and radio.in_range(n, o, t)]
+            assert radio.neighbors(n, t) == expected, (n, t)
+
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            node = data.draw(st.sampled_from(ids))
+            legs = mob.legs(node)
+            start = (legs[-1].arrival_t if legs else 0.0) + data.draw(
+                st.sampled_from([0.0, 0.5, 2.0]))
+            speed = data.draw(st.sampled_from([25.0, 50.0, 125.0]))
+            times += [start, mob.set_motion(node, data.draw(GRID_POINT), speed, start)]
+        # the newest times first, then back towards zero
+        for t in sorted(set(times), reverse=True):
+            check(t)
+        check(data.draw(st.floats(0.0, max(times) + 5.0)))
 
 
 def test_link_break_never_for_stationary_pair_in_range():
