@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .radio import BROADCAST, Frame, RoutedPacket
+from .routing import RoutingAgent
 
 
 @dataclass(frozen=True)
@@ -94,36 +95,15 @@ class _Discovery:
         self.timer = timer
 
 
-class AodvAgent:
-    def __init__(self, sched, radio, node_id, config=None, deliver_up=None,
-                 ledger=None, auditor=None):
-        self.sched = sched
-        self.radio = radio
-        self.node_id = node_id
-        self.config = config or AodvConfig()
-        self.deliver_up = deliver_up
-        self.ledger = ledger
-        self.auditor = auditor
-        self.table: dict[int, RouteEntry] = {}
-        self.own_seq = 0
+class AodvAgent(RoutingAgent):
+    config_class = AodvConfig
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.next_rreq_id = 0
         self.seen: dict[tuple[int, int], float] = {}
         self.pending: dict[int, _Discovery] = {}
         self._watches: dict[int, tuple] = {}  # next_hop -> (plan version, handle)
-        radio.register(node_id, self.on_frame)
-
-    # -- transport entry point -------------------------------------------
-
-    def send_packet(self, packet, dest: int) -> None:
-        now = self.sched.now
-        if dest == self.node_id:
-            self.deliver_up(packet, now)
-            return
-        entry = self.table.get(dest)
-        if entry is not None and entry.usable(now):
-            self._forward(RoutedPacket(self.node_id, dest, packet), entry)
-        else:
-            self._buffer_and_discover(packet, dest)
 
     def route_lookup(self, dest: int):
         """Current usable next hop toward dest, or None."""
@@ -132,10 +112,15 @@ class AodvAgent:
             return entry.next_hop
         return None
 
-    def _record_path(self, env: RoutedPacket, now: float) -> None:
-        if env.packet.kind == "DATA" and self.ledger is not None:
-            self.ledger.on_path(
-                env.packet.flow, [env.origin, *env.hops, self.node_id], now)
+    def _no_route(self, env: RoutedPacket, now: float) -> None:
+        if not env.hops:
+            # our own packet: hold it and look for a route
+            self._buffer_and_discover(env.packet, env.dst)
+            return
+        # relay with no usable route: report and drop
+        entry = self.table.get(env.dst)
+        self._send_rerr([(env.dst, entry.dest_seq if entry is not None else 0)])
+        self._drop(env.packet, now)
 
     def _buffer_and_discover(self, packet, dest: int) -> None:
         if dest in self.pending:
@@ -166,10 +151,8 @@ class AodvAgent:
         disc.retries += 1
         if disc.retries >= self.config.max_retries:
             del self.pending[dest]
-            if self.ledger is not None:
-                for pkt in disc.buffer:
-                    if pkt.kind == "DATA":
-                        self.ledger.on_flow_drop(pkt.flow, pkt.seq, self.sched.now)
+            for pkt in disc.buffer:
+                self._drop(pkt, self.sched.now)
             return
         disc.wait *= 2
         self._flood(dest)
@@ -230,11 +213,11 @@ class AodvAgent:
                 return
             self.sched.cancel(disc.timer)
             for pkt in disc.buffer:
-                entry = self.table.get(rrep.dest)
-                if entry is not None and entry.usable(now):
-                    self._forward(RoutedPacket(self.node_id, rrep.dest, pkt), entry)
-                elif pkt.kind == "DATA" and self.ledger is not None:
-                    self.ledger.on_flow_drop(pkt.flow, pkt.seq, now)
+                next_hop = self.route_lookup(rrep.dest)
+                if next_hop is not None:
+                    self._forward(RoutedPacket(self.node_id, rrep.dest, pkt), next_hop)
+                else:
+                    self._drop(pkt, now)
             return
         rev = self.table.get(rrep.origin)
         if rev is None or not rev.usable(now):
@@ -256,31 +239,12 @@ class AodvAgent:
         if affected:
             self._send_rerr(affected)
 
-    def _handle_data(self, env: RoutedPacket, now: float) -> None:
-        if env.dst == self.node_id:
-            self._record_path(env, now)
-            self.deliver_up(env.packet, now)
-            return
-        entry = self.table.get(env.dst)
-        if entry is not None and entry.usable(now):
-            env.hops.append(self.node_id)
-            self._forward(env, entry)
-            return
-        # relay with no usable route: drop and report
-        seq_hint = entry.dest_seq if entry is not None else 0
-        self._send_rerr([(env.dst, seq_hint)])
-        if env.packet.kind == "DATA" and self.ledger is not None:
-            self.ledger.on_flow_drop(env.packet.flow, env.packet.seq, now)
-
     # -- forwarding and failure handling ---------------------------------
 
-    def _forward(self, env: RoutedPacket, entry: RouteEntry) -> None:
-        now = self.sched.now
-        self._touch(entry, now)
-        self._ensure_watch(entry.next_hop)
-        frame = Frame(env.packet.kind, self.node_id, entry.next_hop,
-                      env.packet.size, env)
-        self.radio.transmit(frame, on_fail=self._data_fail)
+    def _forward(self, env: RoutedPacket, next_hop: int) -> None:
+        self._touch(self.table[env.dst], self.sched.now)
+        self._ensure_watch(next_hop)
+        super()._forward(env, next_hop)
 
     def _data_fail(self, frame: Frame) -> None:
         env = frame.payload
@@ -340,10 +304,6 @@ class AodvAgent:
             return
         self._note_mutation(dest)
         self._ensure_watch(next_hop)
-
-    def _note_mutation(self, dest: int) -> None:
-        if self.auditor is not None:
-            self.auditor.on_route_mutation(self.node_id, dest)
 
     # -- geometric link watches -------------------------------------------
 

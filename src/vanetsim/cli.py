@@ -23,6 +23,9 @@ from .scenario import (
     load_config,
     run,
 )
+from .simulation import PROTOCOLS
+
+PROTOCOL_CHOICES = [name.lower() for name in PROTOCOLS]
 
 
 def _add_common_flags(parser):
@@ -50,7 +53,7 @@ def build_parser():
 
     run_p = sub.add_parser("run", help="run one scenario and write artifacts")
     _add_common_flags(run_p)
-    run_p.add_argument("--protocol", choices=("aodv", "dsdv"), default=None,
+    run_p.add_argument("--protocol", choices=PROTOCOL_CHOICES, default=None,
                        help="routing protocol (required for builtin scenarios)")
 
     cmp_p = sub.add_parser("compare",
@@ -77,8 +80,8 @@ def _check_flags(args):
 def _resolve_config(args, protocol):
     if args.scenario in BUILTIN_SCENARIOS:
         if protocol is None:
-            raise ConfigError(
-                "builtin scenarios need --protocol aodv or dsdv")
+            raise ConfigError("builtin scenarios need --protocol "
+                              + " or ".join(PROTOCOL_CHOICES))
         config = builtin_scenario(args.scenario, protocol)
     else:
         if not os.path.exists(args.scenario):
@@ -113,7 +116,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     _check_flags(args)
     reports = []
-    for protocol in ("AODV", "DSDV"):
+    for protocol in PROTOCOLS:
         config = _resolve_config(args, protocol)
         out_dir = os.path.join(args.out, protocol.lower())
         reports.append(run(config, out_dir=out_dir, window=args.window))

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .radio import BROADCAST, Frame, RoutedPacket
+from .radio import BROADCAST, Frame
+from .routing import RoutingAgent
 
 INFINITE = math.inf
 
@@ -41,6 +42,12 @@ class DsdvConfig:
     full_dump_dirty_fraction: float = 0.5
     header_size: int = 24
     row_size: int = 12
+
+    def __post_init__(self):
+        # a zero period would reschedule the broadcast at the same instant
+        # forever, so simulated time would never advance
+        if self.update_interval <= 0:
+            raise ValueError("update_interval must be positive")
 
 
 @dataclass
@@ -63,26 +70,18 @@ class DsdvEntry:
         return self.seq % 2 == 0 and self.metric != INFINITE
 
 
-class DsdvAgent:
-    def __init__(self, sched, radio, node_id, config=None, deliver_up=None,
-                 ledger=None, auditor=None):
-        self.sched = sched
-        self.radio = radio
-        self.node_id = node_id
-        self.config = config or DsdvConfig()
-        self.deliver_up = deliver_up
-        self.ledger = ledger
-        self.auditor = auditor
-        self.own_seq = 0
-        self.table: dict[int, DsdvEntry] = {
-            node_id: DsdvEntry(node_id, node_id, 0, 0, 0.0)
-        }
+class DsdvAgent(RoutingAgent):
+    proactive = True
+    config_class = DsdvConfig
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.table[self.node_id] = DsdvEntry(self.node_id, self.node_id, 0, 0, 0.0)
         self.dirty: set[int] = set()
         self.last_full_dump = -INFINITE
         self._last_trigger = -INFINITE
         self._trigger_deferred = False
         self._first_update_at = 0.0
-        radio.register(node_id, self.on_frame)
 
     def start(self, first_update_at: float) -> None:
         self._first_update_at = first_update_at
@@ -91,13 +90,12 @@ class DsdvAgent:
 
     # -- update emission -------------------------------------------------
 
-    def _advertisable(self, now: float) -> list[int]:
-        out = []
-        for d in sorted(self.dirty):
-            e = self.table[d]
-            if e.settling_deadline is None or e.settling_deadline <= now:
-                out.append(d)
-        return out
+    def _advertisable(self, dests, now: float) -> list[int]:
+        """dests in ascending order, less those still settling at now."""
+        table = self.table
+        return [d for d in sorted(dests)
+                if table[d].settling_deadline is None
+                or table[d].settling_deadline <= now]
 
     def _periodic(self, k: int) -> None:
         now = self.sched.now
@@ -106,17 +104,13 @@ class DsdvAgent:
         me = self.table[self.node_id]
         me.seq = self.own_seq
         self.dirty.add(self.node_id)
-        adv = self._advertisable(now)
+        adv = self._advertisable(self.dirty, now)
         full_due = (
             now - self.last_full_dump >= cfg.full_dump_interval
             or len(adv) > cfg.full_dump_dirty_fraction * len(self.table)
         )
         if full_due:
-            dests = [
-                d for d in sorted(self.table)
-                if self.table[d].settling_deadline is None
-                or self.table[d].settling_deadline <= now
-            ]
+            dests = self._advertisable(self.table, now)
             self.last_full_dump = now
             kind = "full"
         else:
@@ -156,7 +150,7 @@ class DsdvAgent:
         self._emit_trigger(self.sched.now)
 
     def _emit_trigger(self, now: float) -> None:
-        dests = self._advertisable(now)
+        dests = self._advertisable(self.dirty, now)
         if not dests:
             return
         self._last_trigger = now
@@ -205,24 +199,7 @@ class DsdvAgent:
             self.dirty.add(dest)
             self._note_mutation(dest)
 
-    def _handle_data(self, env: RoutedPacket, now: float) -> None:
-        if env.dst == self.node_id:
-            if env.packet.kind == "DATA" and self.ledger is not None:
-                self.ledger.on_path(
-                    env.packet.flow, [env.origin, *env.hops, self.node_id], now)
-            self.deliver_up(env.packet, now)
-            return
-        env.hops.append(self.node_id)
-        self._route_and_send(env, now)
-
     # -- data path ---------------------------------------------------------
-
-    def send_packet(self, packet, dest: int) -> None:
-        now = self.sched.now
-        if dest == self.node_id:
-            self.deliver_up(packet, now)
-            return
-        self._route_and_send(RoutedPacket(self.node_id, dest, packet), now)
 
     def route_lookup(self, dest: int) -> Optional[int]:
         e = self.table.get(dest)
@@ -230,17 +207,7 @@ class DsdvAgent:
             return e.next_hop
         return None
 
-    def _route_and_send(self, env: RoutedPacket, now: float) -> None:
-        next_hop = self.route_lookup(env.dst)
-        if next_hop is None:
-            if env.packet.kind == "DATA" and self.ledger is not None:
-                self.ledger.on_flow_drop(env.packet.flow, env.packet.seq, now)
-            return
-        frame = Frame(env.packet.kind, self.node_id, next_hop,
-                      env.packet.size, env)
-        self.radio.transmit(frame, on_fail=self._unicast_failed)
-
-    def _unicast_failed(self, frame: Frame) -> None:
+    def _data_fail(self, frame: Frame) -> None:
         # the packet is gone (the radio logged it); poison the routes
         self.handle_neighbor_loss(frame.dst, self.sched.now)
 
@@ -257,7 +224,3 @@ class DsdvAgent:
                 changed = True
         if changed:
             self._trigger(now)
-
-    def _note_mutation(self, dest: int) -> None:
-        if self.auditor is not None:
-            self.auditor.on_route_mutation(self.node_id, dest)

@@ -2,8 +2,8 @@
 
 The ledger hangs off the radio as a tap and off the transport layer as a
 set of notification hooks. It never schedules events, so enabling it
-cannot change simulation behaviour. Series builders are pure functions
-over the collected records and may be called repeatedly.
+cannot change simulation behaviour. Series builders only read what the
+ledger collected and may be called repeatedly.
 
 Windowed series tile [0, duration) with half-open windows [kW, (k+1)W)
 and attribute each window's value to the window's end time. Throughput
@@ -24,19 +24,6 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
-
-
-@dataclass
-class PacketRecord:
-    """One radio-level frame outcome (per hop, not end to end)."""
-
-    flow: str
-    seq: int
-    size: int
-    src: int
-    dst: int
-    sent_at: float
-    received_at: Optional[float]  # None when the frame was lost
 
 
 @dataclass
@@ -63,9 +50,7 @@ def _nudge_ties(points):
 
 class MetricsLedger:
     def __init__(self):
-        self.records: list[PacketRecord] = []
         self.trace_lines: list[str] = []
-        self.motion_records = []
         self._next_frame_id = 0
         self._handoffs: dict[tuple[str, int], list[float]] = {}
         self._deliveries: dict[str, list] = {}  # flow -> [(t, delay, seq, bits)]
@@ -73,6 +58,7 @@ class MetricsLedger:
         self._drops: dict[str, int] = {}
         self._cwnd: dict[str, list] = {}
         self._paths: dict[str, list] = {}  # flow -> [(t, node chain)]
+        self._received: dict[int, list] = {}  # node -> [(t, frame bits)]
 
     # -- radio tap ---------------------------------------------------
 
@@ -83,27 +69,14 @@ class MetricsLedger:
         self._packet_line("s", t, frame, frame.dst)
 
     def on_delivery(self, frame, receiver: int, t: float) -> None:
-        flow, seq = self._frame_tag(frame)
-        self.records.append(
-            PacketRecord(flow, seq, frame.size, frame.src, receiver, frame.sent_at, t)
-        )
+        self._received.setdefault(receiver, []).append((t, frame.size * 8))
         self._packet_line("r", t, frame, receiver)
 
     def on_loss(self, frame, reason: str, t: float) -> None:
-        flow, seq = self._frame_tag(frame)
-        self.records.append(
-            PacketRecord(flow, seq, frame.size, frame.src, frame.dst, t, None)
-        )
         self._packet_line("l", t, frame, frame.dst)
-        if frame.kind == "DATA" and flow != "DATA":
+        flow = getattr(frame.payload, "flow", None)
+        if frame.kind == "DATA" and flow is not None:
             self._drops[flow] = self._drops.get(flow, 0) + 1
-
-    def _frame_tag(self, frame):
-        flow = getattr(frame.payload, "flow", frame.kind)
-        seq = getattr(frame.payload, "seq", None)
-        if seq is None:
-            seq = frame.trace_id if frame.trace_id is not None else 0
-        return flow, seq
 
     def _packet_line(self, op, t, frame, dst) -> None:
         dst_txt = "*" if dst == -1 else str(dst)
@@ -159,24 +132,28 @@ class MetricsLedger:
     # -- mobility hook -------------------------------------------------
 
     def on_motion_state(self, t, node, pos, dest, speed) -> None:
-        record = (t, node, (pos[0], pos[1], 0.0), dest, speed)
-        self.motion_records.append(record)
-        self.trace_lines.append(format_motion_line(*record))
+        self.trace_lines.append(
+            format_motion_line(t, node, (pos[0], pos[1], 0.0), dest, speed))
 
     # -- series builders ------------------------------------------------
 
     def _windows(self, duration: float, window: float) -> int:
         return int(math.ceil(duration / window))
 
-    def throughput_series(self, flow, duration, window=1.0) -> MetricSeries:
+    def _bit_rate(self, arrivals, duration, window) -> MetricSeries:
+        """Bits per second in each window, from (t, bits) arrivals."""
         n = self._windows(duration, window)
         bits = [0.0] * n
-        for t, _delay, _seq, b in self._deliveries.get(flow, []):
+        for t, b in arrivals:
             k = int(t // window)
             if k < n:
                 bits[k] += b
         points = [((k + 1) * window, bits[k] / window) for k in range(n)]
         return MetricSeries(points, "bits/second")
+
+    def throughput_series(self, flow, duration, window=1.0) -> MetricSeries:
+        arrivals = ((t, b) for t, _d, _s, b in self._deliveries.get(flow, []))
+        return self._bit_rate(arrivals, duration, window)
 
     def jitter_series(self, flow, duration, window=1.0) -> MetricSeries:
         n = self._windows(duration, window)
@@ -200,23 +177,11 @@ class MetricsLedger:
         return MetricSeries(_nudge_ties(self._cwnd.get(flow, [])), "packets")
 
     def bandwidth_series(self, node, duration, window=1.0) -> MetricSeries:
-        n = self._windows(duration, window)
-        bits = [0.0] * n
-        for rec in self.records:
-            if rec.dst == node and rec.received_at is not None:
-                k = int(rec.received_at // window)
-                if k < n:
-                    bits[k] += rec.size * 8
-        points = [((k + 1) * window, bits[k] / window) for k in range(n)]
-        return MetricSeries(points, "bits/second")
+        return self._bit_rate(self._received.get(node, ()), duration, window)
 
     def cumulative_bandwidth_bits(self, node, until=None) -> float:
-        total = 0.0
-        for rec in self.records:
-            if rec.dst == node and rec.received_at is not None:
-                if until is None or rec.received_at <= until:
-                    total += rec.size * 8
-        return total
+        return sum((b for t, b in self._received.get(node, ())
+                    if until is None or t <= until), 0.0)
 
     def deliveries(self, flow) -> list:
         return list(self._deliveries.get(flow, []))

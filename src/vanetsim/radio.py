@@ -40,10 +40,6 @@ class RoutedPacket:
     def flow(self):
         return self.packet.flow
 
-    @property
-    def seq(self):
-        return self.packet.seq
-
 
 @dataclass
 class Frame:

@@ -16,16 +16,16 @@ times, and every link-break instant, are closed-form reproducible.
 """
 
 import csv
+import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
-from .aodv import AodvConfig
-from .dsdv import DsdvConfig
 from .metrics import write_plot_series
 from .mobility import FieldConfig, distance
 from .radio import RadioConfig
-from .simulation import Motion, Simulation
+from .simulation import PROTOCOLS, Motion, Simulation
 from .transport import FlowConfig
 
 BUILTIN_SCENARIOS = ("long-distance", "short-distance")
@@ -36,6 +36,8 @@ BUILTIN_SCENARIOS = ("long-distance", "short-distance")
 # mover's next send attempt (157.0 s).
 BUILTIN_SEED = 1
 BUILTIN_DURATION = 600.0
+# protocol of a scenario document that names none
+DEFAULT_PROTOCOL = "AODV"
 
 GRID_COLUMN_X = (
     140.0, 345.0, 550.0, 755.0, 960.0, 1150.0, 1340.0, 1530.0,
@@ -75,7 +77,7 @@ class ScenarioConfig:
     flows: list  # [FlowConfig]
     background_mobility: dict  # {"kind": "stationary"} or random-waypoint
     radio: RadioConfig
-    protocol_params: dict  # {"aodv": {...}, "dsdv": {...}}
+    protocol_params: dict  # params key -> {config field: value}
 
 
 def grid_positions() -> dict:
@@ -134,7 +136,7 @@ def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
     """
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown builtin scenario {name!r}")
-    if protocol not in ("AODV", "DSDV"):
+    if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     long_haul = name == "long-distance"
     return ScenarioConfig(
@@ -200,9 +202,10 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError("scenario document must be a JSON object")
 
     name = doc.get("name", "custom")
-    protocol = doc.get("protocol", "AODV").upper()
-    if protocol not in ("AODV", "DSDV"):
-        raise _field_error("protocol", f"unknown protocol {doc.get('protocol')!r}")
+    protocol = doc.get("protocol", DEFAULT_PROTOCOL)
+    if not isinstance(protocol, str) or protocol.upper() not in PROTOCOLS:
+        raise _field_error("protocol", f"unknown protocol {protocol!r}")
+    protocol = protocol.upper()
     duration = _number(doc, "duration", "", default=BUILTIN_DURATION)
     seed = doc.get("seed", 1)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -314,14 +317,39 @@ def load_config(text: str) -> ScenarioConfig:
     params = doc.get("protocol_params", {})
     if not isinstance(params, dict):
         raise _field_error("protocol_params", "expected an object")
-    params = {"aodv": dict(params.get("aodv", {})),
-              "dsdv": dict(params.get("dsdv", {}))}
+    config_classes = {p.params_key: p.config for p in PROTOCOLS.values()}
+    for key in params:
+        if key not in config_classes:
+            raise _field_error(f"protocol_params.{key}", "unknown protocol")
+    params = {key: _protocol_params(params.get(key, {}), config_class,
+                                    f"protocol_params.{key}")
+              for key, config_class in config_classes.items()}
 
     return ScenarioConfig(
         name=name, protocol=protocol, duration=float(duration), seed=seed,
         field=field, placements=placements, motions=motions, flows=flows,
         background_mobility=background, radio=radio, protocol_params=params,
     )
+
+
+def _protocol_params(raw, config_class, path) -> dict:
+    """One protocol's overrides, checked against its config class's fields."""
+    if not isinstance(raw, dict):
+        raise _field_error(path, "expected an object")
+    types = {f.name: f.type for f in dataclasses.fields(config_class)}
+    for key, value in raw.items():
+        if key not in types:
+            raise _field_error(f"{path}.{key}", "unknown parameter")
+        _number(raw, key, path)
+        if (not math.isfinite(value) or value < 0
+                or (types[key] is int and not isinstance(value, int))):
+            raise _field_error(f"{path}.{key}", f"expected a non-negative "
+                               f"{types[key].__name__}, got {value!r}")
+    try:
+        config_class(**raw)
+    except ValueError as e:
+        raise _field_error(path, str(e)) from None
+    return dict(raw)
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -377,9 +405,8 @@ def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
     if background.get("kind") == "random-waypoint":
         waypoint = (background["v_min"], background["v_max"],
                     background.get("pause", 0.0))
-    params = config.protocol_params
-    aodv_params = params.get("aodv", {})
-    dsdv_params = params.get("dsdv", {})
+    protocol = PROTOCOLS[config.protocol]
+    params = config.protocol_params.get(protocol.params_key, {})
     return Simulation(
         positions=dict(config.placements),
         protocol=config.protocol,
@@ -388,8 +415,7 @@ def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
         seed=config.seed,
         field=FieldConfig(*config.field),
         radio_config=config.radio,
-        aodv_config=AodvConfig(**aodv_params) if aodv_params else None,
-        dsdv_config=DsdvConfig(**dsdv_params) if dsdv_params else None,
+        protocol_config=protocol.config(**params) if params else None,
         waypoint=waypoint,
         auditing=auditing,
     )
@@ -532,10 +558,11 @@ def compare(report_a: RunReport, report_b: RunReport) -> dict:
         raise ValueError(
             f"cannot compare different scenarios "
             f"({report_a.scenario!r} vs {report_b.scenario!r})")
-    if report_a.protocol == "AODV" or report_b.protocol != "AODV":
-        reactive, proactive = report_a, report_b
-    else:
-        reactive, proactive = report_b, report_a
+    # a stable sort puts a reactive run first and keeps the given order
+    # when both runs are of one nature
+    reactive, proactive = sorted(
+        (report_a, report_b),
+        key=lambda report: PROTOCOLS[report.protocol].agent.proactive)
 
     def stats_of(report, flow):
         for stats in report.flows:

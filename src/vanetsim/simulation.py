@@ -4,24 +4,39 @@ The assembly order is fixed (nodes ascending, then flows in the order
 given) and every random draw comes from one seeded generator, so a
 (scenario, seed) pair always produces the same event sequence and the
 same trace, byte for byte.
+
+``PROTOCOLS`` is the one protocol table: it maps each protocol name to
+its agent class, its config class, and its key under a scenario's
+``protocol_params``. Everything that chooses a protocol reads it.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .aodv import AodvAgent
-from .dsdv import DsdvAgent
+from .aodv import AodvAgent, AodvConfig
+from .dsdv import DsdvAgent, DsdvConfig
 from .engine import Scheduler, seeded_rng
 from .metrics import MetricsLedger
-from .mobility import FieldConfig, MobilityModel
+from .mobility import MobilityModel
 from .radio import RadioMedium
 from .transport import TcpSink, TcpSource
 from .validation import RouteAuditor, TransportAuditor
 
-PROTOCOLS = ("AODV", "DSDV")
+
+class Protocol(NamedTuple):
+    agent: type
+    config: type
+    params_key: str
+
+
+PROTOCOLS = {
+    "AODV": Protocol(AodvAgent, AodvConfig, "aodv"),
+    "DSDV": Protocol(DsdvAgent, DsdvConfig, "dsdv"),
+}
 
 # spread of the one-off random delay before a node's first proactive
 # table broadcast; keeps the network from updating in lockstep
-DSDV_STAGGER_MAX = 5.0
+START_STAGGER_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -36,11 +51,11 @@ class Motion:
 
 class Simulation:
     def __init__(self, *, positions, protocol, flows=(), motions=(), seed=1,
-                 field=None, radio_config=None, aodv_config=None,
-                 dsdv_config=None, dsdv_stagger_max=DSDV_STAGGER_MAX,
+                 field=None, radio_config=None, protocol_config=None,
                  waypoint=None, auditing=False):
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
+        agent_class = PROTOCOLS[protocol].agent
         self.protocol = protocol
         self.seed = seed
         self.sched = Scheduler()
@@ -50,28 +65,21 @@ class Simulation:
         self.radio.tap = self.ledger
         self.agents = {}
         self.route_auditor = RouteAuditor(
-            self.agents, check_parity=(protocol == "DSDV")) if auditing else None
+            self.agents, check_parity=agent_class.proactive) if auditing else None
         self.transport_auditor = TransportAuditor() if auditing else None
 
         for node in sorted(positions):
             x, y = positions[node]
             self.mobility.add_node(node, x, y)
-            if protocol == "AODV":
-                agent = AodvAgent(
-                    self.sched, self.radio, node, config=aodv_config,
-                    deliver_up=self._deliver_for(node), ledger=self.ledger,
-                    auditor=self.route_auditor)
-            else:
-                agent = DsdvAgent(
-                    self.sched, self.radio, node, config=dsdv_config,
-                    deliver_up=self._deliver_for(node), ledger=self.ledger,
-                    auditor=self.route_auditor)
-            self.agents[node] = agent
+            self.agents[node] = agent_class(
+                self.sched, self.radio, node, config=protocol_config,
+                deliver_up=self._deliver_for(node), ledger=self.ledger,
+                auditor=self.route_auditor)
 
         self.rng = seeded_rng(seed)
-        if protocol == "DSDV":
+        if agent_class.proactive:
             for node in sorted(self.agents):
-                self.agents[node].start(self.rng.uniform(0.0, dsdv_stagger_max))
+                self.agents[node].start(self.rng.uniform(0.0, START_STAGGER_MAX))
 
         self.sources = {}
         self.sinks = {}

@@ -90,17 +90,13 @@ def reports(timed_reports):
 
 
 @pytest.fixture(scope="module")
-def sims():
-    """One completed (non-audited) simulation per combo, ledger attached."""
-    return {
-        (name, proto):
-            build_simulation(builtin_scenario(name, proto)).run(600.0)
-        for name, proto in COMBOS
-    }
-
-
-@pytest.fixture(scope="module")
 def audited_sims():
+    """One completed audited simulation per combo, ledger attached.
+
+    Auditors only read state, so these runs also serve every check that
+    needs a finished simulation; c01 checks that their traces equal the
+    unaudited runs' trace.txt.
+    """
     return {
         (name, proto):
             build_simulation(builtin_scenario(name, proto),
@@ -155,10 +151,13 @@ def _static_world(side, pos):
 
 # -- exact property suites ---------------------------------------------------
 
-def test_c01_determinism_and_runtime(timed_reports):
+def test_c01_determinism_and_runtime(timed_reports, audited_sims):
     problems = []
     for combo, ((rep_a, dir_a, dt_a), (rep_b, dir_b, dt_b)) in \
             timed_reports.items():
+        audited = audited_sims[combo].ledger.trace_text()
+        if audited != (dir_a / "trace.txt").read_text():
+            problems.append(f"{combo}: audited run's trace differs from trace.txt")
         for dt in (dt_a, dt_b):
             if dt >= 60.0:
                 problems.append(f"{combo}: run took {dt:.1f}s")
@@ -169,7 +168,8 @@ def test_c01_determinism_and_runtime(timed_reports):
             if (dir_a / rel).read_bytes() != (dir_b / rel).read_bytes():
                 problems.append(f"{combo}: {rel} differs between equal-seed runs")
     verdict("c01 determinism: equal seeds give byte-identical artifacts, "
-            "each 600s run under 60s", problems)
+            "auditing leaves the trace unchanged, each 600s run under 60s",
+            problems)
 
 
 def test_c02_reactive_first_route_matches_shortest_path(topologies):
@@ -283,7 +283,7 @@ def test_c06_transport_conservation(audited_sims):
             f"window bound hold at every event ({checks} checks)", problems)
 
 
-def test_c07_trace_format_golden_lines_and_round_trip(sims):
+def test_c07_trace_format_golden_lines_and_round_trip(audited_sims):
     problems = []
     sim = build_simulation(builtin_scenario("long-distance", "AODV")).run(0.0)
     emitted = {line.split()[2]: line
@@ -295,7 +295,7 @@ def test_c07_trace_format_golden_lines_and_round_trip(sims):
             problems.append(f"node {node}: {emitted.get(node)!r} != {golden!r}")
 
     # write -> parse -> rewrite is lossless on a full mobile run
-    trace = sims[("long-distance", "AODV")].ledger.trace_text()
+    trace = audited_sims[("long-distance", "AODV")].ledger.trace_text()
     original = [l for l in trace.splitlines() if l.startswith("M ")]
     records, _skipped = parse_mobility_trace(trace)
     rebuilt = [format_motion_line(*record) for record in records]
@@ -307,10 +307,10 @@ def test_c07_trace_format_golden_lines_and_round_trip(sims):
             "lossless", problems)
 
 
-def test_c08_metric_identities(sims):
+def test_c08_metric_identities(audited_sims):
     problems = []
     zero_variance_windows = 0
-    for (name, proto), sim in sims.items():
+    for (name, proto), sim in audited_sims.items():
         ledger = sim.ledger
         for fc in builtin_scenario(name, proto).flows:
             deliveries = ledger.deliveries(fc.flow)
@@ -359,20 +359,20 @@ def _geometric_break(sim, a, b, radio_range=250.0):
     return lo
 
 
-def test_c09_long_distance_break_time(sims):
+def test_c09_long_distance_break_time(audited_sims):
     problems = []
-    t_break = _geometric_break(sims[("long-distance", "AODV")], 0, 15)
+    t_break = _geometric_break(audited_sims[("long-distance", "AODV")], 0, 15)
     if abs(t_break - 29.73) > 3.0:
         problems.append(f"break at {t_break:.3f}s, outside 29.73 +/- 3")
     verdict(f"c09 0-15 separation leaves radio range at {t_break:.2f}s "
             f"(29.73 +/- 3)", problems)
 
 
-def test_c10_post_break_behavior(sims):
+def test_c10_post_break_behavior(audited_sims):
     problems = []
-    t_break = _geometric_break(sims[("long-distance", "AODV")], 0, 15)
-    aodv = sims[("long-distance", "AODV")].ledger
-    dsdv = sims[("long-distance", "DSDV")].ledger
+    t_break = _geometric_break(audited_sims[("long-distance", "AODV")], 0, 15)
+    aodv = audited_sims[("long-distance", "AODV")].ledger
+    dsdv = audited_sims[("long-distance", "DSDV")].ledger
 
     relayed = [
         (t, chain) for t, chain in aodv.paths_taken().get("f0", ())
@@ -439,13 +439,13 @@ def test_c12_short_distance_first_route(reports):
             f"via stationary relays", problems)
 
 
-def test_c13_short_distance_ordering(reports, sims):
+def test_c13_short_distance_ordering(reports, audited_sims):
     problems = []
     aodv = {s["flow"]: s for s in reports[("short-distance", "AODV")].flows}["f1"]
     dsdv = {s["flow"]: s for s in reports[("short-distance", "DSDV")].flows}["f1"]
 
     aodv_post_153 = [t for t, _d, _s, _b in
-                     sims[("short-distance", "AODV")].ledger.deliveries("f1")
+                     audited_sims[("short-distance", "AODV")].ledger.deliveries("f1")
                      if t >= 153.0]
     if not aodv_post_153:
         problems.append("reactive run has no post-153 deliveries")

@@ -73,6 +73,24 @@ def test_invalid_document_is_a_validation_error(tmp_path, capsys):
     assert "placements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, field", [
+    ({"aodv": {"bogus": 1}}, "protocol_params.aodv.bogus"),
+    ({"aodv": [1, 2]}, "protocol_params.aodv"),
+    ({"dsdv": {"update_interval": "x"}}, "protocol_params.dsdv.update_interval"),
+])
+def test_malformed_protocol_params_are_validation_errors(
+        tmp_path, capsys, params, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI_DOC, protocol_params=params)))
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("flag, value", [
     ("--window", "0"), ("--window", "-1"), ("--window", "nan"),

@@ -1,0 +1,96 @@
+"""The shared forwarding plane, checked once for every protocol in the table."""
+
+import pytest
+
+from vanetsim.engine import Scheduler
+from vanetsim.mobility import MobilityModel
+from vanetsim.radio import Frame, RadioMedium, RoutedPacket
+from vanetsim.simulation import PROTOCOLS
+from vanetsim.transport import DataPacket
+
+CHAIN = {0: (100.0, 400.0), 1: (300.0, 400.0), 2: (500.0, 400.0)}
+# route errors a relay broadcasts when it has no route for a data packet
+RERRS_ON_RELAY_NO_ROUTE = {"AODV": 1, "DSDV": 0}
+
+
+class Recorder:
+    """Radio tap and ledger hooks in one: frames sent, drops and paths."""
+
+    def __init__(self):
+        self.sends = []  # frame kinds, in send order
+        self.drops = []  # (flow, seq)
+        self.paths = []  # (flow, chain)
+
+    def on_send(self, frame, t):
+        self.sends.append(frame.kind)
+
+    def on_delivery(self, frame, node, t):
+        pass
+
+    def on_loss(self, frame, reason, t):
+        pass
+
+    def on_flow_drop(self, flow, seq, t):
+        self.drops.append((flow, seq))
+
+    def on_path(self, flow, chain, t):
+        self.paths.append((flow, tuple(chain)))
+
+
+def chain(name):
+    """Agents of one protocol on a three-node line, routes converged."""
+    agent_class = PROTOCOLS[name].agent
+    sched = Scheduler()
+    mobility = MobilityModel()
+    radio = RadioMedium(sched, mobility)
+    log = Recorder()
+    radio.tap = log
+    delivered = []
+    agents = {}
+    for node, (x, y) in CHAIN.items():
+        mobility.add_node(node, x, y)
+        agents[node] = agent_class(
+            sched, radio, node, ledger=log,
+            deliver_up=lambda pkt, now, n=node: delivered.append((n, pkt)))
+    if agent_class.proactive:
+        for agent in agents.values():
+            agent.start(0.0)
+        # two table rounds carry every route along the line
+        sched.run_until(2 * agents[0].config.update_interval + 1.0)
+    return sched, agents, log, delivered
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_self_addressed_packet_goes_straight_up(name):
+    _sched, agents, log, delivered = chain(name)
+    sent = len(log.sends)
+    packet = DataPacket("f0", 0, 512)
+    agents[1].send_packet(packet, 1)
+    assert delivered == [(1, packet)]
+    assert len(log.sends) == sent
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_relay_appends_its_id_and_destination_reports_the_chain(name):
+    sched, agents, log, delivered = chain(name)
+    packet = DataPacket("f0", 0, 512)
+    agents[0].send_packet(packet, 2)
+    sched.run_until(sched.now + 2.0)
+    assert delivered == [(2, packet)]
+    assert log.paths == [("f0", (0, 1, 2))]
+    assert log.drops == []
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_relay_without_route_drops_once(name):
+    sched, agents, log, delivered = chain(name)
+    sent = len(log.sends)
+    # a data frame reaches relay 1 for a node nobody has a route to
+    env = RoutedPacket(0, 9, DataPacket("f0", 4, 512))
+    agents[1].on_frame(Frame("DATA", 0, 1, 512, env))
+    sched.run_until(sched.now + 0.5)
+    assert log.drops == [("f0", 4)]
+    assert env.hops == [1]
+    assert log.sends[sent:].count("RERR") == RERRS_ON_RELAY_NO_ROUTE[name]
+    assert "DATA" not in log.sends[sent:]
+    assert delivered == []

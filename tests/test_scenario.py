@@ -138,6 +138,16 @@ def test_round_trip_preserves_config():
     ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
                  "send_interval": 0}]}, "flows[0]"),
     ({"background_mobility": {"kind": "brownian"}}, "kind"),
+    ({"protocol": 5}, "protocol"),
+    ({"protocol_params": {"aodv": {"bogus": 1}}},
+     "protocol_params.aodv.bogus: unknown parameter"),
+    ({"protocol_params": {"aodv": [1, 2]}}, "protocol_params.aodv:"),
+    ({"protocol_params": {"dsdv": {"update_interval": "x"}}},
+     "protocol_params.dsdv.update_interval:"),
+    ({"protocol_params": {"dsdv": {"update_interval": 0}}},
+     "protocol_params.dsdv: update_interval"),
+    ({"protocol_params": {"aodv": {"ttl": 2.5}}}, "protocol_params.aodv.ttl:"),
+    ({"protocol_params": {"olsr": {}}}, "protocol_params.olsr:"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
