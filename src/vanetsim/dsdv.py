@@ -57,7 +57,7 @@ class DsdvUpdate:
     rows: list  # (dest, metric, dest_seq) sorted by dest
 
 
-@dataclass
+@dataclass(slots=True)
 class DsdvEntry:
     dest: int
     next_hop: int
@@ -104,11 +104,10 @@ class DsdvAgent(RoutingAgent):
         me = self.table[self.node_id]
         me.seq = self.own_seq
         self.dirty.add(self.node_id)
-        adv = self._advertisable(self.dirty, now)
-        full_due = (
-            now - self.last_full_dump >= cfg.full_dump_interval
-            or len(adv) > cfg.full_dump_dirty_fraction * len(self.table)
-        )
+        full_due = now - self.last_full_dump >= cfg.full_dump_interval
+        if not full_due:
+            adv = self._advertisable(self.dirty, now)
+            full_due = len(adv) > cfg.full_dump_dirty_fraction * len(self.table)
         if full_due:
             dests = self._advertisable(self.table, now)
             self.last_full_dump = now
@@ -166,38 +165,47 @@ class DsdvAgent(RoutingAgent):
             self._handle_data(frame.payload, now)
 
     def _handle_update(self, update: DsdvUpdate, now: float) -> None:
+        # full dumps make this the hottest loop of a DSDV run, and most of
+        # their rows are no news: those are rejected on the sequence number
+        # and the raw metric before any candidate is built
+        me = self.node_id
+        get = self.table.get
+        dirty = self.dirty
+        auditor = self.auditor
         sender = update.sender
         for dest, metric, seq in update.rows:
-            if dest == self.node_id:
-                if seq > self.own_seq:
-                    # someone is spreading stale or bad news about us;
-                    # mint a fresh even number above it
-                    self.own_seq = seq + 1 if seq % 2 else seq + 2
-                    me = self.table[self.node_id]
-                    me.seq = self.own_seq
-                    self.dirty.add(self.node_id)
-                    self._note_mutation(self.node_id)
-                continue
-            cand_metric = INFINITE if seq % 2 else metric + 1
-            e = self.table.get(dest)
-            if e is None:
-                self.table[dest] = DsdvEntry(dest, sender, cand_metric, seq, now)
-                self.dirty.add(dest)
-                self._note_mutation(dest)
-                continue
-            if not (seq > e.seq or (seq == e.seq and cand_metric < e.metric)):
-                continue
-            worsened = e.alive() and cand_metric > e.metric
-            e.next_hop = sender
-            e.metric = cand_metric
-            e.seq = seq
-            e.install_time = now
-            if seq % 2 == 0 and worsened:
-                e.settling_deadline = now + self.config.settling_time
+            if dest == me:
+                if seq <= self.own_seq:
+                    continue
+                # someone is spreading stale or bad news about us; mint a
+                # fresh even number above it
+                self.own_seq = seq + 1 if seq % 2 else seq + 2
+                self.table[me].seq = self.own_seq
             else:
-                e.settling_deadline = None
-            self.dirty.add(dest)
-            self._note_mutation(dest)
+                e = get(dest)
+                if e is None:
+                    self.table[dest] = DsdvEntry(
+                        dest, sender, INFINITE if seq % 2 else metric + 1,
+                        seq, now)
+                else:
+                    old_seq = e.seq
+                    if seq < old_seq or (seq == old_seq and (
+                            metric + 1 >= e.metric or seq % 2)):
+                        continue
+                    cand_metric = INFINITE if seq % 2 else metric + 1
+                    # a worse metric replacing a live route is damped
+                    # (a finite metric always carries an even number)
+                    if seq % 2 == 0 and cand_metric > e.metric:
+                        e.settling_deadline = now + self.config.settling_time
+                    else:
+                        e.settling_deadline = None
+                    e.next_hop = sender
+                    e.metric = cand_metric
+                    e.seq = seq
+                    e.install_time = now
+            dirty.add(dest)
+            if auditor is not None:
+                auditor.on_route_mutation(me, dest)
 
     # -- data path ---------------------------------------------------------
 

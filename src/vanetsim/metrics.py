@@ -10,7 +10,10 @@ and attribute each window's value to the window's end time. Throughput
 counts transport payload bits only; destination bandwidth counts every
 frame bit delivered to a node, control traffic included. Jitter is the
 population standard deviation of the delays inside one window, emitted
-only for windows holding at least two deliveries.
+only for windows holding at least two deliveries. It is computed in exact
+integer arithmetic and rounded once, so it is the correctly rounded value
+and the same float on every supported Python (the standard library's
+``pstdev`` rounds twice before 3.11).
 
 Two text formats live here as well: mobility lines
 (``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``) and
@@ -21,6 +24,7 @@ columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form.
 import math
 import re
 import statistics
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +38,41 @@ class MetricSeries:
 
 class TraceFormatError(ValueError):
     pass
+
+
+# bits of the scaled integer square root: two more than twice a float's
+# 53-bit significand, enough for round-to-odd to round correctly once
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _pstdev(values) -> float:
+    """Population standard deviation of floats, correctly rounded.
+
+    Each float is n / d exactly with d a power of two. Over the largest d
+    the k values are integers n_i, and the variance is exactly
+    (k * sum(n_i**2) - sum(n_i)**2) / (k * d)**2. Its square root is taken
+    by round-to-odd ``math.isqrt`` on a scaled integer and rounded to a
+    float once, the method CPython 3.11+ ``statistics`` uses.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _n, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    k = len(nums)
+    total = sum(nums)
+    ss = k * sum(n * n for n in nums) - total * total
+    if ss == 0:
+        return 0.0
+    m = (k * den) ** 2
+    shift = (ss.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        m <<= 2 * shift
+    else:
+        ss <<= -2 * shift
+    root = math.isqrt(ss // m)
+    root |= root * root * m != ss  # an inexact root is made odd
+    if shift >= 0:
+        return float(root << shift)
+    return root / (1 << -shift)
 
 
 def _nudge_ties(points):
@@ -163,7 +202,7 @@ class MetricsLedger:
             if k < n:
                 delays[k].append(delay)
         points = [
-            ((k + 1) * window, statistics.pstdev(delays[k]))
+            ((k + 1) * window, _pstdev(delays[k]))
             for k in range(n)
             if len(delays[k]) >= 2
         ]
@@ -191,17 +230,21 @@ class MetricsLedger:
         return d[0][0] if d else None
 
     def flow_summary(self, flow, duration, window=1.0) -> dict:
+        return self._summary(flow,
+                             self.throughput_series(flow, duration, window),
+                             self.jitter_series(flow, duration, window))
+
+    def _summary(self, flow, throughput, jitter) -> dict:
+        """flow_summary's row from the flow's already-built series."""
         delivered = self._deliveries.get(flow, [])
-        jitter = self.jitter_series(flow, duration, window).points
-        throughput = self.throughput_series(flow, duration, window).points
         return {
             "flow": flow,
             "delivered": len(delivered),
             "lost": self._drops.get(flow, 0),
             "max_delay": max((d for _t, d, _s, _b in delivered), default=0.0),
-            "max_jitter": max((v for _t, v in jitter), default=0.0),
-            "mean_throughput": statistics.fmean(v for _t, v in throughput)
-            if throughput
+            "max_jitter": max((v for _t, v in jitter.points), default=0.0),
+            "mean_throughput": statistics.fmean(v for _t, v in throughput.points)
+            if throughput.points
             else 0.0,
         }
 

@@ -181,15 +181,25 @@ def _field_error(path, message):
     return ConfigError(f"{path}: {message}")
 
 
+def _float(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _field_error(path, f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _number(doc, key, path, default=None):
+    path = f"{path}.{key}" if path else key
     if key not in doc:
         if default is None:
-            raise _field_error(f"{path}.{key}", "missing required field")
+            raise _field_error(path, "missing required field")
         return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise _field_error(f"{path}.{key}", f"expected a number, got {v!r}")
-    return v
+    _float(doc[key], path)
+    return doc[key]
+
+
+def _point(raw, path) -> tuple:
+    """An [x, y] pair of numbers as a float tuple."""
+    return (_float(raw[0], f"{path}[0]"), _float(raw[1], f"{path}[1]"))
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -207,6 +217,9 @@ def load_config(text: str) -> ScenarioConfig:
         raise _field_error("protocol", f"unknown protocol {protocol!r}")
     protocol = protocol.upper()
     duration = _number(doc, "duration", "", default=BUILTIN_DURATION)
+    if not (math.isfinite(duration) and duration > 0):
+        raise _field_error("duration",
+                           f"expected a positive number, got {duration!r}")
     seed = doc.get("seed", 1)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise _field_error("seed", f"expected an integer, got {seed!r}")
@@ -214,7 +227,7 @@ def load_config(text: str) -> ScenarioConfig:
     raw_field = doc.get("field", [3000.0, 1600.0])
     if not (isinstance(raw_field, list) and len(raw_field) == 2):
         raise _field_error("field", "expected [width, height]")
-    field = (float(raw_field[0]), float(raw_field[1]))
+    field = _point(raw_field, "field")
     bounds = FieldConfig(*field)
 
     raw_radio = doc.get("radio", {})
@@ -238,11 +251,11 @@ def load_config(text: str) -> ScenarioConfig:
                 and isinstance(item[0], int)
                 and isinstance(item[1], list) and len(item[1]) == 2):
             raise _field_error(path, "expected [node, [x, y]]")
-        node, (x, y) = item[0], item[1]
+        node = item[0]
         if node in seen_nodes:
             raise _field_error(path, f"duplicate node id {node}")
         seen_nodes.add(node)
-        pos = (float(x), float(y))
+        pos = _point(item[1], f"{path}[1]")
         if not bounds.contains(pos):
             raise _field_error(path, f"position {pos} outside field {field}")
         placements.append((node, pos))
@@ -258,10 +271,21 @@ def load_config(text: str) -> ScenarioConfig:
                 and isinstance(item[2], list) and len(item[2]) == 2):
             raise _field_error(path, "expected [node, start_t, [x, y], speed]")
         node, start_t, dest, speed = item
-        if node not in seen_nodes:
-            raise _field_error(path, f"motion references unknown node {node}")
-        motions.append(Motion(node, float(start_t),
-                              (float(dest[0]), float(dest[1])), float(speed)))
+        if not isinstance(node, int) or node not in seen_nodes:
+            raise _field_error(path, f"motion references unknown node {node!r}")
+        start_t = _float(start_t, f"{path}[1]")
+        if not (math.isfinite(start_t) and start_t >= 0):
+            raise _field_error(f"{path}[1]", f"expected a start time >= 0, "
+                               f"got {start_t!r}")
+        dest = _point(dest, f"{path}[2]")
+        if not bounds.contains(dest):
+            raise _field_error(f"{path}[2]",
+                               f"destination {dest} outside field {field}")
+        speed = _float(speed, f"{path}[3]")
+        if not (math.isfinite(speed) and speed > 0):
+            raise _field_error(f"{path}[3]",
+                               f"expected a positive speed, got {speed!r}")
+        motions.append(Motion(node, start_t, dest, speed))
 
     raw_flows = doc.get("flows")
     if not isinstance(raw_flows, list) or not raw_flows:
@@ -435,37 +459,40 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
     ledger = sim.ledger
     duration = config.duration
 
-    flow_stats = []
-    for fc in config.flows:
-        stats = ledger.flow_summary(fc.flow, duration, window)
-        stats["first_delivery"] = ledger.first_delivery(fc.flow)
-        stats["sink_bandwidth_bits"] = ledger.cumulative_bandwidth_bits(
-            fc.sink, until=duration)
-        stats["first_data_window"] = _first_nonzero(
-            ledger.throughput_series(fc.flow, duration, window).points)
-        stats["first_sink_bandwidth_window"] = _first_nonzero(
-            ledger.bandwidth_series(fc.sink, duration, window).points)
-        flow_stats.append(stats)
-
+    # the trace is written and let go before any flow's series is built,
+    # so the two never share memory; each flow's series are built once
     manifest = []
     if out_dir is not None:
         manifest.append("trace.txt")
         _write_text(out_dir, "trace.txt", ledger.trace_text())
-        for fc in config.flows:
-            series = {
-                "throughput": ledger.throughput_series(fc.flow, duration, window),
-                "jitter": ledger.jitter_series(fc.flow, duration, window),
-                "delay": ledger.delay_series(fc.flow),
-                "cwnd": ledger.cwnd_series(fc.flow),
-                "destination_bandwidth": ledger.bandwidth_series(
-                    fc.sink, duration, window),
-            }
-            for metric in METRIC_NAMES:
-                rel = os.path.join("metrics", fc.flow, f"{metric}.dat")
-                path = os.path.join(out_dir, rel)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                write_plot_series(series[metric], path)
-                manifest.append(rel)
+    flow_stats = []
+    for fc in config.flows:
+        series = {
+            "throughput": ledger.throughput_series(fc.flow, duration, window),
+            "jitter": ledger.jitter_series(fc.flow, duration, window),
+            "destination_bandwidth": ledger.bandwidth_series(
+                fc.sink, duration, window),
+        }
+        stats = ledger._summary(fc.flow, series["throughput"], series["jitter"])
+        stats["first_delivery"] = ledger.first_delivery(fc.flow)
+        stats["sink_bandwidth_bits"] = ledger.cumulative_bandwidth_bits(
+            fc.sink, until=duration)
+        stats["first_data_window"] = _first_nonzero(series["throughput"].points)
+        stats["first_sink_bandwidth_window"] = _first_nonzero(
+            series["destination_bandwidth"].points)
+        flow_stats.append(stats)
+        if out_dir is None:
+            continue
+        series["delay"] = ledger.delay_series(fc.flow)
+        series["cwnd"] = ledger.cwnd_series(fc.flow)
+        for metric in METRIC_NAMES:
+            rel = os.path.join("metrics", fc.flow, f"{metric}.dat")
+            path = os.path.join(out_dir, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_plot_series(series[metric], path)
+            manifest.append(rel)
+
+    if out_dir is not None:
         manifest.append("summary.csv")
         _write_summary_csv(out_dir, flow_stats)
         manifest.append("paths.log")

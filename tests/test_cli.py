@@ -91,6 +91,27 @@ def test_malformed_protocol_params_are_validation_errors(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"duration": -5}, "duration"),
+    ({"field": ["x", 5]}, "field[0]"),
+    ({"placements": [[0, [100, 300]], [1, ["a", 300]], [2, [500, 300]]]},
+     "placements[1][1][0]"),
+    ({"motions": [[1, 2.0, [400, 300], 0]]}, "motions[0][3]"),
+    ({"motions": [[1, 2.0, [4000, 300], 5.0]]}, "motions[0][2]"),
+])
+def test_malformed_documents_fail_before_running(
+        tmp_path, capsys, overrides, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(MINI_DOC, **overrides)))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("flag, value", [
     ("--window", "0"), ("--window", "-1"), ("--window", "nan"),

@@ -170,6 +170,131 @@ def test_adoption_order_independent_of_arrival(rows, order):
     assert (entry.seq, entry.metric) == (best_seq, best_metric)
 
 
+class MutationLog:
+    def __init__(self):
+        self.mutations = []
+
+    def on_route_mutation(self, node, dest):
+        self.mutations.append((node, dest))
+
+
+class ReferenceTable:
+    """The module docstring's rules, written out plainly for node 0.
+
+    Rows are [next_hop, metric, seq, install_time, settling_deadline].
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.table = {0: [0, 0, 0, 0.0, None]}
+        self.dirty = set()
+        self.own_seq = 0
+        self.mutations = []
+        self.last_trigger = -INFINITE
+
+    def _changed(self, dest):
+        self.dirty.add(dest)
+        self.mutations.append((0, dest))
+
+    def update(self, sender, rows, now):
+        for dest, metric, seq in rows:
+            if dest == 0:
+                # news about ourselves newer than our own number: jump past
+                # it to a fresh even number
+                if seq > self.own_seq:
+                    self.own_seq = seq + 1 if seq % 2 else seq + 2
+                    self.table[0][2] = self.own_seq
+                    self._changed(0)
+                continue
+            cand = INFINITE if seq % 2 else metric + 1
+            old = self.table.get(dest)
+            if old is None:
+                self.table[dest] = [sender, cand, seq, now, None]
+            elif seq > old[2] or (seq == old[2] and cand < old[1]):
+                live = old[2] % 2 == 0 and old[1] != INFINITE
+                damped = seq % 2 == 0 and live and cand > old[1]
+                deadline = now + self.config.settling_time if damped else None
+                self.table[dest] = [sender, cand, seq, now, deadline]
+            else:
+                continue
+            self._changed(dest)
+
+    def neighbor_loss(self, dead, now):
+        changed = False
+        for dest in sorted(self.table):
+            row = self.table[dest]
+            if row[0] == dead and row[2] % 2 == 0 and row[1] != INFINITE:
+                row[1], row[2], row[4] = INFINITE, row[2] + 1, None
+                self._changed(dest)
+                changed = True
+        # an immediate update unless one went out within trigger_min_gap;
+        # a deferred one never fires here, as the scheduler never runs
+        if changed and now - self.last_trigger >= self.config.trigger_min_gap:
+            sent = [d for d in sorted(self.dirty)
+                    if self.table[d][4] is None or self.table[d][4] <= now]
+            if sent:
+                self.last_trigger = now
+                for d in sent:
+                    self.table[d][4] = None
+                self.dirty -= set(sent)
+
+
+update_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),  # 0 is the agent itself
+        st.one_of(st.integers(min_value=0, max_value=4), st.just(INFINITE)),
+        st.integers(min_value=0, max_value=12),  # odd numbers included
+    ),
+    min_size=1, max_size=6,
+)
+agent_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]),  # time since last step
+        st.one_of(
+            st.tuples(st.just("update"), st.integers(min_value=1, max_value=3),
+                      update_rows),
+            st.tuples(st.just("loss"), st.integers(min_value=1, max_value=3)),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=agent_steps)
+def test_agent_matches_reference_rules(steps):
+    """Random updates (self rows, odd numbers, infinite and worsened
+
+    metrics) and neighbour losses leave the agent's table, dirty set, own
+    sequence number, settling deadlines and mutation order exactly as the
+    plainly written rules do.
+    """
+    cfg = DsdvConfig()
+    sched = Scheduler()
+    mob = MobilityModel()
+    radio = RadioMedium(sched, mob)
+    mob.add_node(0, 100.0, 100.0)
+    log = MutationLog()
+    agent = DsdvAgent(sched, radio, 0, config=cfg, auditor=log)
+    ref = ReferenceTable(cfg)
+    now = 0.0
+    for dt, step in steps:
+        now += dt
+        if step[0] == "update":
+            _, sender, rows = step
+            agent._handle_update(DsdvUpdate(sender, "full", rows), now)
+            ref.update(sender, rows, now)
+        else:
+            agent.handle_neighbor_loss(step[1], now)
+            ref.neighbor_loss(step[1], now)
+        table = {d: [e.next_hop, e.metric, e.seq, e.install_time,
+                     e.settling_deadline] for d, e in agent.table.items()}
+        assert table == ref.table
+        assert agent.dirty == ref.dirty
+        assert agent.own_seq == ref.own_seq
+        assert log.mutations == ref.mutations
+
+
 def test_neighbor_loss_spreads_by_immediate_trigger():
     positions = {0: (100.0, 400.0), 1: (300.0, 400.0), 2: (500.0, 400.0)}
     sched, mob, radio, agents, _ = build(positions)

@@ -1,13 +1,19 @@
 """Metric and trace-format tests with hand-computed expected values."""
 
 import math
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vanetsim.metrics import (
     MetricSeries,
     MetricsLedger,
     TraceFormatError,
+    _pstdev,
     format_motion_line,
     parse_mobility_trace,
     parse_plot_series,
@@ -74,6 +80,54 @@ def test_jitter_skips_windows_with_fewer_than_two_deliveries():
     deliver(led, "f0", 2, 2.2)
     series = led.jitter_series("f0", duration=4.0, window=1.0)
     assert [t for t, _v in series.points] == [3.0]
+
+
+delay_windows = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+    ),
+    min_size=2, max_size=12)
+
+
+def _exact_pvariance(values):
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    return sum((x - mean) ** 2 for x in xs) / len(xs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=delay_windows)
+@example(values=[0.0, 5e-324])  # exact root halfway between 0 and 5e-324
+@example(values=[1.0, 2.0 ** 53 + 2.0])  # exact root halfway to 2**52 + 1
+def test_pstdev_is_correctly_rounded(values):
+    """The result is the float nearest the exact root, ties to even."""
+    got = _pstdev(values)
+    var = _exact_pvariance(values)
+    if var == 0:
+        assert got == 0.0
+        return
+    # the midpoints to the neighbouring floats bound the exact root
+    below = (Fraction(math.nextafter(got, 0.0)) + Fraction(got)) / 2
+    above = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
+    assert below ** 2 <= var <= above ** 2
+    if var in (below ** 2, above ** 2):
+        # a tie goes to the float whose last significand bit is 0
+        assert Fraction(got) / Fraction(math.ulp(got)) % 2 == 0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.pstdev rounds twice before 3.11")
+@settings(max_examples=300, deadline=None)
+@given(values=delay_windows)
+def test_pstdev_equals_stdlib_from_3_11(values):
+    assert _pstdev(values) == statistics.pstdev(values)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.007, 1e-300, 123.456, -2.5])
+def test_pstdev_of_constant_window_is_zero(value):
+    assert _pstdev([value] * 7) == 0.0
 
 
 def test_delay_measured_from_latest_handoff_before_arrival():

@@ -11,6 +11,7 @@ from vanetsim.metrics import parse_mobility_trace
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
+    build_simulation,
     builtin_scenario,
     compare,
     format_comparison,
@@ -148,6 +149,23 @@ def test_round_trip_preserves_config():
      "protocol_params.dsdv: update_interval"),
     ({"protocol_params": {"aodv": {"ttl": 2.5}}}, "protocol_params.aodv.ttl:"),
     ({"protocol_params": {"olsr": {}}}, "protocol_params.olsr:"),
+    ({"duration": -5}, "duration: expected a positive number"),
+    ({"duration": 0}, "duration:"),
+    ({"duration": "long"}, "duration: expected a number"),
+    ({"field": ["x", 5]}, "field[0]: expected a number, got 'x'"),
+    ({"placements": [[0, [100, 300]], [1, ["a", 300]],
+                     [2, [500, 300]]]}, "placements[1][1][0]:"),
+    ({"placements": [[0, [100, 300]], [1, [300, None]],
+                     [2, [500, 300]]]}, "placements[1][1][1]:"),
+    ({"motions": [[1, "soon", [400, 300], 5.0]]}, "motions[0][1]:"),
+    ({"motions": [[1, -1.0, [400, 300], 5.0]]}, "motions[0][1]:"),
+    ({"motions": [[1, 2.0, [400, "y"], 5.0]]}, "motions[0][2][1]:"),
+    ({"motions": [[1, 2.0, [400, 300], 0]]},
+     "motions[0][3]: expected a positive speed"),
+    ({"motions": [[1, 2.0, [400, 300], "fast"]]}, "motions[0][3]:"),
+    ({"motions": [[1, 2.0, [400, 300], 5.0], [2, 1.0, [5000, 300], 5.0]]},
+     "motions[1][2]: destination"),
+    ({"motions": [[[1], 2.0, [400, 300], 5.0]]}, "motions[0]:"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
@@ -198,6 +216,20 @@ def test_run_writes_complete_artifact_set(tmp_path):
 
     paths_log = (out / "paths.log").read_text()
     assert "f0 0 1 2" in paths_log
+
+
+def test_run_summary_rows_equal_flow_summary():
+    """run() builds each flow's series once; its rows match flow_summary."""
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=40.0)
+    window = 2.0
+    report = run(config, window=window)
+    # same scenario and seed, so a second simulation holds the same ledger
+    ledger = build_simulation(config).run(config.duration).ledger
+    assert any(stats["max_jitter"] > 0 for stats in report.flows)
+    for fc, stats in zip(config.flows, report.flows):
+        expected = ledger.flow_summary(fc.flow, config.duration, window)
+        assert {key: stats[key] for key in expected} == expected
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):
