@@ -19,13 +19,21 @@ Two text formats live here as well: mobility lines
 (``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``) and
 two-column plot series. Packet events in the combined trace use a
 columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form.
+
+Memory: about every ``TRACE_BLOCK_LINES`` trace lines are joined into one
+text block, so ``trace.txt`` is written block by block with no full-text
+copy, and each node's receptions are two ``array('d')``s (times, bits).
+Bit counts are integers below 2**53, so each converts to a float exactly
+and the bandwidth sums equal those over the ints.
 """
 
 import math
 import re
 import statistics
 import sys
+from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,6 +83,43 @@ def _pstdev(values) -> float:
     return root / (1 << -shift)
 
 
+# pending trace lines joined into one block at a time; the check runs once
+# per sent frame, so a block may hold a few lines more
+TRACE_BLOCK_LINES = 4096
+
+
+class TraceLines:
+    """The trace: packed text blocks plus the lines not yet packed.
+
+    ``append`` is the pending list's own method; ``len()`` counts every
+    line. ``pack`` empties the pending list in place, so a holder of that
+    list (the ledger appends to it directly) keeps a live reference.
+    """
+
+    def __init__(self):
+        self.pending: list[str] = []
+        self.append = self.pending.append
+        self._blocks: list[str] = []
+        self._packed = 0
+
+    def __len__(self) -> int:
+        return self._packed + len(self.pending)
+
+    def pack(self) -> None:
+        """Join the pending lines into one newline-terminated block."""
+        pending = self.pending
+        if pending:
+            self._packed += len(pending)
+            pending.append("")  # the join then ends with a newline
+            self._blocks.append("\n".join(pending))
+            pending.clear()
+
+    def blocks(self) -> list[str]:
+        """Every line so far, as newline-terminated text blocks in order."""
+        self.pack()
+        return self._blocks
+
+
 def _nudge_ties(points):
     """Shift repeated x-values forward by 1 ns so plots stay functions."""
     out = []
@@ -89,7 +134,9 @@ def _nudge_ties(points):
 
 class MetricsLedger:
     def __init__(self):
-        self.trace_lines: list[str] = []
+        self.trace_lines = TraceLines()
+        # lines go straight onto the pending list, one plain list.append each
+        self._lines = self.trace_lines.pending
         self._next_frame_id = 0
         self._handoffs: dict[tuple[str, int], list[float]] = {}
         self._deliveries: dict[str, list] = {}  # flow -> [(t, delay, seq, bits)]
@@ -97,7 +144,8 @@ class MetricsLedger:
         self._drops: dict[str, int] = {}
         self._cwnd: dict[str, list] = {}
         self._paths: dict[str, list] = {}  # flow -> [(t, node chain)]
-        self._received: dict[int, list] = {}  # node -> [(t, frame bits)]
+        # node -> (times, frame bits) of every reception
+        self._received = defaultdict(lambda: (array("d"), array("d")))
 
     # -- radio tap ---------------------------------------------------
 
@@ -106,9 +154,13 @@ class MetricsLedger:
             frame.trace_id = self._next_frame_id
             self._next_frame_id += 1
         self._packet_line("s", t, frame, frame.dst)
+        if len(self._lines) >= TRACE_BLOCK_LINES:
+            self.trace_lines.pack()
 
     def on_delivery(self, frame, receiver: int, t: float) -> None:
-        self._received.setdefault(receiver, []).append((t, frame.size * 8))
+        times, bits = self._received[receiver]
+        times.append(t)
+        bits.append(frame.size * 8)
         self._packet_line("r", t, frame, receiver)
 
     def on_loss(self, frame, reason: str, t: float) -> None:
@@ -119,7 +171,7 @@ class MetricsLedger:
 
     def _packet_line(self, op, t, frame, dst) -> None:
         dst_txt = "*" if dst == -1 else str(dst)
-        self.trace_lines.append(
+        self._lines.append(
             f"{op} {t:.7f} {frame.kind} {frame.trace_id} {frame.src} {dst_txt} {frame.size}"
         )
 
@@ -171,7 +223,7 @@ class MetricsLedger:
     # -- mobility hook -------------------------------------------------
 
     def on_motion_state(self, t, node, pos, dest, speed) -> None:
-        self.trace_lines.append(
+        self._lines.append(
             format_motion_line(t, node, (pos[0], pos[1], 0.0), dest, speed))
 
     # -- series builders ------------------------------------------------
@@ -215,11 +267,15 @@ class MetricsLedger:
     def cwnd_series(self, flow) -> MetricSeries:
         return MetricSeries(_nudge_ties(self._cwnd.get(flow, [])), "packets")
 
+    def _receptions(self, node):
+        """(t, bits) pairs of every frame node received, in order."""
+        return zip(*self._received.get(node, ((), ())))
+
     def bandwidth_series(self, node, duration, window=1.0) -> MetricSeries:
-        return self._bit_rate(self._received.get(node, ()), duration, window)
+        return self._bit_rate(self._receptions(node), duration, window)
 
     def cumulative_bandwidth_bits(self, node, until=None) -> float:
-        return sum((b for t, b in self._received.get(node, ())
+        return sum((b for t, b in self._receptions(node)
                     if until is None or t <= until), 0.0)
 
     def deliveries(self, flow) -> list:
@@ -249,9 +305,7 @@ class MetricsLedger:
         }
 
     def trace_text(self) -> str:
-        if not self.trace_lines:
-            return ""
-        return "\n".join(self.trace_lines) + "\n"
+        return "".join(self.trace_lines.blocks())
 
 
 # -- mobility trace format ------------------------------------------------

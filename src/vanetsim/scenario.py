@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 
 from .metrics import write_plot_series
-from .mobility import FieldConfig, distance
+from .mobility import FieldConfig, MobilityError, MobilityModel, distance
 from .radio import RadioConfig
 from .simulation import PROTOCOLS, Motion, Simulation
 from .transport import FlowConfig
@@ -197,6 +197,16 @@ def _number(doc, key, path, default=None):
     return doc[key]
 
 
+def _bounded(doc, key, path, default=None, positive=False):
+    """A finite number that is positive, or else non-negative."""
+    value = _number(doc, key, path, default)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "non-negative"
+        raise _field_error(f"{path}.{key}" if path else key,
+                           f"expected a {kind} number, got {value!r}")
+    return value
+
+
 def _point(raw, path) -> tuple:
     """An [x, y] pair of numbers as a float tuple."""
     return (_float(raw[0], f"{path}[0]"), _float(raw[1], f"{path}[1]"))
@@ -216,10 +226,8 @@ def load_config(text: str) -> ScenarioConfig:
     if not isinstance(protocol, str) or protocol.upper() not in PROTOCOLS:
         raise _field_error("protocol", f"unknown protocol {protocol!r}")
     protocol = protocol.upper()
-    duration = _number(doc, "duration", "", default=BUILTIN_DURATION)
-    if not (math.isfinite(duration) and duration > 0):
-        raise _field_error("duration",
-                           f"expected a positive number, got {duration!r}")
+    duration = _bounded(doc, "duration", "", default=BUILTIN_DURATION,
+                        positive=True)
     seed = doc.get("seed", 1)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise _field_error("seed", f"expected an integer, got {seed!r}")
@@ -234,10 +242,11 @@ def load_config(text: str) -> ScenarioConfig:
     if not isinstance(raw_radio, dict):
         raise _field_error("radio", "expected an object")
     radio = RadioConfig(
-        radio_range=_number(raw_radio, "range", "radio", default=250.0),
-        bandwidth=_number(raw_radio, "bandwidth", "radio", default=1e7),
-        per_hop_overhead=_number(raw_radio, "per_hop_overhead", "radio",
-                                 default=50e-6),
+        radio_range=_bounded(raw_radio, "range", "radio", default=250.0),
+        bandwidth=_bounded(raw_radio, "bandwidth", "radio", default=1e7,
+                           positive=True),
+        per_hop_overhead=_bounded(raw_radio, "per_hop_overhead", "radio",
+                                  default=50e-6),
     )
 
     raw_placements = doc.get("placements")
@@ -286,6 +295,17 @@ def load_config(text: str) -> ScenarioConfig:
             raise _field_error(f"{path}[3]",
                                f"expected a positive speed, got {speed!r}")
         motions.append(Motion(node, start_t, dest, speed))
+    # replay the legs in the order the scheduler applies them (start time,
+    # then document order) so an overlap is found before the run
+    replay = MobilityModel(bounds)
+    for node, (x, y) in placements:
+        replay.add_node(node, x, y)
+    for i in sorted(range(len(motions)), key=lambda i: motions[i].start_t):
+        m = motions[i]
+        try:
+            replay.set_motion(m.node, m.dest, m.speed, m.start_t)
+        except MobilityError as e:
+            raise _field_error(f"motions[{i}]", str(e)) from None
 
     raw_flows = doc.get("flows")
     if not isinstance(raw_flows, list) or not raw_flows:
@@ -302,14 +322,18 @@ def load_config(text: str) -> ScenarioConfig:
             sink = item["sink"]
         except KeyError as e:
             raise _field_error(path, f"missing required field {e.args[0]!r}")
+        if not isinstance(flow, str):
+            raise _field_error(f"{path}.flow",
+                               f"expected a string, got {flow!r}")
         if flow in flow_names:
             raise _field_error(path, f"duplicate flow name {flow!r}")
         flow_names.add(flow)
         for endpoint, label in ((src, "src"), (sink, "sink")):
-            if endpoint not in seen_nodes:
+            if (isinstance(endpoint, bool) or not isinstance(endpoint, int)
+                    or endpoint not in seen_nodes):
                 raise _field_error(
                     f"{path}.{label}",
-                    f"flow {flow!r} references unknown node {endpoint}")
+                    f"flow {flow!r} references unknown node {endpoint!r}")
         kwargs = {k: _number(item, k, path, default=v)
                   for k, v in _FLOW_DEFAULTS.items()}
         kwargs["data_packet_size"] = int(kwargs["data_packet_size"])
@@ -327,13 +351,17 @@ def load_config(text: str) -> ScenarioConfig:
     if not (isinstance(background, dict) and "kind" in background):
         raise _field_error("background_mobility", "expected an object with a kind")
     if background["kind"] == "random-waypoint":
+        path = "background_mobility"
         background = {
             "kind": "random-waypoint",
-            "v_min": _number(background, "v_min", "background_mobility"),
-            "v_max": _number(background, "v_max", "background_mobility"),
-            "pause": _number(background, "pause", "background_mobility",
-                             default=0.0),
+            "v_min": _bounded(background, "v_min", path, positive=True),
+            "v_max": _bounded(background, "v_max", path, positive=True),
+            "pause": _bounded(background, "pause", path, default=0.0),
         }
+        if background["v_max"] < background["v_min"]:
+            raise _field_error(f"{path}.v_max", f"expected at least v_min "
+                               f"{background['v_min']!r}, got "
+                               f"{background['v_max']!r}")
     elif background["kind"] != "stationary":
         raise _field_error("background_mobility.kind",
                            f"unknown kind {background['kind']!r}")
@@ -459,12 +487,12 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
     ledger = sim.ledger
     duration = config.duration
 
-    # the trace is written and let go before any flow's series is built,
-    # so the two never share memory; each flow's series are built once
+    # the trace is written block by block, so no full-text copy is made;
+    # each flow's series are built once
     manifest = []
     if out_dir is not None:
         manifest.append("trace.txt")
-        _write_text(out_dir, "trace.txt", ledger.trace_text())
+        _write_text(out_dir, "trace.txt", *ledger.trace_lines.blocks())
     flow_stats = []
     for fc in config.flows:
         series = {
@@ -515,11 +543,11 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
     return report
 
 
-def _write_text(out_dir, rel, text):
+def _write_text(out_dir, rel, *texts):
     path = os.path.join(out_dir, rel)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 _SUMMARY_COLUMNS = (

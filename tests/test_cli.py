@@ -98,6 +98,17 @@ def test_malformed_protocol_params_are_validation_errors(
      "placements[1][1][0]"),
     ({"motions": [[1, 2.0, [400, 300], 0]]}, "motions[0][3]"),
     ({"motions": [[1, 2.0, [4000, 300], 5.0]]}, "motions[0][2]"),
+    ({"motions": [[1, 1.0, [900, 300], 10.0], [1, 2.0, [300, 300], 10.0]]},
+     "motions[1]"),
+    ({"flows": [{"flow": "f0", "src": [0], "sink": 2}]}, "flows[0].src"),
+    ({"flows": [{"flow": ["f0"], "src": 0, "sink": 2}]}, "flows[0].flow"),
+    ({"radio": {"bandwidth": 0}}, "radio.bandwidth"),
+    ({"radio": {"range": -5}}, "radio.range"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 0,
+                              "v_max": 0}}, "background_mobility.v_min"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
+                              "v_max": 2, "pause": -1}},
+     "background_mobility.pause"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):

@@ -1,15 +1,19 @@
 """Metric and trace-format tests with hand-computed expected values."""
 
+import dataclasses
 import math
 import statistics
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vanetsim import metrics
 from vanetsim.metrics import (
+    TRACE_BLOCK_LINES,
     MetricSeries,
     MetricsLedger,
     TraceFormatError,
@@ -21,6 +25,7 @@ from vanetsim.metrics import (
     write_plot_series,
 )
 from vanetsim.radio import Frame
+from vanetsim.scenario import _write_text, build_simulation, builtin_scenario
 
 
 def deliver(ledger, flow, seq, t, size=512, handoff=None):
@@ -185,6 +190,41 @@ def test_bandwidth_ignores_frames_to_other_nodes_and_losses():
     assert series.points == [(1.0, 4096.0)]
 
 
+def _reference_bandwidth(receptions, duration, window):
+    """Windowed bit rate over a plain list of (t, int bits) receptions."""
+    n = math.ceil(duration / window)
+    bits = [0.0] * n
+    for t, b in receptions:
+        k = int(t // window)
+        if k < n:
+            bits[k] += b
+    return [((k + 1) * window, bits[k] / window) for k in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    receptions=st.lists(
+        st.tuples(st.integers(0, 2), st.floats(0.0, 12.0),
+                  st.integers(1, 2 ** 40)),
+        max_size=60).map(lambda rx: sorted(rx, key=lambda r: r[1])),
+    window=st.sampled_from([0.1, 0.25, 1.0, 3.0]),
+    duration=st.floats(0.5, 12.0),
+    until=st.one_of(st.none(), st.floats(0.0, 12.0)),
+)
+def test_bandwidth_equals_list_of_tuples_reference(receptions, window,
+                                                   duration, until):
+    led = MetricsLedger()
+    for node, t, size in receptions:
+        led.on_delivery(Frame("DATA", 9, node, size), node, t)
+    for node in range(3):
+        mine = [(t, size * 8) for n, t, size in receptions if n == node]
+        series = led.bandwidth_series(node, duration, window)
+        assert series.points == _reference_bandwidth(mine, duration, window)
+        expected = sum((b for t, b in mine if until is None or t <= until),
+                       0.0)
+        assert led.cumulative_bandwidth_bits(node, until) == expected
+
+
 def test_flow_summary_row():
     led = MetricsLedger()
     deliver(led, "f2", 0, 0.35, handoff=0.30)
@@ -276,6 +316,55 @@ def test_broadcast_trace_lines_use_star_and_loss_marks_flow():
     assert lines[1] == "l 1.0000000 RREQ 0 1 * 64"
     assert lines[3] == "l 1.1000000 DATA 1 1 2 512"
     assert led.flow_summary("f1", 1.0)["lost"] == 1
+
+
+@pytest.mark.parametrize("n_lines", [0, 1, TRACE_BLOCK_LINES - 1,
+                                     TRACE_BLOCK_LINES, TRACE_BLOCK_LINES + 1,
+                                     2 * TRACE_BLOCK_LINES])
+def test_trace_blocks_join_to_the_lines(tmp_path, n_lines):
+    """Packed blocks give the newline-joined lines, across block edges."""
+    led = MetricsLedger()
+    lines = []
+    for i in range(n_lines):
+        t = i * 1e-3
+        if i % 3 == 2:  # every third line is a motion line
+            led.on_motion_state(t, 4, (1.0, 2.0), (3.0, 4.0), 5.0)
+            lines.append(format_motion_line(t, 4, (1.0, 2.0, 0.0),
+                                            (3.0, 4.0), 5.0))
+        else:
+            led.on_send(Frame("DATA", 0, 1, 512), t)
+            lines.append(f"s {t:.7f} DATA {i - i // 3} 0 1 512")
+    assert len(led.trace_lines) == n_lines
+    # only on_send packs, and it packs once the pending lines fill a block
+    if n_lines % TRACE_BLOCK_LINES == 0:
+        assert not led.trace_lines.pending
+    assert len(led.trace_lines.pending) < TRACE_BLOCK_LINES
+    expected = "\n".join(lines) + "\n" if lines else ""
+    assert led.trace_text() == expected
+    assert led.trace_text() == expected
+    assert len(led.trace_lines) == n_lines
+    _write_text(str(tmp_path), "trace.txt", *led.trace_lines.blocks())
+    assert (tmp_path / "trace.txt").read_text() == expected
+
+
+def test_ledger_memory_per_record_stays_small():
+    """Trace lines and receptions are held compactly after a run."""
+    config = dataclasses.replace(builtin_scenario("long-distance", "AODV"),
+                                 duration=60.0)
+    tracemalloc.start()
+    try:
+        ledger = build_simulation(config).run(config.duration).ledger
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(True, metrics.__file__)]).statistics("filename"))
+    receptions = sum(len(times) for times, _bits in ledger._received.values())
+    records = len(ledger.trace_lines) + receptions
+    assert records > 20000
+    # one list entry, one string and a boxed (t, bits) tuple per record
+    # held about 108 bytes each; packed text and float arrays hold about 50
+    assert held / records < 60
 
 
 def test_plot_series_round_trip(tmp_path):

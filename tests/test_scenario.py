@@ -166,11 +166,50 @@ def test_round_trip_preserves_config():
     ({"motions": [[1, 2.0, [400, 300], 5.0], [2, 1.0, [5000, 300], 5.0]]},
      "motions[1][2]: destination"),
     ({"motions": [[[1], 2.0, [400, 300], 5.0]]}, "motions[0]:"),
+    ({"flows": [{"flow": "f0", "src": [0], "sink": 2}]}, "flows[0].src:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2.0}]}, "flows[0].sink:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": True}]}, "flows[0].sink:"),
+    ({"flows": [{"flow": ["f0"], "src": 0, "sink": 2}]},
+     "flows[0].flow: expected a string"),
+    ({"flows": [{"flow": 3, "src": 0, "sink": 2}]}, "flows[0].flow:"),
+    ({"radio": {"bandwidth": 0}}, "radio.bandwidth: expected a positive"),
+    ({"radio": {"bandwidth": float("inf")}}, "radio.bandwidth:"),
+    ({"radio": {"bandwidth": "fast"}}, "radio.bandwidth: expected a number"),
+    ({"radio": {"range": -5}}, "radio.range: expected a non-negative"),
+    ({"radio": {"range": float("nan")}}, "radio.range:"),
+    ({"radio": {"per_hop_overhead": -1e-6}}, "radio.per_hop_overhead:"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 0,
+                              "v_max": 0}},
+     "background_mobility.v_min: expected a positive"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
+                              "v_max": float("inf")}},
+     "background_mobility.v_max:"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 3,
+                              "v_max": 2}},
+     "background_mobility.v_max: expected at least v_min"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
+                              "v_max": 2, "pause": -1}},
+     "background_mobility.pause:"),
+    # node 1 reaches (900, 300) at 61 s, so a leg at 2 s overlaps it; the
+    # legs are replayed by start time, whatever their document order
+    ({"motions": [[1, 1.0, [900, 300], 10.0], [1, 2.0, [300, 300], 10.0]]},
+     "motions[1]: node 1: leg at 2.0 overlaps"),
+    ({"motions": [[1, 2.0, [300, 300], 10.0], [1, 1.0, [900, 300], 10.0]]},
+     "motions[0]: node 1: leg at 2.0 overlaps"),
+    ({"motions": [[1, 1.0, [900, 300], 10.0], [2, 1.0, [900, 500], 10.0],
+                  [2, 5.0, [100, 100], 10.0]]}, "motions[2]: node 2"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
         mini_config(**overrides)
     assert needle in str(err.value)
+
+
+def test_back_to_back_legs_are_accepted():
+    # the second leg starts exactly when the first arrives (1 s + 60 s)
+    config = mini_config(motions=[[1, 61.0, [300, 300], 10.0],
+                                  [1, 1.0, [900, 300], 10.0]])
+    assert [m.start_t for m in config.motions] == [61.0, 1.0]
 
 
 def test_document_must_be_json_object():
