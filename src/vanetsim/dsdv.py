@@ -104,12 +104,15 @@ class DsdvAgent(RoutingAgent):
         me = self.table[self.node_id]
         me.seq = self.own_seq
         self.dirty.add(self.node_id)
+        # the dirty set is part of the table, so one pass over the table
+        # yields both the full dump and the incremental one
+        dests = self._advertisable(self.table, now)
         full_due = now - self.last_full_dump >= cfg.full_dump_interval
         if not full_due:
-            adv = self._advertisable(self.dirty, now)
+            dirty = self.dirty
+            adv = [d for d in dests if d in dirty]
             full_due = len(adv) > cfg.full_dump_dirty_fraction * len(self.table)
         if full_due:
-            dests = self._advertisable(self.table, now)
             self.last_full_dump = now
             kind = "full"
         else:

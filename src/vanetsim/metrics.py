@@ -21,10 +21,16 @@ two-column plot series. Packet events in the combined trace use a
 columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form.
 
 Memory: about every ``TRACE_BLOCK_LINES`` trace lines are joined into one
-text block, so ``trace.txt`` is written block by block with no full-text
-copy, and each node's receptions are two ``array('d')``s (times, bits).
-Bit counts are integers below 2**53, so each converts to a float exactly
-and the bandwidth sums equal those over the ints.
+text block. A ledger keeps its blocks for ``trace_text()``, or, once
+``trace_lines.stream_to(write)`` is called, hands each block to ``write``
+and keeps none, so a run that writes ``trace.txt`` holds at most one
+block of trace text. Each node's receptions are two ``array('d')``s
+(times, bits); bit counts are integers below 2**53, so each converts to a
+float exactly and the bandwidth sums equal those over the ints. A
+sequence's handoff times are dropped at its first delivery, and each
+flow's delivered sequences are a contiguous floor plus a sparse set, so
+delivery bookkeeping grows with the sequences still in flight, not with
+the run.
 """
 
 import math
@@ -94,12 +100,15 @@ class TraceLines:
     ``append`` is the pending list's own method; ``len()`` counts every
     line. ``pack`` empties the pending list in place, so a holder of that
     list (the ledger appends to it directly) keeps a live reference.
+    Blocks are kept until ``stream_to`` sends them, and every later one,
+    to a writer instead.
     """
 
     def __init__(self):
         self.pending: list[str] = []
         self.append = self.pending.append
-        self._blocks: list[str] = []
+        self._blocks: Optional[list[str]] = []
+        self._emit = self._blocks.append  # where each packed block goes
         self._packed = 0
 
     def __len__(self) -> int:
@@ -111,13 +120,56 @@ class TraceLines:
         if pending:
             self._packed += len(pending)
             pending.append("")  # the join then ends with a newline
-            self._blocks.append("\n".join(pending))
+            self._emit("\n".join(pending))
             pending.clear()
+
+    def stream_to(self, write) -> None:
+        """Pass the trace so far, then each later block, to write.
+
+        No block is kept from then on; call ``pack`` once the last line is
+        in to write the tail.
+        """
+        for block in self.blocks():
+            write(block)
+        self._blocks = None
+        self._emit = write
 
     def blocks(self) -> list[str]:
         """Every line so far, as newline-terminated text blocks in order."""
+        if self._blocks is None:
+            raise RuntimeError("the trace was streamed to a writer; "
+                               "its text is not kept")
         self.pack()
         return self._blocks
+
+
+class DeliveredSeqs:
+    """A set of delivered sequence numbers, kept as a contiguous floor.
+
+    It holds every seq in [0, floor) plus those in ``others``. In-order
+    deliveries only raise the floor, so the set stays as small as the
+    sequences delivered out of order (or below 0).
+    """
+
+    __slots__ = ("floor", "others")
+
+    def __init__(self):
+        self.floor = 0
+        self.others: set[int] = set()
+
+    def __contains__(self, seq: int) -> bool:
+        return 0 <= seq < self.floor or seq in self.others
+
+    def add(self, seq: int) -> None:
+        if seq != self.floor:
+            self.others.add(seq)
+            return
+        floor = seq + 1
+        others = self.others
+        while floor in others:
+            others.remove(floor)
+            floor += 1
+        self.floor = floor
 
 
 def _nudge_ties(points):
@@ -138,9 +190,10 @@ class MetricsLedger:
         # lines go straight onto the pending list, one plain list.append each
         self._lines = self.trace_lines.pending
         self._next_frame_id = 0
+        # handoff times of each (flow, seq) not yet delivered
         self._handoffs: dict[tuple[str, int], list[float]] = {}
         self._deliveries: dict[str, list] = {}  # flow -> [(t, delay, seq, bits)]
-        self._seen: set[tuple[str, int]] = set()
+        self._seen = defaultdict(DeliveredSeqs)  # flow -> delivered seqs
         self._drops: dict[str, int] = {}
         self._cwnd: dict[str, list] = {}
         self._paths: dict[str, list] = {}  # flow -> [(t, node chain)]
@@ -178,7 +231,9 @@ class MetricsLedger:
     # -- transport hooks ----------------------------------------------
 
     def on_data_handoff(self, flow: str, seq: int, t: float) -> None:
-        self._handoffs.setdefault((flow, seq), []).append(t)
+        # a delivered sequence's handoffs are never read again
+        if seq not in self._seen[flow]:
+            self._handoffs.setdefault((flow, seq), []).append(t)
 
     def on_sink_delivery(self, flow: str, seq: int, size: int, t: float) -> bool:
         """Record an end-to-end arrival; returns False for duplicates.
@@ -187,10 +242,11 @@ class MetricsLedger:
         precedes the arrival, so a retransmitted packet is charged for
         the attempt that actually got through.
         """
-        if (flow, seq) in self._seen:
+        seen = self._seen[flow]
+        if seq in seen:
             return False
-        self._seen.add((flow, seq))
-        handoffs = self._handoffs.get((flow, seq), [])
+        seen.add(seq)
+        handoffs = self._handoffs.pop((flow, seq), ())
         i = bisect_right(handoffs, t) - 1
         delay = t - handoffs[i] if i >= 0 else 0.0
         self._deliveries.setdefault(flow, []).append((t, delay, seq, size * 8))

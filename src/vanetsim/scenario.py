@@ -207,6 +207,13 @@ def _bounded(doc, key, path, default=None, positive=False):
     return value
 
 
+def _check_node_id(node, path) -> None:
+    """Reject a bool or negative id; -1 is the radio's broadcast address."""
+    if isinstance(node, bool) or (isinstance(node, int) and node < 0):
+        raise _field_error(path, f"expected a non-negative int node id, "
+                           f"got {node!r}")
+
+
 def _point(raw, path) -> tuple:
     """An [x, y] pair of numbers as a float tuple."""
     return (_float(raw[0], f"{path}[0]"), _float(raw[1], f"{path}[1]"))
@@ -261,6 +268,7 @@ def load_config(text: str) -> ScenarioConfig:
                 and isinstance(item[1], list) and len(item[1]) == 2):
             raise _field_error(path, "expected [node, [x, y]]")
         node = item[0]
+        _check_node_id(node, f"{path}[0]")
         if node in seen_nodes:
             raise _field_error(path, f"duplicate node id {node}")
         seen_nodes.add(node)
@@ -280,6 +288,7 @@ def load_config(text: str) -> ScenarioConfig:
                 and isinstance(item[2], list) and len(item[2]) == 2):
             raise _field_error(path, "expected [node, start_t, [x, y], speed]")
         node, start_t, dest, speed = item
+        _check_node_id(node, f"{path}[0]")
         if not isinstance(node, int) or node not in seen_nodes:
             raise _field_error(path, f"motion references unknown node {node!r}")
         start_t = _float(start_t, f"{path}[1]")
@@ -482,17 +491,32 @@ def _first_nonzero(points):
 
 def run(config: ScenarioConfig, out_dir=None, window=1.0,
         auditing=False) -> RunReport:
-    """Execute a scenario and, if out_dir is given, write every artifact."""
-    sim = build_simulation(config, auditing=auditing).run(config.duration)
+    """Execute a scenario and, if out_dir is given, write every artifact.
+
+    With out_dir, ``trace.txt`` is written block by block while the
+    simulation runs, so the trace is never held whole; the ledger then
+    has no ``trace_text()``, and a simulation that raises leaves no
+    ``trace.txt`` behind. Each flow's series are built once.
+    """
+    sim = build_simulation(config, auditing=auditing)
     ledger = sim.ledger
     duration = config.duration
 
-    # the trace is written block by block, so no full-text copy is made;
-    # each flow's series are built once
     manifest = []
-    if out_dir is not None:
+    if out_dir is None:
+        sim.run(duration)
+    else:
         manifest.append("trace.txt")
-        _write_text(out_dir, "trace.txt", *ledger.trace_lines.blocks())
+        trace_path = _out_path(out_dir, "trace.txt")
+        with open(trace_path, "w") as fh:
+            try:
+                ledger.trace_lines.stream_to(fh.write)
+                sim.run(duration)
+                ledger.trace_lines.pack()
+            except BaseException:
+                fh.close()
+                os.remove(trace_path)
+                raise
     flow_stats = []
     for fc in config.flows:
         series = {
@@ -515,9 +539,7 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
         series["cwnd"] = ledger.cwnd_series(fc.flow)
         for metric in METRIC_NAMES:
             rel = os.path.join("metrics", fc.flow, f"{metric}.dat")
-            path = os.path.join(out_dir, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            write_plot_series(series[metric], path)
+            write_plot_series(series[metric], _out_path(out_dir, rel))
             manifest.append(rel)
 
     if out_dir is not None:
@@ -543,11 +565,16 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
     return report
 
 
-def _write_text(out_dir, rel, *texts):
+def _out_path(out_dir, rel):
+    """out_dir/rel, its directory created if missing."""
     path = os.path.join(out_dir, rel)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines(texts)
+    return path
+
+
+def _write_text(out_dir, rel, text):
+    with open(_out_path(out_dir, rel), "w") as fh:
+        fh.write(text)
 
 
 _SUMMARY_COLUMNS = (

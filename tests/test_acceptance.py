@@ -6,6 +6,7 @@ format, metric identities). Criteria 9-14 are tolerance-based checks of
 the comparative behavior the builtin scenarios were designed to show.
 """
 
+import json
 import math
 import time
 
@@ -20,10 +21,11 @@ from vanetsim.radio import RadioMedium
 from vanetsim.scenario import build_simulation, builtin_scenario, compare, run
 from vanetsim.transport import DataPacket
 
+from make_golden import GOLDEN, WINDOW, combo_key, digests
+
 COMBOS = [(name, proto)
           for name in ("long-distance", "short-distance")
           for proto in ("AODV", "DSDV")]
-WINDOW = 1.0
 TOPOLOGY_COUNT = 200
 
 # frozen initial-placement lines for the grid's four central columns;
@@ -170,6 +172,26 @@ def test_c01_determinism_and_runtime(timed_reports, audited_sims):
     verdict("c01 determinism: equal seeds give byte-identical artifacts, "
             "auditing leaves the trace unchanged, each 600s run under 60s",
             problems)
+
+
+def test_artifacts_match_golden_digests(timed_reports):
+    """Every file run() wrote for each combo has its pinned digest.
+
+    A change meant to alter output regenerates the digests with
+    ``python3 tests/make_golden.py``.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    problems = []
+    if set(golden) != {combo_key(*combo) for combo in COMBOS}:
+        problems.append(f"{GOLDEN.name} holds {sorted(golden)}")
+    for combo, ((_report, out_dir, _dt), _rerun) in timed_reports.items():
+        key = combo_key(*combo)
+        got, want = digests(out_dir), golden.get(key, {})
+        problems += [f"{key}: {rel} differs from {GOLDEN.name}"
+                     for rel in sorted(set(got) | set(want))
+                     if got.get(rel) != want.get(rel)]
+    verdict("golden artifacts: every file of the four builtin runs has the "
+            "digest pinned in tests/golden_artifacts.json", problems)
 
 
 def test_c02_reactive_first_route_matches_shortest_path(topologies):

@@ -109,6 +109,9 @@ def test_malformed_protocol_params_are_validation_errors(
     ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
                               "v_max": 2, "pause": -1}},
      "background_mobility.pause"),
+    ({"placements": [[0, [100, 300]], [True, [300, 300]], [2, [500, 300]]]},
+     "placements[1][0]"),
+    ({"motions": [[-1, 2.0, [400, 300], 5.0]]}, "motions[0][0]"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):

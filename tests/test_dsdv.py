@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetsim.dsdv import INFINITE, DsdvAgent, DsdvConfig, DsdvUpdate
+from vanetsim.dsdv import INFINITE, DsdvAgent, DsdvConfig, DsdvEntry, DsdvUpdate
 from vanetsim.engine import Scheduler
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import RadioMedium
@@ -386,6 +386,55 @@ def test_full_dump_when_majority_dirty_else_incremental():
     assert [d for d, _, _ in log.updates[2][2].rows] == [0]
     assert log.updates[1][2].rows == [
         (0, 0, 4), (5, 1, 2), (6, 2, 2), (7, 3, 2)]
+
+
+def two_pass_dump(table, dirty, now, last_full_dump, cfg):
+    """Kind and destinations of a periodic update by the rule that filters
+    the dirty set first and the whole table only when a full dump is due."""
+    def advertisable(dests):
+        return [d for d in sorted(dests)
+                if table[d].settling_deadline is None
+                or table[d].settling_deadline <= now]
+
+    full_due = now - last_full_dump >= cfg.full_dump_interval
+    if not full_due:
+        adv = advertisable(dirty)
+        full_due = len(adv) > cfg.full_dump_dirty_fraction * len(table)
+    if full_due:
+        return "full", advertisable(table)
+    return "incremental", adv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.dictionaries(
+        st.integers(1, 30),
+        st.tuples(st.booleans(), st.none() | st.floats(0.0, 40.0)),
+        max_size=20),
+    now=st.floats(0.0, 40.0),
+    since_full=st.just(math.inf) | st.floats(0.0, 100.0),
+    fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+def test_periodic_update_equals_two_pass_rule(rows, now, since_full, fraction):
+    """rows: dest -> (dirty, settling deadline)."""
+    cfg = DsdvConfig(full_dump_dirty_fraction=fraction)
+    sched, agent, _log = agent_with_listener(cfg)
+    sched.run_until(now)
+    for dest, (dirty, deadline) in rows.items():
+        agent.table[dest] = DsdvEntry(dest, 9, 2, 2, 0.0, deadline)
+        if dirty:
+            agent.dirty.add(dest)
+    last_full_dump = agent.last_full_dump = now - since_full
+    agent._first_update_at = now  # so the next update is not in the past
+    # the update refreshes the self row and marks it dirty first
+    expected = two_pass_dump(agent.table, agent.dirty | {0}, now,
+                             last_full_dump, cfg)
+    sent = []
+    agent._broadcast = lambda dests, kind: sent.append((kind, dests))
+    agent._periodic(0)
+    assert sent == [expected]
+    full = expected[0] == "full"
+    assert agent.last_full_dump == (now if full else last_full_dump)
 
 
 def test_slow_timer_forces_full_dump():

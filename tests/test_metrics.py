@@ -5,6 +5,7 @@ import math
 import statistics
 import sys
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from vanetsim.metrics import (
     write_plot_series,
 )
 from vanetsim.radio import Frame
-from vanetsim.scenario import _write_text, build_simulation, builtin_scenario
+from vanetsim.scenario import build_simulation, builtin_scenario
+from vanetsim.scenario import run as scenario_run
+from vanetsim.simulation import Simulation
 
 
 def deliver(ledger, flow, seq, t, size=512, handoff=None):
@@ -151,6 +154,63 @@ def test_duplicate_sink_arrivals_are_excluded():
     assert not led.on_sink_delivery("f0", 3, 512, 0.9)
     assert len(led.deliveries("f0")) == 1
     assert led.first_delivery("f0") == 0.4
+
+
+class SetLedger:
+    """Delivery bookkeeping that keeps every (flow, seq) for the whole run."""
+
+    def __init__(self):
+        self.handoffs = {}
+        self.seen = set()
+        self.deliveries = {}
+
+    def on_data_handoff(self, flow, seq, t):
+        self.handoffs.setdefault((flow, seq), []).append(t)
+
+    def on_sink_delivery(self, flow, seq, size, t):
+        if (flow, seq) in self.seen:
+            return False
+        self.seen.add((flow, seq))
+        handoffs = self.handoffs.get((flow, seq), [])
+        i = bisect_right(handoffs, t) - 1
+        delay = t - handoffs[i] if i >= 0 else 0.0
+        self.deliveries.setdefault(flow, []).append((t, delay, seq, size * 8))
+        return True
+
+
+FLOWS = ("f0", "f1")
+ledger_ops = st.lists(st.tuples(
+    st.sampled_from(["handoff", "delivery"]), st.sampled_from(FLOWS),
+    st.integers(-3, 12), st.floats(0.0, 50.0)), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=ledger_ops)
+# in order, a gap filled late, duplicates, a retransmission after delivery
+@example(ops=[("handoff", "f0", 0, 1.0), ("delivery", "f0", 0, 1.5),
+              ("handoff", "f0", 2, 2.0), ("delivery", "f0", 2, 2.5),
+              ("handoff", "f0", 1, 3.0), ("delivery", "f0", 1, 3.5),
+              ("handoff", "f0", 1, 4.0), ("delivery", "f0", 1, 4.5),
+              ("delivery", "f0", 3, 5.0), ("handoff", "f0", 3, 5.5),
+              ("delivery", "f0", 3, 6.0)])
+@example(ops=[("handoff", "f1", -1, 1.0), ("delivery", "f1", -1, 2.0),
+              ("handoff", "f1", -1, 3.0), ("delivery", "f1", -1, 4.0),
+              ("delivery", "f1", 0, 5.0)])
+def test_delivery_bookkeeping_equals_a_set_of_every_seq(ops):
+    """Returns, delays and deliveries match the keep-everything rule, and
+    only undelivered sequences keep their handoff times."""
+    led, ref = MetricsLedger(), SetLedger()
+    for op, flow, seq, t in ops:
+        if op == "handoff":
+            led.on_data_handoff(flow, seq, t)
+            ref.on_data_handoff(flow, seq, t)
+        else:
+            assert (led.on_sink_delivery(flow, seq, 512, t)
+                    == ref.on_sink_delivery(flow, seq, 512, t))
+    for flow in FLOWS:
+        assert led.deliveries(flow) == ref.deliveries.get(flow, [])
+    assert led._handoffs == {key: times for key, times in ref.handoffs.items()
+                             if key not in ref.seen}
 
 
 def test_delay_series_nudges_equal_timestamps():
@@ -343,7 +403,8 @@ def test_trace_blocks_join_to_the_lines(tmp_path, n_lines):
     assert led.trace_text() == expected
     assert led.trace_text() == expected
     assert len(led.trace_lines) == n_lines
-    _write_text(str(tmp_path), "trace.txt", *led.trace_lines.blocks())
+    with open(tmp_path / "trace.txt", "w") as fh:
+        led.trace_lines.stream_to(fh.write)
     assert (tmp_path / "trace.txt").read_text() == expected
 
 
@@ -365,6 +426,45 @@ def test_ledger_memory_per_record_stays_small():
     # one list entry, one string and a boxed (t, bits) tuple per record
     # held about 108 bytes each; packed text and float arrays hold about 50
     assert held / records < 60
+
+
+def test_streaming_ledger_has_no_trace_text():
+    led = MetricsLedger()
+    led.on_send(Frame("DATA", 0, 1, 512), 0.0)
+    written = []
+    led.trace_lines.stream_to(written.append)
+    assert written == ["s 0.0000000 DATA 0 0 1 512\n"]
+    with pytest.raises(RuntimeError, match="streamed"):
+        led.trace_text()
+
+
+def test_streamed_run_holds_little_trace(tmp_path, monkeypatch):
+    """run() writes trace.txt during the simulation, not after it."""
+    config = dataclasses.replace(builtin_scenario("long-distance", "AODV"),
+                                 duration=60.0)
+    held = []
+    simulate = Simulation.run
+
+    def run_then_measure(sim, until):
+        simulate(sim, until)
+        snapshot = tracemalloc.take_snapshot()
+        held.append(sum(stat.size for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, metrics.__file__)]).statistics("filename")))
+        held.append(len(sim.ledger.trace_lines))
+        return sim
+
+    monkeypatch.setattr(Simulation, "run", run_then_measure)
+    tracemalloc.start()
+    try:
+        scenario_run(config, out_dir=str(tmp_path))
+    finally:
+        tracemalloc.stop()
+    size, lines = held
+    assert lines > 3 * TRACE_BLOCK_LINES
+    # the ledger held about 81 bytes per trace line once the simulation
+    # ended when it kept every block; streamed, it holds one block of
+    # pending lines at most, plus receptions and deliveries: about 39
+    assert size / lines < 60
 
 
 def test_plot_series_round_trip(tmp_path):

@@ -7,7 +7,9 @@ import math
 
 import pytest
 
-from vanetsim.metrics import parse_mobility_trace
+from vanetsim import scenario
+from vanetsim.aodv import AodvAgent
+from vanetsim.metrics import TRACE_BLOCK_LINES, parse_mobility_trace
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -198,6 +200,14 @@ def test_round_trip_preserves_config():
      "motions[0]: node 1: leg at 2.0 overlaps"),
     ({"motions": [[1, 1.0, [900, 300], 10.0], [2, 1.0, [900, 500], 10.0],
                   [2, 5.0, [100, 100], 10.0]]}, "motions[2]: node 2"),
+    # a bool passes isinstance(int), and -1 is the broadcast address
+    ({"placements": [[0, [100, 300]], [True, [300, 300]],
+                     [2, [500, 300]]]},
+     "placements[1][0]: expected a non-negative int node id, got True"),
+    ({"placements": [[0, [100, 300]], [-1, [300, 300]],
+                     [2, [500, 300]]]}, "placements[1][0]:"),
+    ({"motions": [[True, 1.0, [400, 300], 5.0]]}, "motions[0][0]:"),
+    ({"motions": [[-1, 1.0, [400, 300], 5.0]]}, "motions[0][0]:"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
@@ -281,6 +291,52 @@ def test_run_is_reproducible_byte_for_byte(tmp_path):
     assert report_a.manifest == report_b.manifest
     for rel in report_a.manifest:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
+    """trace.txt, streamed during the run, is the in-memory trace_text()."""
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    expected = build_simulation(config).run(config.duration).ledger.trace_text()
+    assert expected.count("\n") > 3 * TRACE_BLOCK_LINES
+
+    built = []
+
+    def build_and_keep(*args, **kwargs):
+        built.append(build_simulation(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scenario, "build_simulation", build_and_keep)
+    run(config, out_dir=str(tmp_path))
+    assert (tmp_path / "trace.txt").read_text() == expected
+    with pytest.raises(RuntimeError):
+        built[0].ledger.trace_text()
+
+    # streaming from mid-run writes the blocks packed before it first
+    sim = build_simulation(config).run(45.0)
+    packed = len(sim.ledger.trace_lines) - len(sim.ledger.trace_lines.pending)
+    assert packed >= 2 * TRACE_BLOCK_LINES
+    written = []
+    sim.ledger.trace_lines.stream_to(written.append)
+    sim.run(config.duration)
+    sim.ledger.trace_lines.pack()
+    assert "".join(written) == expected
+
+
+def test_run_that_raises_leaves_no_trace(tmp_path, monkeypatch):
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    on_frame = AodvAgent.on_frame
+
+    def failing_on_frame(agent, frame):
+        if agent.sched.now > 30.0:
+            raise RuntimeError("agent fault")
+        on_frame(agent, frame)
+
+    monkeypatch.setattr(AodvAgent, "on_frame", failing_on_frame)
+    with pytest.raises(RuntimeError, match="agent fault"):
+        run(config, out_dir=str(tmp_path))
+    assert not (tmp_path / "trace.txt").exists()
 
 
 def test_run_without_out_dir_returns_stats_only():
