@@ -130,7 +130,7 @@ class AodvAgent(RoutingAgent):
         cfg = self.config
         self._flood(dest)
         timer = self.sched.schedule(now + cfg.reply_wait, "rreq-timer",
-                                    str(self.node_id), lambda: self._retry(dest))
+                                    self.node_id, lambda: self._retry(dest))
         self.pending[dest] = _Discovery(cfg.reply_wait, [packet], timer)
 
     def _flood(self, dest: int) -> None:
@@ -157,7 +157,7 @@ class AodvAgent(RoutingAgent):
         disc.wait *= 2
         self._flood(dest)
         disc.timer = self.sched.schedule(self.sched.now + disc.wait, "rreq-timer",
-                                         str(self.node_id), lambda: self._retry(dest))
+                                         self.node_id, lambda: self._retry(dest))
 
     # -- frame dispatch -----------------------------------------------------
 
@@ -317,7 +317,7 @@ class AodvAgent(RoutingAgent):
         tb = self.radio.link_break_time(self.node_id, hop, self.sched.now)
         handle = None
         if tb != math.inf:
-            handle = self.sched.schedule(tb, "linkwatch", str(self.node_id),
+            handle = self.sched.schedule(tb, "linkwatch", self.node_id,
                                          lambda h=hop: self._watch_fired(h))
         self._watches[hop] = (version, handle)
 
@@ -332,6 +332,6 @@ class AodvAgent(RoutingAgent):
         else:
             # motion plans changed since the watch was set; rearm
             version = self.radio.mobility.plan_version
-            handle = self.sched.schedule(tb, "linkwatch", str(self.node_id),
+            handle = self.sched.schedule(tb, "linkwatch", self.node_id,
                                          lambda h=hop: self._watch_fired(h))
             self._watches[hop] = (version, handle)

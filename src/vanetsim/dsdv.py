@@ -85,7 +85,7 @@ class DsdvAgent(RoutingAgent):
 
     def start(self, first_update_at: float) -> None:
         self._first_update_at = first_update_at
-        self.sched.schedule(first_update_at, "dsdv-periodic", str(self.node_id),
+        self.sched.schedule(first_update_at, "dsdv-periodic", self.node_id,
                             lambda: self._periodic(0))
 
     # -- update emission -------------------------------------------------
@@ -121,7 +121,7 @@ class DsdvAgent(RoutingAgent):
         self._broadcast(dests, kind)
         self.sched.schedule(
             self._first_update_at + (k + 1) * cfg.update_interval,
-            "dsdv-periodic", str(self.node_id), lambda: self._periodic(k + 1),
+            "dsdv-periodic", self.node_id, lambda: self._periodic(k + 1),
         )
 
     def _broadcast(self, dests: list[int], kind: str) -> None:
@@ -144,7 +144,7 @@ class DsdvAgent(RoutingAgent):
             self._trigger_deferred = True
             self.sched.schedule(
                 self._last_trigger + self.config.trigger_min_gap,
-                "dsdv-trigger", str(self.node_id), self._deferred_trigger,
+                "dsdv-trigger", self.node_id, self._deferred_trigger,
             )
 
     def _deferred_trigger(self) -> None:

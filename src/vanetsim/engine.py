@@ -26,7 +26,7 @@ class EventHandle:
 
     __slots__ = ("fire_at", "seq", "kind", "target", "fn", "cancelled", "fired")
 
-    def __init__(self, fire_at: float, seq: int, kind: str, target: str,
+    def __init__(self, fire_at: float, seq: int, kind: str, target: object,
                  fn: Callable[[], None]):
         self.fire_at = fire_at
         self.seq = seq
@@ -50,34 +50,31 @@ class Scheduler:
     """
 
     def __init__(self, event_log: Optional[list[str]] = None):
-        self._now = 0.0
+        # current simulation time in seconds; only run_until moves it
+        self.now = 0.0
         self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self.event_log = event_log
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    def schedule(self, fire_at: float, kind: str, target: str,
+    def schedule(self, fire_at: float, kind: str, target: object,
                  fn: Callable[[], None]) -> EventHandle:
         """Register fn to run at absolute time fire_at.
 
         kind and target are free-form labels used only for the optional
-        event log and for debugging.
+        event log, which prints them with str(), and for debugging. A
+        fire time before now, or NaN, is refused.
         """
-        if fire_at < self._now:
+        if not fire_at >= self.now:
             raise SchedulerMisuseError(
-                f"cannot schedule {kind!r} at {fire_at} before now={self._now}")
+                f"cannot schedule {kind!r} at {fire_at} before now={self.now}")
         handle = EventHandle(fire_at, next(self._seq), kind, target, fn)
         heapq.heappush(self._heap, (handle.fire_at, handle.seq, handle))
         return handle
 
-    def schedule_in(self, delay: float, kind: str, target: str,
+    def schedule_in(self, delay: float, kind: str, target: object,
                     fn: Callable[[], None]) -> EventHandle:
         """Register fn to run delay seconds from now."""
-        return self.schedule(self._now + delay, kind, target, fn)
+        return self.schedule(self.now + delay, kind, target, fn)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a pending event.  Returns False if it already ran."""
@@ -103,7 +100,7 @@ class Scheduler:
                 fire_at, seq, handle = heapq.heappop(heap)
                 if handle.cancelled:
                     continue
-                self._now = fire_at
+                self.now = fire_at
                 handle.fired = True
                 if self.event_log is not None:
                     self.event_log.append(
@@ -111,7 +108,7 @@ class Scheduler:
                 handle.fn()
                 dispatched += 1
         finally:
-            self._now = t_end
+            self.now = t_end
         return dispatched
 
 

@@ -20,8 +20,12 @@ Two text formats live here as well: mobility lines
 two-column plot series. Packet events in the combined trace use a
 columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form.
 
-Memory: about every ``TRACE_BLOCK_LINES`` trace lines are joined into one
-text block. A ledger keeps its blocks for ``trace_text()``, or, once
+Memory: a packet event waits in the trace as a raw record, the tuple
+``(op, t, kind, id, src, dst, size)``, and a mobility line as its text.
+About every ``TRACE_BLOCK_LINES`` pending lines are formatted and joined
+into one text block, so the per-frame path only builds a tuple and the
+formatting runs a block at a time. A ledger keeps its blocks for
+``trace_text()``, or, once
 ``trace_lines.stream_to(write)`` is called, hands each block to ``write``
 and keeps none, so a run that writes ``trace.txt`` holds at most one
 block of trace text. Each node's receptions are two ``array('d')``s
@@ -89,23 +93,27 @@ def _pstdev(values) -> float:
     return root / (1 << -shift)
 
 
-# pending trace lines joined into one block at a time; the check runs once
-# per sent frame, so a block may hold a few lines more
+# pending trace lines formatted and joined into one block at a time; the
+# check runs once per sent frame, so a block may hold a few lines more
 TRACE_BLOCK_LINES = 4096
+# the text of one packet record (op, t, kind, id, src, dst, size); %.7f
+# formats a float as {:.7f} does and %s an int as str() does
+_RECORD = "%s %.7f %s %s %s %s %s\n"
 
 
 class TraceLines:
     """The trace: packed text blocks plus the lines not yet packed.
 
-    ``append`` is the pending list's own method; ``len()`` counts every
-    line. ``pack`` empties the pending list in place, so a holder of that
-    list (the ledger appends to it directly) keeps a live reference.
-    Blocks are kept until ``stream_to`` sends them, and every later one,
-    to a writer instead.
+    A pending line is either text or a packet record tuple, which
+    ``pack`` formats with ``_RECORD``. ``append`` is the pending list's
+    own method; ``len()`` counts every line. ``pack`` empties the pending
+    list in place, so a holder of that list (the ledger appends to it
+    directly) keeps a live reference. Blocks are kept until ``stream_to``
+    sends them, and every later one, to a writer instead.
     """
 
     def __init__(self):
-        self.pending: list[str] = []
+        self.pending: list = []  # text lines and packet record tuples
         self.append = self.pending.append
         self._blocks: Optional[list[str]] = []
         self._emit = self._blocks.append  # where each packed block goes
@@ -115,12 +123,12 @@ class TraceLines:
         return self._packed + len(self.pending)
 
     def pack(self) -> None:
-        """Join the pending lines into one newline-terminated block."""
+        """Format the pending lines into one newline-terminated block."""
         pending = self.pending
         if pending:
             self._packed += len(pending)
-            pending.append("")  # the join then ends with a newline
-            self._emit("\n".join(pending))
+            self._emit("".join([_RECORD % line if type(line) is tuple
+                                else line + "\n" for line in pending]))
             pending.clear()
 
     def stream_to(self, write) -> None:
@@ -187,7 +195,8 @@ def _nudge_ties(points):
 class MetricsLedger:
     def __init__(self):
         self.trace_lines = TraceLines()
-        # lines go straight onto the pending list, one plain list.append each
+        # lines and records go straight onto the pending list, one plain
+        # list.append each
         self._lines = self.trace_lines.pending
         self._next_frame_id = 0
         # handoff times of each (flow, seq) not yet delivered
@@ -203,30 +212,32 @@ class MetricsLedger:
     # -- radio tap ---------------------------------------------------
 
     def on_send(self, frame, t: float) -> None:
-        if frame.trace_id is None:
-            frame.trace_id = self._next_frame_id
+        trace_id = frame.trace_id
+        if trace_id is None:
+            trace_id = frame.trace_id = self._next_frame_id
             self._next_frame_id += 1
-        self._packet_line("s", t, frame, frame.dst)
-        if len(self._lines) >= TRACE_BLOCK_LINES:
+        dst = frame.dst
+        lines = self._lines
+        lines.append(("s", t, frame.kind, trace_id, frame.src,
+                      "*" if dst == -1 else dst, frame.size))
+        if len(lines) >= TRACE_BLOCK_LINES:
             self.trace_lines.pack()
 
     def on_delivery(self, frame, receiver: int, t: float) -> None:
         times, bits = self._received[receiver]
         times.append(t)
-        bits.append(frame.size * 8)
-        self._packet_line("r", t, frame, receiver)
+        size = frame.size
+        bits.append(size * 8)
+        self._lines.append(("r", t, frame.kind, frame.trace_id, frame.src,
+                            "*" if receiver == -1 else receiver, size))
 
     def on_loss(self, frame, reason: str, t: float) -> None:
-        self._packet_line("l", t, frame, frame.dst)
+        dst = frame.dst
+        self._lines.append(("l", t, frame.kind, frame.trace_id, frame.src,
+                            "*" if dst == -1 else dst, frame.size))
         flow = getattr(frame.payload, "flow", None)
         if frame.kind == "DATA" and flow is not None:
             self._drops[flow] = self._drops.get(flow, 0) + 1
-
-    def _packet_line(self, op, t, frame, dst) -> None:
-        dst_txt = "*" if dst == -1 else str(dst)
-        self._lines.append(
-            f"{op} {t:.7f} {frame.kind} {frame.trace_id} {frame.src} {dst_txt} {frame.size}"
-        )
 
     # -- transport hooks ----------------------------------------------
 

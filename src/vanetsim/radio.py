@@ -120,21 +120,22 @@ class RadioMedium:
         frame's airtime start, which is now unless the sender is busy.
         """
         now = self.sched.now
+        airtime = frame.airtime(self.config.bandwidth)
         start = max(now, self._busy_until.get(frame.src, 0.0))
-        self._busy_until[frame.src] = start + frame.airtime(self.config.bandwidth)
+        self._busy_until[frame.src] = start + airtime
         if start <= now:
-            self._launch(frame, on_fail)
+            self._launch(frame, on_fail, airtime)
         else:
             self.sched.schedule(
-                start, "tx", str(frame.src), lambda: self._launch(frame, on_fail)
-            )
+                start, "tx", frame.src,
+                lambda: self._launch(frame, on_fail, airtime))
 
-    def _launch(self, frame: Frame, on_fail) -> None:
+    def _launch(self, frame: Frame, on_fail, airtime: float) -> None:
         now = self.sched.now
         frame.sent_at = now
         if self.tap is not None:
             self.tap.on_send(frame, now)
-        deliver_at = now + frame.airtime(self.config.bandwidth) + self.config.per_hop_overhead
+        deliver_at = now + airtime + self.config.per_hop_overhead
         if frame.dst == BROADCAST:
             targets = self.neighbors(frame.src, now)
             if not targets:
@@ -158,7 +159,7 @@ class RadioMedium:
                     tap.on_delivery(frame, target, now)
                 self._receivers[target](frame)
 
-        self.sched.schedule(deliver_at, "rx", str(frame.dst), deliver)
+        self.sched.schedule(deliver_at, "rx", frame.dst, deliver)
 
     def link_break_time(self, a: int, b: int, from_t: float) -> float:
         """Earliest time >= from_t at which a and b are out of range.

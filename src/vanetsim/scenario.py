@@ -168,13 +168,8 @@ def primary_flow(config: ScenarioConfig) -> str:
 
 # -- scenario documents ----------------------------------------------------
 
-_FLOW_DEFAULTS = {
-    "start_t": 0.0,
-    "send_interval": 0.1,
-    "data_packet_size": 512,
-    "ack_size": 210,
-    "max_packets": 2048,
-}
+# a frame's bit count must stay below 2**53, where floats hold every int
+_MAX_FRAME_BYTES = 2**50
 
 
 def _field_error(path, message):
@@ -184,7 +179,11 @@ def _field_error(path, message):
 def _float(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _field_error(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _field_error(path, "expected a number, got an int too large "
+                           "for a float") from None
 
 
 def _number(doc, key, path, default=None):
@@ -204,6 +203,17 @@ def _bounded(doc, key, path, default=None, positive=False):
         kind = "positive" if positive else "non-negative"
         raise _field_error(f"{path}.{key}" if path else key,
                            f"expected a {kind} number, got {value!r}")
+    return value
+
+
+def _int(doc, key, path, default, most=None):
+    """A positive int, bools excluded, of at most ``most`` if given."""
+    value = doc.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, int) or value <= 0
+            or (most is not None and value > most)):
+        limit = "" if most is None else f" up to {most}"
+        raise _field_error(f"{path}.{key}",
+                           f"expected a positive int{limit}, got {value!r}")
     return value
 
 
@@ -229,6 +239,8 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError("scenario document must be a JSON object")
 
     name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise _field_error("name", f"expected a string, got {name!r}")
     protocol = doc.get("protocol", DEFAULT_PROTOCOL)
     if not isinstance(protocol, str) or protocol.upper() not in PROTOCOLS:
         raise _field_error("protocol", f"unknown protocol {protocol!r}")
@@ -343,16 +355,14 @@ def load_config(text: str) -> ScenarioConfig:
                 raise _field_error(
                     f"{path}.{label}",
                     f"flow {flow!r} references unknown node {endpoint!r}")
-        kwargs = {k: _number(item, k, path, default=v)
-                  for k, v in _FLOW_DEFAULTS.items()}
-        kwargs["data_packet_size"] = int(kwargs["data_packet_size"])
-        kwargs["ack_size"] = int(kwargs["ack_size"])
-        kwargs["max_packets"] = int(kwargs["max_packets"])
+        timing = (_bounded(item, "start_t", path, default=0.0),
+                  _bounded(item, "send_interval", path, default=0.1,
+                           positive=True))
+        counts = (_int(item, "data_packet_size", path, 512, _MAX_FRAME_BYTES),
+                  _int(item, "ack_size", path, 210, _MAX_FRAME_BYTES),
+                  _int(item, "max_packets", path, 2048))
         try:
-            flows.append(FlowConfig(flow, src, sink, kwargs["start_t"],
-                                    kwargs["send_interval"],
-                                    kwargs["data_packet_size"],
-                                    kwargs["ack_size"], kwargs["max_packets"]))
+            flows.append(FlowConfig(flow, src, sink, *timing, *counts))
         except ValueError as e:
             raise _field_error(path, str(e))
 

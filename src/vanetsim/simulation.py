@@ -94,7 +94,7 @@ class Simulation:
 
         self.motions = tuple(motions)
         for motion in self.motions:
-            self.sched.schedule(motion.start_t, "motion", str(motion.node),
+            self.sched.schedule(motion.start_t, "motion", motion.node,
                                 lambda m=motion: self._apply_motion(m))
 
         # nodes without a script roam waypoint-to-waypoint when asked
@@ -103,7 +103,7 @@ class Simulation:
             scripted = {m.node for m in self.motions}
             pause = waypoint[2]
             for node in sorted(set(positions) - scripted):
-                self.sched.schedule(pause, "waypoint", str(node),
+                self.sched.schedule(pause, "waypoint", node,
                                     lambda n=node: self._next_waypoint(n))
 
         # initial state line for every node, in id order; a parked node
@@ -134,7 +134,7 @@ class Simulation:
         arrival = self.mobility.set_motion(node, dest, speed, now)
         pos = self.mobility.position_at(node, now)
         self.ledger.on_motion_state(now, node, pos, dest, speed)
-        self.sched.schedule(arrival + pause, "waypoint", str(node),
+        self.sched.schedule(arrival + pause, "waypoint", node,
                             lambda: self._next_waypoint(node))
 
     def run(self, until: float) -> "Simulation":

@@ -112,6 +112,21 @@ def test_malformed_protocol_params_are_validation_errors(
     ({"placements": [[0, [100, 300]], [True, [300, 300]], [2, [500, 300]]]},
      "placements[1][0]"),
     ({"motions": [[-1, 2.0, [400, 300], 5.0]]}, "motions[0][0]"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "start_t": float("nan")}]}, "flows[0].start_t"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": -1}]},
+     "flows[0].start_t"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "send_interval": float("nan")}]}, "flows[0].send_interval"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "send_interval": float("inf")}]}, "flows[0].send_interval"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "data_packet_size": float("inf")}]},
+     "flows[0].data_packet_size"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "max_packets": 1.5}]},
+     "flows[0].max_packets"),
+    ({"name": ["x"]}, "name"),
+    ({"duration": 10**400}, "duration"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -70,6 +71,27 @@ def test_scheduling_in_the_past_raises():
     sched.run_until(5.0)
     with pytest.raises(SchedulerMisuseError):
         sched.schedule(4.9, "late", "x", lambda: None)
+
+
+@pytest.mark.parametrize("fire_at", [math.nan, -math.inf])
+def test_scheduling_at_nan_or_minus_infinity_raises(fire_at):
+    # a NaN fire time would sit at the top of the heap and stall the run
+    sched = Scheduler()
+    with pytest.raises(SchedulerMisuseError):
+        sched.schedule(fire_at, "stuck", "x", lambda: None)
+    with pytest.raises(SchedulerMisuseError):
+        sched.schedule_in(fire_at, "stuck", "x", lambda: None)
+    sched.schedule(1.0, "tick", "x", lambda: None)
+    assert sched.run_until(2.0) == 1
+
+
+def test_event_labels_are_kept_as_given_and_logged_as_text():
+    log = []
+    sched = Scheduler(event_log=log)
+    handle = sched.schedule(0.5, "rx", 7, lambda: None)
+    assert handle.target == 7
+    sched.run_until(1.0)
+    assert log == ["0.5000000 0 rx 7"]
 
 
 def test_scheduling_at_now_is_allowed():

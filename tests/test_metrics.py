@@ -378,6 +378,82 @@ def test_broadcast_trace_lines_use_star_and_loss_marks_flow():
     assert led.flow_summary("f1", 1.0)["lost"] == 1
 
 
+def _fstring_line(op, t, kind, trace_id, src, dst, size):
+    """A packet line as the ledger formatted it eagerly, one f-string each."""
+    dst_txt = "*" if dst == -1 else str(dst)
+    return f"{op} {t:.7f} {kind} {trace_id} {src} {dst_txt} {size}"
+
+
+_TRACE_TIMES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 3, 1e-8, 1e9, 0.1 + 0.2, 599.99999995]),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=1e9))
+_TRACE_EVENTS = st.one_of(
+    st.tuples(st.sampled_from("srl"), _TRACE_TIMES,
+              st.sampled_from(["DATA", "ACK", "RREQ", "DSDV"]),
+              st.one_of(st.none(), st.integers(0, 10**6)),
+              st.integers(0, 120), st.integers(-1, 120),
+              st.integers(1, 10**6)),
+    st.tuples(st.just("M"), _TRACE_TIMES, st.integers(0, 120)),
+    st.tuples(st.just("text"), st.text("abc #()", max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(_TRACE_EVENTS, max_size=30),
+       block=st.integers(min_value=1, max_value=6))
+@example(events=[("s", t, "RREQ", None, 1, -1, 64)
+                 for t in (0, -0.0, 3, 1e-8, 1e9)]
+         + [("r", 0.5, "DATA", None, 0, -1, 512), ("M", 2, 4),
+            ("l", 1e-8, "ACK", 9, 2, -1, 210), ("text", "")],
+         block=2)
+def test_packed_records_equal_the_fstring_lines(events, block):
+    """Records formatted a block at a time give the eager f-string text.
+
+    A small block size makes the records and text lines cross block
+    edges; sends pack, so a block edge may fall anywhere.
+    """
+    led = MetricsLedger()
+    expected = []
+    next_id = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "TRACE_BLOCK_LINES", block)
+        for event in events:
+            op = event[0]
+            if op == "text":
+                led.trace_lines.append(event[1])
+                expected.append(event[1])
+            elif op == "M":
+                t, node = event[1:]
+                led.on_motion_state(t, node, (1.0, 2.0), (3.0, 4.0), 5.0)
+                expected.append(format_motion_line(
+                    t, node, (1.0, 2.0, 0.0), (3.0, 4.0), 5.0))
+            else:
+                t, kind, trace_id, src, dst, size = event[1:]
+                frame = Frame(kind, src, -1 if op == "r" else dst, size,
+                              trace_id=trace_id)
+                if op == "s":
+                    led.on_send(frame, t)
+                    if trace_id is None:
+                        trace_id = next_id
+                        next_id += 1
+                elif op == "r":
+                    led.on_delivery(frame, dst, t)
+                else:
+                    led.on_loss(frame, "out-of-range", t)
+                expected.append(
+                    _fstring_line(op, t, kind, trace_id, src, dst, size))
+            assert len(led.trace_lines) == len(expected)
+    text = "".join(line + "\n" for line in expected)
+    assert led.trace_text() == text
+    written = []
+    led.trace_lines.stream_to(written.append)
+    led.trace_lines.append("tail")
+    led.trace_lines.pack()
+    led.trace_lines.pack()
+    assert "".join(written) == text + "tail\n"
+    assert len(led.trace_lines) == len(expected) + 1
+
+
 @pytest.mark.parametrize("n_lines", [0, 1, TRACE_BLOCK_LINES - 1,
                                      TRACE_BLOCK_LINES, TRACE_BLOCK_LINES + 1,
                                      2 * TRACE_BLOCK_LINES])

@@ -208,6 +208,42 @@ def test_round_trip_preserves_config():
                      [2, [500, 300]]]}, "placements[1][0]:"),
     ({"motions": [[True, 1.0, [400, 300], 5.0]]}, "motions[0][0]:"),
     ({"motions": [[-1, 1.0, [400, 300], 5.0]]}, "motions[0][0]:"),
+    # a NaN start time or interval used to stall the flow, or every flow
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": math.nan}]},
+     "flows[0].start_t: expected a non-negative number"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": -1}]},
+     "flows[0].start_t:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": math.inf}]},
+     "flows[0].start_t:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "send_interval": math.nan}]},
+     "flows[0].send_interval: expected a positive number"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "send_interval": math.inf}]}, "flows[0].send_interval:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "send_interval": "often"}]}, "flows[0].send_interval:"),
+    # sizes and counts are ints, never truncated floats
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "data_packet_size": math.inf}]},
+     "flows[0].data_packet_size: expected a positive int"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "max_packets": 1.5}]},
+     "flows[0].max_packets: expected a positive int, got 1.5"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "ack_size": 2.5}]},
+     "flows[0].ack_size:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "ack_size": True}]},
+     "flows[0].ack_size:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "max_packets": 0}]},
+     "flows[0].max_packets:"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
+                 "data_packet_size": 10**400}]},
+     "flows[0].data_packet_size: expected a positive int up to"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "ack_size": 600}]},
+     "flows[0]: flow f0: need data size > ack size"),
+    ({"name": ["x"]}, "name: expected a string, got ['x']"),
+    ({"name": 5}, "name:"),
+    # an int past float range used to end in an OverflowError
+    ({"duration": 10**400}, "duration: expected a number, got an int too"),
+    ({"radio": {"range": -(10**400)}}, "radio.range: expected a number"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
