@@ -17,6 +17,7 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
     builtin_scenario,
+    check_flow_ticks,
     compare,
     format_comparison,
     format_report,
@@ -96,6 +97,7 @@ def _resolve_config(args, protocol):
         config = dataclasses.replace(config, seed=args.seed)
     if args.duration is not None:
         config = dataclasses.replace(config, duration=args.duration)
+        check_flow_ticks(config)
     if args.radio_range is not None:
         config = dataclasses.replace(
             config,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 
 class SchedulerMisuseError(RuntimeError):
@@ -21,71 +21,52 @@ class SchedulerMisuseError(RuntimeError):
     """
 
 
-class EventHandle:
-    """Token returned by Scheduler.schedule, usable to cancel the event."""
-
-    __slots__ = ("fire_at", "seq", "kind", "target", "fn", "cancelled", "fired")
-
-    def __init__(self, fire_at: float, seq: int, kind: str, target: object,
-                 fn: Callable[[], None]):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.kind = kind
-        self.target = target
-        self.fn = fn
-        self.cancelled = False
-        self.fired = False
-
-    def __repr__(self):
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"<EventHandle {self.kind}@{self.fire_at:.7f} #{self.seq} {state}>"
-
-
 class Scheduler:
     """Priority-queue event loop keyed on (time, insertion order).
 
     Two events scheduled for the same instant dispatch in the order they
-    were registered, never by callback identity or hash order.  Cancelled
-    events stay in the heap but are skipped when popped (lazy deletion).
+    were registered, never by callback identity or hash order.  An event
+    is its heap entry, the list ``[fire_at, seq, fn, kind, target]``, and
+    that entry is the handle schedule returns.  Dispatch and cancel both
+    clear ``fn``; an entry popped with ``fn`` cleared is skipped (lazy
+    deletion).
     """
 
-    def __init__(self, event_log: Optional[list[str]] = None):
+    def __init__(self):
         # current simulation time in seconds; only run_until moves it
         self.now = 0.0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[list] = []
         self._seq = itertools.count()
-        self.event_log = event_log
 
     def schedule(self, fire_at: float, kind: str, target: object,
-                 fn: Callable[[], None]) -> EventHandle:
-        """Register fn to run at absolute time fire_at.
+                 fn: Callable[[], None]) -> list:
+        """Register fn to run at absolute time fire_at; returns its entry.
 
-        kind and target are free-form labels used only for the optional
-        event log, which prints them with str(), and for debugging. A
-        fire time before now, or NaN, is refused.
+        kind and target are free-form labels kept on the entry for
+        debugging and for tools that tag callbacks by kind. A fire time
+        before now, or NaN, is refused.
         """
         if not fire_at >= self.now:
             raise SchedulerMisuseError(
                 f"cannot schedule {kind!r} at {fire_at} before now={self.now}")
-        handle = EventHandle(fire_at, next(self._seq), kind, target, fn)
-        heapq.heappush(self._heap, (handle.fire_at, handle.seq, handle))
-        return handle
+        entry = [fire_at, next(self._seq), fn, kind, target]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_in(self, delay: float, kind: str, target: object,
-                    fn: Callable[[], None]) -> EventHandle:
+                    fn: Callable[[], None]) -> list:
         """Register fn to run delay seconds from now."""
         return self.schedule(self.now + delay, kind, target, fn)
 
-    def cancel(self, handle: EventHandle) -> bool:
+    def cancel(self, entry: list) -> bool:
         """Cancel a pending event.  Returns False if it already ran."""
-        if handle.fired or handle.cancelled:
-            return False
-        handle.cancelled = True
-        return True
+        pending = entry[2] is not None
+        entry[2] = None
+        return pending
 
     def pending_count(self) -> int:
         """Number of events still waiting to fire (excludes cancelled)."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled and not h.fired)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def run_until(self, t_end: float) -> int:
         """Dispatch every event with fire_at <= t_end, in order.
@@ -95,17 +76,16 @@ class Scheduler:
         """
         dispatched = 0
         heap = self._heap
+        pop = heapq.heappop
         try:
             while heap and heap[0][0] <= t_end:
-                fire_at, seq, handle = heapq.heappop(heap)
-                if handle.cancelled:
+                entry = pop(heap)
+                fn = entry[2]
+                if fn is None:
                     continue
-                self.now = fire_at
-                handle.fired = True
-                if self.event_log is not None:
-                    self.event_log.append(
-                        f"{fire_at:.7f} {seq} {handle.kind} {handle.target}")
-                handle.fn()
+                entry[2] = None
+                self.now = entry[0]
+                fn()
                 dispatched += 1
         finally:
             self.now = t_end

@@ -47,6 +47,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
+from .transport import DeliveredSeqs
+
 
 @dataclass
 class MetricSeries:
@@ -149,35 +151,6 @@ class TraceLines:
                                "its text is not kept")
         self.pack()
         return self._blocks
-
-
-class DeliveredSeqs:
-    """A set of delivered sequence numbers, kept as a contiguous floor.
-
-    It holds every seq in [0, floor) plus those in ``others``. In-order
-    deliveries only raise the floor, so the set stays as small as the
-    sequences delivered out of order (or below 0).
-    """
-
-    __slots__ = ("floor", "others")
-
-    def __init__(self):
-        self.floor = 0
-        self.others: set[int] = set()
-
-    def __contains__(self, seq: int) -> bool:
-        return 0 <= seq < self.floor or seq in self.others
-
-    def add(self, seq: int) -> None:
-        if seq != self.floor:
-            self.others.add(seq)
-            return
-        floor = seq + 1
-        others = self.others
-        while floor in others:
-            others.remove(floor)
-            floor += 1
-        self.floor = floor
 
 
 def _nudge_ties(points):

@@ -15,10 +15,6 @@ from typing import Optional
 Point = tuple[float, float]
 
 
-def distance(a: Point, b: Point) -> float:
-    return math.dist(a, b)
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     width: float = 3000.0
@@ -119,7 +115,7 @@ class MobilityModel:
                 f"(earliest start {earliest})"
             )
         origin = self.position_at(node_id, start_t)
-        arrival = start_t + distance(origin, dest) / speed
+        arrival = start_t + math.dist(origin, dest) / speed
         leg = MotionLeg(start_t, origin, tuple(dest), speed, arrival)
         plan.legs.append(leg)
         plan.settled_at = arrival
@@ -133,7 +129,10 @@ class MobilityModel:
         return tuple(n for n, arrival in self._arrivals.items() if t <= arrival)
 
     def position_at(self, node_id: int, t: float) -> Point:
-        plan = self._plan(node_id)
+        try:
+            plan = self._plans[node_id]
+        except KeyError:
+            plan = self._plan(node_id)
         if t > plan.settled_at:
             return plan.rest
         pos = plan.home
@@ -148,7 +147,7 @@ class MobilityModel:
         plan = self._plan(node_id)
         for leg in reversed(plan.legs):
             if leg.start_t <= t < leg.arrival_t:
-                d = distance(leg.origin, leg.dest)
+                d = math.dist(leg.origin, leg.dest)
                 if d == 0.0:
                     return (0.0, 0.0)
                 return (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .engine import Scheduler
-from .mobility import MobilityModel, distance
+from .mobility import MobilityModel
 
 BROADCAST = -1
 
@@ -41,7 +41,7 @@ class RoutedPacket:
         return self.packet.flow
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: str
     src: int
@@ -50,9 +50,6 @@ class Frame:
     payload: object = None
     sent_at: Optional[float] = None
     trace_id: Optional[int] = None
-
-    def airtime(self, bandwidth: float) -> float:
-        return self.size * 8 / bandwidth
 
 
 class RadioMedium:
@@ -81,8 +78,8 @@ class RadioMedium:
         self._busy_until.setdefault(node_id, 0.0)
 
     def in_range(self, a: int, b: int, t: float) -> bool:
-        d = distance(self.mobility.position_at(a, t), self.mobility.position_at(b, t))
-        return d <= self.config.radio_range
+        pos = self.mobility.position_at
+        return math.dist(pos(a, t), pos(b, t)) <= self.config.radio_range
 
     def neighbors(self, node_id: int, t: float) -> list[int]:
         """Registered nodes other than node_id in range at t, ascending.
@@ -93,12 +90,13 @@ class RadioMedium:
         they are memoised on that key.
         """
         position_at = self.mobility.position_at
+        dist = math.dist
         r = self.config.radio_range
         p = position_at(node_id, t)
 
         def near(ids):
             return [o for o in ids
-                    if o != node_id and distance(p, position_at(o, t)) <= r]
+                    if o != node_id and dist(p, position_at(o, t)) <= r]
 
         moving = self.mobility.moving_at(t)
         if node_id in moving:
@@ -120,12 +118,13 @@ class RadioMedium:
         frame's airtime start, which is now unless the sender is busy.
         """
         now = self.sched.now
-        airtime = frame.airtime(self.config.bandwidth)
-        start = max(now, self._busy_until.get(frame.src, 0.0))
-        self._busy_until[frame.src] = start + airtime
+        airtime = frame.size * 8 / self.config.bandwidth
+        start = self._busy_until.get(frame.src, 0.0)
         if start <= now:
+            self._busy_until[frame.src] = now + airtime
             self._launch(frame, on_fail, airtime)
         else:
+            self._busy_until[frame.src] = start + airtime
             self.sched.schedule(
                 start, "tx", frame.src,
                 lambda: self._launch(frame, on_fail, airtime))

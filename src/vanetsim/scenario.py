@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 
 from .metrics import write_plot_series
-from .mobility import FieldConfig, MobilityError, MobilityModel, distance
+from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
 from .simulation import PROTOCOLS, Motion, Simulation
 from .transport import FlowConfig
@@ -110,7 +110,7 @@ def _short_motions() -> list:
     origin = SHORT_DIVE_START
     for dest in legs:
         motions.append(Motion(1, t, dest, SHORT_MOVER_SPEED))
-        t += distance(origin, dest) / SHORT_MOVER_SPEED
+        t += math.dist(origin, dest) / SHORT_MOVER_SPEED
         origin = dest
     return motions
 
@@ -170,6 +170,9 @@ def primary_flow(config: ScenarioConfig) -> str:
 
 # a frame's bit count must stay below 2**53, where floats hold every int
 _MAX_FRAME_BYTES = 2**50
+# ticks a flow may fire before the run ends (the builtins fire at most
+# 2,069); a send_interval too small to advance the tick time stalls a run
+MAX_FLOW_TICKS = 10**6
 
 
 def _field_error(path, message):
@@ -396,11 +399,25 @@ def load_config(text: str) -> ScenarioConfig:
                                     f"protocol_params.{key}")
               for key, config_class in config_classes.items()}
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         name=name, protocol=protocol, duration=float(duration), seed=seed,
         field=field, placements=placements, motions=motions, flows=flows,
         background_mobility=background, radio=radio, protocol_params=params,
     )
+    check_flow_ticks(config)
+    return config
+
+
+def check_flow_ticks(config: ScenarioConfig) -> None:
+    """Reject a flow that would tick more than MAX_FLOW_TICKS times."""
+    # tick k fires at start_t + k * send_interval, the sum the source uses
+    for i, flow in enumerate(config.flows):
+        if (flow.start_t + MAX_FLOW_TICKS * flow.send_interval
+                <= config.duration):
+            raise _field_error(
+                f"flows[{i}].send_interval",
+                f"{flow.send_interval!r} would tick more than "
+                f"{MAX_FLOW_TICKS} times before duration {config.duration!r}")
 
 
 def _protocol_params(raw, config_class, path) -> dict:

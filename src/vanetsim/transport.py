@@ -66,6 +66,35 @@ class AckPacket:
     kind: str = "ACK"
 
 
+class DeliveredSeqs:
+    """A set of delivered sequence numbers, kept as a contiguous floor.
+
+    It holds every seq in [0, floor) plus those in ``others``. In-order
+    deliveries only raise the floor, so the set stays as small as the
+    sequences delivered out of order (or below 0).
+    """
+
+    __slots__ = ("floor", "others")
+
+    def __init__(self):
+        self.floor = 0
+        self.others: set[int] = set()
+
+    def __contains__(self, seq: int) -> bool:
+        return 0 <= seq < self.floor or seq in self.others
+
+    def add(self, seq: int) -> None:
+        if seq != self.floor:
+            self.others.add(seq)
+            return
+        floor = seq + 1
+        others = self.others
+        while floor in others:
+            others.remove(floor)
+            floor += 1
+        self.floor = floor
+
+
 class TcpSource:
     def __init__(self, sched, config: FlowConfig, route_send, ledger=None, auditor=None):
         self.sched = sched
@@ -190,19 +219,16 @@ class TcpSink:
         self.config = config
         self.route_send = route_send
         self.ledger = ledger
-        self.received: set[int] = set()
-        self.highest_contiguous = -1
+        self.received = DeliveredSeqs()
 
     def on_data(self, packet: DataPacket, now: float) -> None:
         if packet.seq not in self.received:
             self.received.add(packet.seq)
-            while self.highest_contiguous + 1 in self.received:
-                self.highest_contiguous += 1
             if self.ledger is not None:
                 self.ledger.on_sink_delivery(
                     self.config.flow, packet.seq, packet.size, now
                 )
         self.route_send(
-            AckPacket(self.config.flow, self.highest_contiguous, self.config.ack_size),
+            AckPacket(self.config.flow, self.received.floor - 1, self.config.ack_size),
             self.config.src,
         )

@@ -127,6 +127,8 @@ def test_malformed_protocol_params_are_validation_errors(
      "flows[0].max_packets"),
     ({"name": ["x"]}, "name"),
     ({"duration": 10**400}, "duration"),
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": 1.0,
+                 "send_interval": 1e-20}]}, "flows[0].send_interval"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):
@@ -155,6 +157,20 @@ def test_out_of_range_numeric_flags_are_validation_errors(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_duration_override_rechecks_flow_ticks(
+        scenario_file, tmp_path, capsys, command):
+    # 0.5 + 10**6 * 0.2 s is within a 10**6 s run: too many ticks
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(scenario_file),
+                 "--duration", "1e6", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flows[0].send_interval: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,7 +1,10 @@
+import bisect
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetsim.engine import Scheduler, SchedulerMisuseError, seeded_rng
 
@@ -85,13 +88,13 @@ def test_scheduling_at_nan_or_minus_infinity_raises(fire_at):
     assert sched.run_until(2.0) == 1
 
 
-def test_event_labels_are_kept_as_given_and_logged_as_text():
-    log = []
-    sched = Scheduler(event_log=log)
-    handle = sched.schedule(0.5, "rx", 7, lambda: None)
-    assert handle.target == 7
+def test_event_labels_are_kept_as_given_on_the_entry():
+    sched = Scheduler()
+    entry = sched.schedule(0.5, "rx", 7, lambda: None)
+    assert entry[0] == 0.5
+    assert entry[3:] == ["rx", 7]
     sched.run_until(1.0)
-    assert log == ["0.5000000 0 rx 7"]
+    assert entry[3:] == ["rx", 7]
 
 
 def test_scheduling_at_now_is_allowed():
@@ -121,15 +124,6 @@ def test_cancel_after_fire_returns_false():
     h = sched.schedule(1.0, "tick", "x", lambda: None)
     sched.run_until(2.0)
     assert sched.cancel(h) is False
-
-
-def test_event_log_lines_record_time_seq_kind_target():
-    log = []
-    sched = Scheduler(event_log=log)
-    sched.schedule(0.5, "alpha", "node0", lambda: None)
-    sched.schedule(1.25, "beta", "node7", lambda: None)
-    sched.run_until(2.0)
-    assert log == ["0.5000000 0 alpha node0", "1.2500000 1 beta node7"]
 
 
 def test_events_scheduled_during_run_are_honoured():
@@ -170,6 +164,94 @@ def test_dispatch_order_is_reproducible_under_load():
         return order
 
     assert trial() == trial()
+
+
+class ListScheduler:
+    """Reference scheduler: pending events in one list sorted by (time, seq).
+
+    Cancelling removes the event from the list, so nothing is skipped
+    lazily; the heap scheduler must behave the same from outside.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []  # [fire_at, seq, fn], ascending
+        self.seq = 0
+
+    def schedule(self, fire_at, kind, target, fn):
+        event = [fire_at, self.seq, fn]
+        self.seq += 1
+        bisect.insort(self.pending, event, key=lambda e: e[:2])
+        return event
+
+    def cancel(self, event):
+        for i, pending in enumerate(self.pending):
+            if pending is event:
+                del self.pending[i]
+                return True
+        return False
+
+    def pending_count(self):
+        return len(self.pending)
+
+    def run_until(self, t_end):
+        dispatched = 0
+        while self.pending and self.pending[0][0] <= t_end:
+            fire_at, _seq, fn = self.pending.pop(0)
+            self.now = fire_at
+            fn()
+            dispatched += 1
+        self.now = t_end
+        return dispatched
+
+
+# delays are exact binary fractions, so equal fire times really are equal
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+_cancel = st.tuples(st.just("cancel"), st.integers(0, 40))
+# what a callback does when it fires: schedule more events, cancel some
+_in_callback = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _delays, st.lists(_cancel, max_size=2)),
+    _cancel), max_size=3)
+_program = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _delays, _in_callback),
+    _cancel,
+    st.tuples(st.just("run"), _delays)), max_size=40)
+
+
+def _execute(sched, program):
+    """Run program on sched; returns everything visible from outside."""
+    seen = []
+    handles = []
+
+    def do(action):
+        if action[0] == "schedule":
+            _, delay, script = action
+            label = len(handles)
+
+            def fire():
+                seen.append(("fire", label, sched.now))
+                for inner in script:
+                    do(inner)
+
+            handles.append(sched.schedule(sched.now + delay, "evt", label, fire))
+        elif action[0] == "cancel":
+            if handles:
+                i = action[1] % len(handles)
+                seen.append(("cancel", i, sched.cancel(handles[i])))
+        else:
+            t_end = sched.now + action[1]
+            seen.append(("run", sched.run_until(t_end), sched.now))
+        seen.append(("pending", sched.pending_count()))
+
+    for action in program:
+        do(action)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_program)
+def test_scheduler_matches_sorted_list_reference(program):
+    assert _execute(Scheduler(), program) == _execute(ListScheduler(), program)
 
 
 def test_seeded_rng_streams_are_reproducible_and_independent():

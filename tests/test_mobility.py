@@ -5,17 +5,12 @@ import random
 
 import pytest
 
-from vanetsim.mobility import FieldConfig, MobilityError, MobilityModel, distance
+from vanetsim.mobility import FieldConfig, MobilityError, MobilityModel
 
 
 def make_model(**kwargs):
     m = MobilityModel(FieldConfig(**kwargs)) if kwargs else MobilityModel()
     return m
-
-
-def test_distance_matches_hand_values():
-    assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert abs(distance((550.0, 290.0), (755.0, 360.0)) - 216.6218) < 1e-3
 
 
 def test_stationary_node_position_is_constant():

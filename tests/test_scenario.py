@@ -244,6 +244,10 @@ def test_round_trip_preserves_config():
     # an int past float range used to end in an OverflowError
     ({"duration": 10**400}, "duration: expected a number, got an int too"),
     ({"radio": {"range": -(10**400)}}, "radio.range: expected a number"),
+    # 1.0 + k * 1e-20 stays 1.0, so the ticks never advanced the clock
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": 1.0,
+                 "send_interval": 1e-20}]},
+     "flows[0].send_interval: 1e-20 would tick more than"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:

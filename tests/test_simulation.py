@@ -26,7 +26,8 @@ def test_aodv_flow_completes_over_discovered_route():
     sim = chain_sim("AODV", flow_start=0.1).run(15.0)
     src = sim.sources["f0"]
     assert src.complete
-    assert sim.sinks["f0"].received == {0, 1, 2, 3, 4}
+    assert sim.sinks["f0"].received.floor == 5
+    assert sim.sinks["f0"].received.others == set()
     assert len(sim.ledger.deliveries("f0")) == 5
     assert sim.ledger._paths["f0"][0][1] == (0, 1, 2)
 
@@ -34,7 +35,8 @@ def test_aodv_flow_completes_over_discovered_route():
 def test_dsdv_flow_completes_over_converged_table():
     sim = chain_sim("DSDV", flow_start=36.0).run(60.0)
     assert sim.sources["f0"].complete
-    assert sim.sinks["f0"].received == {0, 1, 2, 3, 4}
+    assert sim.sinks["f0"].received.floor == 5
+    assert sim.sinks["f0"].received.others == set()
     assert sim.agents[0].table[2].metric == 2
     assert sim.ledger._paths["f0"][-1][1] == (0, 1, 2)
 

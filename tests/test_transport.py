@@ -174,6 +174,25 @@ def test_sink_cumulative_ack_values():
     assert acks[-1] == 5
     sink.on_data(DataPacket("f0", 6, 512), 0.3)
     assert acks[-1] == 7
+    assert (sink.received.floor, sink.received.others) == (8, set())
+
+
+def test_in_order_flow_keeps_no_out_of_order_seqs():
+    sched = Scheduler()
+    cfg = FlowConfig("f0", 0, 15, 0.0, 0.1, max_packets=30)
+    src, sink = make_pair(sched, cfg)
+    others = []
+
+    def on_data(pkt, now, receive=sink.on_data):
+        receive(pkt, now)
+        others.append(len(sink.received.others))
+
+    sink.on_data = on_data
+    src.start()
+    sched.run_until(60.0)
+    assert src.complete
+    assert sink.received.floor == 30
+    assert others == [0] * 30
 
 
 def test_sink_acks_duplicates_but_reports_them_once():
@@ -214,6 +233,8 @@ def test_reliability_and_conservation_under_random_loss():
     src.start()
     sched.run_until(600.0)
     assert src.complete
-    assert sink.received == set(range(40))
+    # the delivered set is exactly range(40): a floor of 40, nothing else
+    assert sink.received.floor == 40
+    assert sink.received.others == set()
     assert len(led.sink_deliveries) == 40
     assert auditor.checks > 100
