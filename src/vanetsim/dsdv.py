@@ -16,7 +16,11 @@ until a settling deadline, since a better path with the same sequence
 number usually arrives moments later.
 
 Updates are full dumps when enough rows changed (or on a slow timer) and
-incrementals otherwise. Only locally detected link breakage triggers an
+incrementals otherwise. A full dump is one pass over the entries, which
+the agent keeps in ascending destination order beside the table; the
+destinations damped since the last full dump form a small set, so only
+those are checked for a deadline still running, and only those have an
+expired one cleared. Only locally detected link breakage triggers an
 immediate update, rate-limited per node; propagated bad news and fresh
 sequence numbers ride the periodic schedule. Link breakage is detected
 solely by unicast transmission failure; there are no beacons, so an idle
@@ -24,7 +28,9 @@ stale route can outlive its link by a long time.
 """
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .radio import BROADCAST, Frame
@@ -76,7 +82,14 @@ class DsdvAgent(RoutingAgent):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.table[self.node_id] = DsdvEntry(self.node_id, self.node_id, 0, 0, 0.0)
+        me = DsdvEntry(self.node_id, self.node_id, 0, 0, 0.0)
+        self.table[self.node_id] = me
+        # the table's entries in ascending dest order; entries are never
+        # removed, so a new one is insorted where it is created
+        self._entries = [me]
+        # the dests damped since the last full dump or held back by it;
+        # no other dest has a settling deadline
+        self._damped: set[int] = set()
         self.dirty: set[int] = set()
         self.last_full_dump = -INFINITE
         self._last_trigger = -INFINITE
@@ -100,25 +113,32 @@ class DsdvAgent(RoutingAgent):
     def _periodic(self, k: int) -> None:
         now = self.sched.now
         cfg = self.config
+        table = self.table
         self.own_seq += 2
-        me = self.table[self.node_id]
-        me.seq = self.own_seq
-        self.dirty.add(self.node_id)
-        # the dirty set is part of the table, so one pass over the table
-        # yields both the full dump and the incremental one
-        dests = self._advertisable(self.table, now)
-        full_due = now - self.last_full_dump >= cfg.full_dump_interval
-        if not full_due:
-            dirty = self.dirty
-            adv = [d for d in dests if d in dirty]
-            full_due = len(adv) > cfg.full_dump_dirty_fraction * len(self.table)
-        if full_due:
+        table[self.node_id].seq = self.own_seq
+        dirty = self.dirty
+        dirty.add(self.node_id)
+        held = {d for d in self._damped
+                if table[d].settling_deadline is not None
+                and table[d].settling_deadline > now}
+        if (now - self.last_full_dump >= cfg.full_dump_interval
+                or len(dirty) - len(dirty & held)
+                > cfg.full_dump_dirty_fraction * len(table)):
+            # one pass over the ordered entries; only a damped dest can
+            # carry a deadline, so only those need one cleared
             self.last_full_dump = now
-            kind = "full"
+            if held:
+                rows = [(e.dest, e.metric, e.seq) for e in self._entries
+                        if e.dest not in held]
+            else:
+                rows = [(e.dest, e.metric, e.seq) for e in self._entries]
+            for d in self._damped - held:
+                table[d].settling_deadline = None
+            self._damped = held
+            self.dirty = dirty & held
+            self._send(rows, "full")
         else:
-            dests = adv
-            kind = "incremental"
-        self._broadcast(dests, kind)
+            self._broadcast(sorted(dirty - held), "incremental")
         self.sched.schedule(
             self._first_update_at + (k + 1) * cfg.update_interval,
             "dsdv-periodic", self.node_id, lambda: self._periodic(k + 1),
@@ -130,7 +150,10 @@ class DsdvAgent(RoutingAgent):
             e = self.table[d]
             e.settling_deadline = None
             rows.append((d, e.metric, e.seq))
-        self.dirty -= set(dests)
+        self.dirty.difference_update(dests)
+        self._send(rows, kind)
+
+    def _send(self, rows: list, kind: str) -> None:
         size = self.config.header_size + self.config.row_size * len(rows)
         self.radio.transmit(
             Frame("DSDV", self.node_id, BROADCAST, size,
@@ -187,9 +210,10 @@ class DsdvAgent(RoutingAgent):
             else:
                 e = get(dest)
                 if e is None:
-                    self.table[dest] = DsdvEntry(
+                    e = self.table[dest] = DsdvEntry(
                         dest, sender, INFINITE if seq % 2 else metric + 1,
                         seq, now)
+                    insort(self._entries, e, key=attrgetter("dest"))
                 else:
                     old_seq = e.seq
                     if seq < old_seq or (seq == old_seq and (
@@ -200,6 +224,7 @@ class DsdvAgent(RoutingAgent):
                     # (a finite metric always carries an even number)
                     if seq % 2 == 0 and cand_metric > e.metric:
                         e.settling_deadline = now + self.config.settling_time
+                        self._damped.add(dest)
                     else:
                         e.settling_deadline = None
                     e.next_hop = sender
@@ -224,14 +249,13 @@ class DsdvAgent(RoutingAgent):
 
     def handle_neighbor_loss(self, dead: int, now: float) -> None:
         changed = False
-        for dest in sorted(self.table):
-            e = self.table[dest]
+        for e in self._entries:
             if e.next_hop == dead and e.alive():
                 e.seq += 1
                 e.metric = INFINITE
                 e.settling_deadline = None
-                self.dirty.add(dest)
-                self._note_mutation(dest)
+                self.dirty.add(e.dest)
+                self._note_mutation(e.dest)
                 changed = True
         if changed:
             self._trigger(now)

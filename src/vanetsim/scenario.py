@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 from dataclasses import dataclass
 
 from .metrics import write_plot_series
@@ -157,6 +158,54 @@ def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
     )
 
 
+# Random-waypoint methodology of Broch et al. (MobiCom 1998), with a
+# non-zero minimum speed after Yoon, Liu & Noble (INFOCOM 2003)
+RWP_FIELD = (1500.0, 300.0)
+RWP_SPEED = (1.0, 20.0)
+RWP_FLOW_START_MAX = 10.0
+RWP_SEND_INTERVAL = 0.25
+
+
+def random_waypoint_document(seed: int, nodes: int, flows: int,
+                             duration: float, pause: float = 0.0) -> str:
+    """A random-waypoint AODV scenario document drawn from
+    random.Random(seed), named rwp-aodv.
+
+    Nodes are placed uniformly on a 1500 m x 300 m field and roam at 1-20
+    m/s with the given pause; each flow joins two distinct random nodes
+    and starts within the first 10 s. The document's own seed, which
+    drives the waypoint draws, is seed too. Equal arguments give equal
+    text.
+    """
+    rng = random.Random(seed)
+    width, height = RWP_FIELD
+    placements = [[node, [rng.uniform(0.0, width), rng.uniform(0.0, height)]]
+                  for node in range(nodes)]
+    flow_docs = []
+    for i in range(flows):
+        src, sink = rng.sample(range(nodes), 2)
+        flow_docs.append({
+            "flow": f"f{i}", "src": src, "sink": sink,
+            "start_t": rng.uniform(0.0, RWP_FLOW_START_MAX),
+            "send_interval": RWP_SEND_INTERVAL,
+        })
+    doc = {
+        "name": "rwp-aodv",
+        "protocol": "AODV",
+        "duration": duration,
+        "seed": seed,
+        "field": list(RWP_FIELD),
+        "nodes": nodes,
+        "placements": placements,
+        "flows": flow_docs,
+        "background_mobility": {
+            "kind": "random-waypoint",
+            "v_min": RWP_SPEED[0], "v_max": RWP_SPEED[1], "pause": pause,
+        },
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def primary_flow(config: ScenarioConfig) -> str:
     """The flow whose endpoints the scenario's motion script separates."""
     if config.name == "long-distance":
@@ -258,6 +307,12 @@ def load_config(text: str) -> ScenarioConfig:
     if not (isinstance(raw_field, list) and len(raw_field) == 2):
         raise _field_error("field", "expected [width, height]")
     field = _point(raw_field, "field")
+    for i, side in enumerate(field):
+        # a field needs an extent: in a 0 x 0 field every random waypoint
+        # is the node's own position and re-fires at one instant forever
+        if not (math.isfinite(side) and side > 0):
+            raise _field_error(f"field[{i}]", f"expected a positive finite "
+                               f"number, got {side!r}")
     bounds = FieldConfig(*field)
 
     raw_radio = doc.get("radio", {})
@@ -296,8 +351,11 @@ def load_config(text: str) -> ScenarioConfig:
             "nodes", f"declares {doc['nodes']} nodes but "
             f"placements lists {len(placements)}")
 
+    raw_motions = doc.get("motions", [])
+    if not isinstance(raw_motions, list):
+        raise _field_error("motions", "expected a list")
     motions = []
-    for i, item in enumerate(doc.get("motions", [])):
+    for i, item in enumerate(raw_motions):
         path = f"motions[{i}]"
         if not (isinstance(item, list) and len(item) == 4
                 and isinstance(item[2], list) and len(item[2]) == 2):

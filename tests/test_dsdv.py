@@ -2,6 +2,8 @@
 
 import math
 import random
+from bisect import insort
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,15 @@ def test_adoption_order_independent_of_arrival(rows, order):
     assert (entry.seq, entry.metric) == (best_seq, best_metric)
 
 
+class Clock:
+    """Stands in for the scheduler: a clock set by hand, events dropped."""
+
+    now = 0.0
+
+    def schedule(self, fire_at, kind, target, fn):
+        pass
+
+
 class MutationLog:
     def __init__(self):
         self.mutations = []
@@ -191,6 +202,8 @@ class ReferenceTable:
         self.own_seq = 0
         self.mutations = []
         self.last_trigger = -INFINITE
+        self.last_full_dump = -INFINITE
+        self.sent = []  # (kind, rows) of every update sent
 
     def _changed(self, dest):
         self.dirty.add(dest)
@@ -234,9 +247,27 @@ class ReferenceTable:
                     if self.table[d][4] is None or self.table[d][4] <= now]
             if sent:
                 self.last_trigger = now
-                for d in sent:
-                    self.table[d][4] = None
-                self.dirty -= set(sent)
+                self._send("incremental", sent)
+
+    def periodic(self, now):
+        """A fresh own number, then the update two_pass_dump picks."""
+        self.own_seq += 2
+        self.table[0][2] = self.own_seq
+        self.dirty.add(0)
+        deadlines = {d: row[4] for d, row in self.table.items()}
+        kind, dests = two_pass_dump(deadlines, self.dirty, now,
+                                    self.last_full_dump, self.config)
+        if kind == "full":
+            self.last_full_dump = now
+        self._send(kind, dests)
+
+    def _send(self, kind, dests):
+        """Sent rows are no longer settling and no longer dirty."""
+        for d in dests:
+            self.table[d][4] = None
+        self.dirty -= set(dests)
+        self.sent.append(
+            (kind, [(d, self.table[d][1], self.table[d][2]) for d in dests]))
 
 
 update_rows = st.lists(
@@ -254,6 +285,7 @@ agent_steps = st.lists(
             st.tuples(st.just("update"), st.integers(min_value=1, max_value=3),
                       update_rows),
             st.tuples(st.just("loss"), st.integers(min_value=1, max_value=3)),
+            st.tuples(st.just("periodic")),
         ),
     ),
     max_size=30,
@@ -265,9 +297,9 @@ agent_steps = st.lists(
 def test_agent_matches_reference_rules(steps):
     """Random updates (self rows, odd numbers, infinite and worsened
 
-    metrics) and neighbour losses leave the agent's table, dirty set, own
-    sequence number, settling deadlines and mutation order exactly as the
-    plainly written rules do.
+    metrics), neighbour losses and periodic updates leave the agent's
+    table, dirty set, own sequence number, settling deadlines, mutation
+    order and sent updates exactly as the plainly written rules do.
     """
     cfg = DsdvConfig()
     sched = Scheduler()
@@ -276,23 +308,39 @@ def test_agent_matches_reference_rules(steps):
     mob.add_node(0, 100.0, 100.0)
     log = MutationLog()
     agent = DsdvAgent(sched, radio, 0, config=cfg, auditor=log)
+    # no scheduler runs: the clock is set by hand, the next periodic update
+    # and any deferred trigger are dropped, and sent updates are captured
+    agent.sched = Clock()
+    sent = []
+    agent._send = lambda rows, kind: sent.append((kind, rows))
     ref = ReferenceTable(cfg)
     now = 0.0
     for dt, step in steps:
         now += dt
+        agent.sched.now = now
         if step[0] == "update":
             _, sender, rows = step
             agent._handle_update(DsdvUpdate(sender, "full", rows), now)
             ref.update(sender, rows, now)
-        else:
+        elif step[0] == "loss":
             agent.handle_neighbor_loss(step[1], now)
             ref.neighbor_loss(step[1], now)
+        else:
+            agent._periodic(0)
+            ref.periodic(now)
         table = {d: [e.next_hop, e.metric, e.seq, e.install_time,
                      e.settling_deadline] for d, e in agent.table.items()}
         assert table == ref.table
         assert agent.dirty == ref.dirty
         assert agent.own_seq == ref.own_seq
         assert log.mutations == ref.mutations
+        assert sent == ref.sent
+        # the settling set covers every running deadline, and a full dump
+        # prunes it to just those
+        settling = {d for d, row in ref.table.items() if row[4] is not None}
+        assert settling <= agent._damped
+        if step[0] == "periodic" and ref.sent[-1][0] == "full":
+            assert agent._damped == settling
 
 
 def test_neighbor_loss_spreads_by_immediate_trigger():
@@ -388,20 +436,22 @@ def test_full_dump_when_majority_dirty_else_incremental():
         (0, 0, 4), (5, 1, 2), (6, 2, 2), (7, 3, 2)]
 
 
-def two_pass_dump(table, dirty, now, last_full_dump, cfg):
+def two_pass_dump(deadlines, dirty, now, last_full_dump, cfg):
     """Kind and destinations of a periodic update by the rule that filters
-    the dirty set first and the whole table only when a full dump is due."""
+    the dirty set first and the whole table only when a full dump is due.
+
+    deadlines maps every destination in the table to its settling deadline.
+    """
     def advertisable(dests):
         return [d for d in sorted(dests)
-                if table[d].settling_deadline is None
-                or table[d].settling_deadline <= now]
+                if deadlines[d] is None or deadlines[d] <= now]
 
     full_due = now - last_full_dump >= cfg.full_dump_interval
     if not full_due:
         adv = advertisable(dirty)
-        full_due = len(adv) > cfg.full_dump_dirty_fraction * len(table)
+        full_due = len(adv) > cfg.full_dump_dirty_fraction * len(deadlines)
     if full_due:
-        return "full", advertisable(table)
+        return "full", advertisable(deadlines)
     return "incremental", adv
 
 
@@ -421,20 +471,25 @@ def test_periodic_update_equals_two_pass_rule(rows, now, since_full, fraction):
     sched, agent, _log = agent_with_listener(cfg)
     sched.run_until(now)
     for dest, (dirty, deadline) in rows.items():
-        agent.table[dest] = DsdvEntry(dest, 9, 2, 2, 0.0, deadline)
+        # written as _handle_update would: ordered, and damped if settling
+        entry = agent.table[dest] = DsdvEntry(dest, 9, 2, 2, 0.0, deadline)
+        insort(agent._entries, entry, key=attrgetter("dest"))
+        if deadline is not None:
+            agent._damped.add(dest)
         if dirty:
             agent.dirty.add(dest)
     last_full_dump = agent.last_full_dump = now - since_full
     agent._first_update_at = now  # so the next update is not in the past
     # the update refreshes the self row and marks it dirty first
-    expected = two_pass_dump(agent.table, agent.dirty | {0}, now,
-                             last_full_dump, cfg)
+    deadlines = {d: e.settling_deadline for d, e in agent.table.items()}
+    kind, dests = two_pass_dump(deadlines, agent.dirty | {0}, now,
+                                last_full_dump, cfg)
     sent = []
-    agent._broadcast = lambda dests, kind: sent.append((kind, dests))
+    agent._send = lambda rows, kind: sent.append((kind, rows))
     agent._periodic(0)
-    assert sent == [expected]
-    full = expected[0] == "full"
-    assert agent.last_full_dump == (now if full else last_full_dump)
+    table = agent.table
+    assert sent == [(kind, [(d, table[d].metric, table[d].seq) for d in dests])]
+    assert agent.last_full_dump == (now if kind == "full" else last_full_dump)
 
 
 def test_slow_timer_forces_full_dump():

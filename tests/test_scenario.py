@@ -248,6 +248,11 @@ def test_round_trip_preserves_config():
     ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": 1.0,
                  "send_interval": 1e-20}]},
      "flows[0].send_interval: 1e-20 would tick more than"),
+    # a motions value that is not a list ended in a TypeError
+    ({"motions": math.nan}, "motions: expected a list"),
+    # a zero-area field made random waypoints re-fire at one instant
+    ({"field": [0, 0]}, "field[0]: expected a positive finite number"),
+    ({"field": [1000, math.inf]}, "field[1]:"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
