@@ -8,7 +8,6 @@ table, `trace-parse` validates a mobility trace file. Exit codes:
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -17,7 +16,8 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
     builtin_scenario,
-    check_flow_ticks,
+    check_number,
+    check_run_length,
     compare,
     format_comparison,
     format_report,
@@ -68,14 +68,11 @@ def build_parser():
 
 def _check_flags(args):
     """Reject numeric overrides a run cannot use, naming the flag."""
-    for flag, value, zero_ok in (("--duration", args.duration, False),
-                                 ("--window", args.window, False),
-                                 ("--range", args.radio_range, True)):
-        if value is None:
-            continue
-        if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
-            wanted = "non-negative" if zero_ok else "positive"
-            raise ConfigError(f"{flag} must be a finite {wanted} number, got {value}")
+    for flag, value, positive in (("--duration", args.duration, True),
+                                  ("--window", args.window, True),
+                                  ("--range", args.radio_range, False)):
+        if value is not None:
+            check_number(value, flag, positive)
 
 
 def _resolve_config(args, protocol):
@@ -97,7 +94,7 @@ def _resolve_config(args, protocol):
         config = dataclasses.replace(config, seed=args.seed)
     if args.duration is not None:
         config = dataclasses.replace(config, duration=args.duration)
-        check_flow_ticks(config)
+        check_run_length(config)
     if args.radio_range is not None:
         config = dataclasses.replace(
             config,

@@ -103,12 +103,12 @@ class DsdvAgent(RoutingAgent):
 
     # -- update emission -------------------------------------------------
 
-    def _advertisable(self, dests, now: float) -> list[int]:
-        """dests in ascending order, less those still settling at now."""
+    def _held(self, now: float) -> set[int]:
+        """The dests still settling at now; only a damped one can be."""
         table = self.table
-        return [d for d in sorted(dests)
-                if table[d].settling_deadline is None
-                or table[d].settling_deadline <= now]
+        return {d for d in self._damped
+                if table[d].settling_deadline is not None
+                and table[d].settling_deadline > now}
 
     def _periodic(self, k: int) -> None:
         now = self.sched.now
@@ -118,9 +118,7 @@ class DsdvAgent(RoutingAgent):
         table[self.node_id].seq = self.own_seq
         dirty = self.dirty
         dirty.add(self.node_id)
-        held = {d for d in self._damped
-                if table[d].settling_deadline is not None
-                and table[d].settling_deadline > now}
+        held = self._held(now)
         if (now - self.last_full_dump >= cfg.full_dump_interval
                 or len(dirty) - len(dirty & held)
                 > cfg.full_dump_dirty_fraction * len(table)):
@@ -175,7 +173,7 @@ class DsdvAgent(RoutingAgent):
         self._emit_trigger(self.sched.now)
 
     def _emit_trigger(self, now: float) -> None:
-        dests = self._advertisable(self.dirty, now)
+        dests = sorted(self.dirty - self._held(now))
         if not dests:
             return
         self._last_trigger = now

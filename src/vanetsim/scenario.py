@@ -219,66 +219,107 @@ def primary_flow(config: ScenarioConfig) -> str:
 
 # a frame's bit count must stay below 2**53, where floats hold every int
 _MAX_FRAME_BYTES = 2**50
-# ticks a flow may fire before the run ends (the builtins fire at most
-# 2,069); a send_interval too small to advance the tick time stalls a run
+_UPPER_BOUNDS = {"data_packet_size": _MAX_FRAME_BYTES,
+                 "ack_size": _MAX_FRAME_BYTES}
+# times a flow may tick, or a random-waypoint node start a leg, before the
+# run ends (the builtins tick at most 2,069 times); an interval too small
+# to advance the clock re-fires at one instant and stalls a run
 MAX_FLOW_TICKS = 10**6
+# the document keys whose number must be positive; any other may be 0
+_POSITIVE_KEYS = {"duration", "bandwidth", "send_interval", "data_packet_size",
+                  "ack_size", "max_packets", "v_min", "v_max"}
+# config fields whose document key is not the field name
+_DOC_KEYS = {"radio_range": "range"}
+
+
+@dataclass(frozen=True)
+class RandomWaypoint:
+    """The fields of a random-waypoint background: m/s, m/s and s."""
+
+    v_min: float
+    v_max: float
+    pause: float = 0.0
 
 
 def _field_error(path, message):
     return ConfigError(f"{path}: {message}")
 
 
-def _float(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def check_number(value, path, positive=False, integer=False, most=None):
+    """A document number: finite, positive or else non-negative, and at
+    most ``most`` if given. With ``integer`` it must be an int and stays
+    one; otherwise it is returned as a float. Bools are not numbers."""
+    is_number = (isinstance(value, int if integer else (int, float))
+                 and not isinstance(value, bool))
+    if not (is_number or integer):
         raise _field_error(path, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value) if is_number else math.nan
     except OverflowError:
-        raise _field_error(path, "expected a number, got an int too large "
-                           "for a float") from None
-
-
-def _number(doc, key, path, default=None):
-    path = f"{path}.{key}" if path else key
-    if key not in doc:
-        if default is None:
-            raise _field_error(path, "missing required field")
-        return default
-    _float(doc[key], path)
-    return doc[key]
-
-
-def _bounded(doc, key, path, default=None, positive=False):
-    """A finite number that is positive, or else non-negative."""
-    value = _number(doc, key, path, default)
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        if not integer:
+            raise _field_error(path, "expected a number, got an int too "
+                               "large for a float") from None
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)
+            and (most is None or number <= most)):
         kind = "positive" if positive else "non-negative"
-        raise _field_error(f"{path}.{key}" if path else key,
-                           f"expected a {kind} number, got {value!r}")
-    return value
-
-
-def _int(doc, key, path, default, most=None):
-    """A positive int, bools excluded, of at most ``most`` if given."""
-    value = doc.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, int) or value <= 0
-            or (most is not None and value > most)):
         limit = "" if most is None else f" up to {most}"
-        raise _field_error(f"{path}.{key}",
-                           f"expected a positive int{limit}, got {value!r}")
-    return value
+        raise _field_error(path, f"expected a {kind} "
+                           f"{'int' if integer else 'number'}{limit}, "
+                           f"got {value!r}")
+    return value if integer else number
 
 
-def _check_node_id(node, path) -> None:
-    """Reject a bool or negative id; -1 is the radio's broadcast address."""
-    if isinstance(node, bool) or (isinstance(node, int) and node < 0):
-        raise _field_error(path, f"expected a non-negative int node id, "
-                           f"got {node!r}")
-
-
-def _point(raw, path) -> tuple:
+def _point(raw, path, positive=False) -> tuple:
     """An [x, y] pair of numbers as a float tuple."""
-    return (_float(raw[0], f"{path}[0]"), _float(raw[1], f"{path}[1]"))
+    return tuple(check_number(v, f"{path}[{i}]", positive)
+                 for i, v in enumerate(raw))
+
+
+def _check_keys(raw, known, path=None) -> None:
+    """Reject a key of a document object that is not in known."""
+    for key in raw:
+        if key not in known:
+            raise _field_error(f"{path}.{key}" if path else key,
+                               "unknown parameter")
+
+
+def _read(raw, config_class, path, skip=()):
+    """A document object read into config_class.
+
+    Each key must name a field (or be in ``skip``), and each value is
+    checked by its field's type: a string, an int or a number. A field
+    left out takes the class's default, and one without a default is
+    required. A ValueError of the class's own checks names ``path``.
+    """
+    if not isinstance(raw, dict):
+        raise _field_error(path, "expected an object")
+    fields = {_DOC_KEYS.get(f.name, f.name): f
+              for f in dataclasses.fields(config_class)}
+    _check_keys(raw, {*fields, *skip}, path)
+    values = {}
+    for key, f in fields.items():
+        where = f"{path}.{key}"
+        if key not in raw:
+            if f.default is dataclasses.MISSING:
+                raise _field_error(where, "missing required field")
+        elif f.type is str:
+            if not isinstance(raw[key], str):
+                raise _field_error(where, f"expected a string, got {raw[key]!r}")
+            values[f.name] = raw[key]
+        else:
+            values[f.name] = check_number(raw[key], where, key in _POSITIVE_KEYS,
+                                          f.type is int, _UPPER_BOUNDS.get(key))
+    try:
+        return config_class(**values)
+    except ValueError as e:
+        raise _field_error(path, str(e)) from None
+
+
+def _doc_object(config) -> dict:
+    """A config's fields under their document keys, in field order."""
+    return {_DOC_KEYS.get(f.name, f.name): getattr(config, f.name)
+            for f in dataclasses.fields(config)}
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -289,6 +330,8 @@ def load_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"scenario document is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
+    _check_keys(doc, {"nodes", *(f.name for f in
+                                 dataclasses.fields(ScenarioConfig))})
 
     name = doc.get("name", "custom")
     if not isinstance(name, str):
@@ -297,34 +340,18 @@ def load_config(text: str) -> ScenarioConfig:
     if not isinstance(protocol, str) or protocol.upper() not in PROTOCOLS:
         raise _field_error("protocol", f"unknown protocol {protocol!r}")
     protocol = protocol.upper()
-    duration = _bounded(doc, "duration", "", default=BUILTIN_DURATION,
-                        positive=True)
-    seed = doc.get("seed", 1)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise _field_error("seed", f"expected an integer, got {seed!r}")
+    duration = check_number(doc.get("duration", BUILTIN_DURATION), "duration",
+                            positive=True)
+    seed = check_number(doc.get("seed", 1), "seed", integer=True)
 
     raw_field = doc.get("field", [3000.0, 1600.0])
     if not (isinstance(raw_field, list) and len(raw_field) == 2):
         raise _field_error("field", "expected [width, height]")
-    field = _point(raw_field, "field")
-    for i, side in enumerate(field):
-        # a field needs an extent: in a 0 x 0 field every random waypoint
-        # is the node's own position and re-fires at one instant forever
-        if not (math.isfinite(side) and side > 0):
-            raise _field_error(f"field[{i}]", f"expected a positive finite "
-                               f"number, got {side!r}")
+    # a field needs an extent: in a 0 x 0 field every random waypoint is
+    # the node's own position and re-fires at one instant forever
+    field = _point(raw_field, "field", positive=True)
     bounds = FieldConfig(*field)
-
-    raw_radio = doc.get("radio", {})
-    if not isinstance(raw_radio, dict):
-        raise _field_error("radio", "expected an object")
-    radio = RadioConfig(
-        radio_range=_bounded(raw_radio, "range", "radio", default=250.0),
-        bandwidth=_bounded(raw_radio, "bandwidth", "radio", default=1e7,
-                           positive=True),
-        per_hop_overhead=_bounded(raw_radio, "per_hop_overhead", "radio",
-                                  default=50e-6),
-    )
+    radio = _read(doc.get("radio", {}), RadioConfig, "radio")
 
     raw_placements = doc.get("placements")
     if not isinstance(raw_placements, list) or not raw_placements:
@@ -334,11 +361,10 @@ def load_config(text: str) -> ScenarioConfig:
     for i, item in enumerate(raw_placements):
         path = f"placements[{i}]"
         if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], int)
                 and isinstance(item[1], list) and len(item[1]) == 2):
             raise _field_error(path, "expected [node, [x, y]]")
-        node = item[0]
-        _check_node_id(node, f"{path}[0]")
+        # -1 is the radio's broadcast address, so ids are non-negative
+        node = check_number(item[0], f"{path}[0]", integer=True)
         if node in seen_nodes:
             raise _field_error(path, f"duplicate node id {node}")
         seen_nodes.add(node)
@@ -360,22 +386,15 @@ def load_config(text: str) -> ScenarioConfig:
         if not (isinstance(item, list) and len(item) == 4
                 and isinstance(item[2], list) and len(item[2]) == 2):
             raise _field_error(path, "expected [node, start_t, [x, y], speed]")
-        node, start_t, dest, speed = item
-        _check_node_id(node, f"{path}[0]")
-        if not isinstance(node, int) or node not in seen_nodes:
+        node = check_number(item[0], f"{path}[0]", integer=True)
+        if node not in seen_nodes:
             raise _field_error(path, f"motion references unknown node {node!r}")
-        start_t = _float(start_t, f"{path}[1]")
-        if not (math.isfinite(start_t) and start_t >= 0):
-            raise _field_error(f"{path}[1]", f"expected a start time >= 0, "
-                               f"got {start_t!r}")
-        dest = _point(dest, f"{path}[2]")
+        start_t = check_number(item[1], f"{path}[1]")
+        dest = _point(item[2], f"{path}[2]")
         if not bounds.contains(dest):
             raise _field_error(f"{path}[2]",
                                f"destination {dest} outside field {field}")
-        speed = _float(speed, f"{path}[3]")
-        if not (math.isfinite(speed) and speed > 0):
-            raise _field_error(f"{path}[3]",
-                               f"expected a positive speed, got {speed!r}")
+        speed = check_number(item[3], f"{path}[3]", positive=True)
         motions.append(Motion(node, start_t, dest, speed))
     # replay the legs in the order the scheduler applies them (start time,
     # then document order) so an overlap is found before the run
@@ -396,78 +415,53 @@ def load_config(text: str) -> ScenarioConfig:
     flow_names = set()
     for i, item in enumerate(raw_flows):
         path = f"flows[{i}]"
-        if not isinstance(item, dict):
-            raise _field_error(path, "expected an object")
-        try:
-            flow = item["flow"]
-            src = item["src"]
-            sink = item["sink"]
-        except KeyError as e:
-            raise _field_error(path, f"missing required field {e.args[0]!r}")
-        if not isinstance(flow, str):
-            raise _field_error(f"{path}.flow",
-                               f"expected a string, got {flow!r}")
-        if flow in flow_names:
-            raise _field_error(path, f"duplicate flow name {flow!r}")
-        flow_names.add(flow)
-        for endpoint, label in ((src, "src"), (sink, "sink")):
-            if (isinstance(endpoint, bool) or not isinstance(endpoint, int)
-                    or endpoint not in seen_nodes):
-                raise _field_error(
-                    f"{path}.{label}",
-                    f"flow {flow!r} references unknown node {endpoint!r}")
-        timing = (_bounded(item, "start_t", path, default=0.0),
-                  _bounded(item, "send_interval", path, default=0.1,
-                           positive=True))
-        counts = (_int(item, "data_packet_size", path, 512, _MAX_FRAME_BYTES),
-                  _int(item, "ack_size", path, 210, _MAX_FRAME_BYTES),
-                  _int(item, "max_packets", path, 2048))
-        try:
-            flows.append(FlowConfig(flow, src, sink, *timing, *counts))
-        except ValueError as e:
-            raise _field_error(path, str(e))
+        flow = _read(item, FlowConfig, path)
+        if flow.flow in flow_names:
+            raise _field_error(path, f"duplicate flow name {flow.flow!r}")
+        flow_names.add(flow.flow)
+        for label, node in (("src", flow.src), ("sink", flow.sink)):
+            if node not in seen_nodes:
+                raise _field_error(f"{path}.{label}", f"flow {flow.flow!r} "
+                                   f"references unknown node {node!r}")
+        flows.append(flow)
 
     background = doc.get("background_mobility", {"kind": "stationary"})
+    path = "background_mobility"
     if not (isinstance(background, dict) and "kind" in background):
-        raise _field_error("background_mobility", "expected an object with a kind")
+        raise _field_error(path, "expected an object with a kind")
     if background["kind"] == "random-waypoint":
-        path = "background_mobility"
-        background = {
-            "kind": "random-waypoint",
-            "v_min": _bounded(background, "v_min", path, positive=True),
-            "v_max": _bounded(background, "v_max", path, positive=True),
-            "pause": _bounded(background, "pause", path, default=0.0),
-        }
-        if background["v_max"] < background["v_min"]:
+        waypoint = _read(background, RandomWaypoint, path, skip=("kind",))
+        if waypoint.v_max < waypoint.v_min:
             raise _field_error(f"{path}.v_max", f"expected at least v_min "
-                               f"{background['v_min']!r}, got "
-                               f"{background['v_max']!r}")
-    elif background["kind"] != "stationary":
-        raise _field_error("background_mobility.kind",
+                               f"{waypoint.v_min!r}, got {waypoint.v_max!r}")
+        background = {"kind": "random-waypoint", **_doc_object(waypoint)}
+    elif background["kind"] == "stationary":
+        _check_keys(background, {"kind"}, path)
+    else:
+        raise _field_error(f"{path}.kind",
                            f"unknown kind {background['kind']!r}")
 
     params = doc.get("protocol_params", {})
     if not isinstance(params, dict):
         raise _field_error("protocol_params", "expected an object")
     config_classes = {p.params_key: p.config for p in PROTOCOLS.values()}
-    for key in params:
-        if key not in config_classes:
-            raise _field_error(f"protocol_params.{key}", "unknown protocol")
-    params = {key: _protocol_params(params.get(key, {}), config_class,
-                                    f"protocol_params.{key}")
-              for key, config_class in config_classes.items()}
+    _check_keys(params, config_classes, "protocol_params")
+    for key, config_class in config_classes.items():
+        _read(params.get(key, {}), config_class, f"protocol_params.{key}")
+    params = {key: dict(params.get(key, {})) for key in config_classes}
 
     config = ScenarioConfig(
-        name=name, protocol=protocol, duration=float(duration), seed=seed,
+        name=name, protocol=protocol, duration=duration, seed=seed,
         field=field, placements=placements, motions=motions, flows=flows,
         background_mobility=background, radio=radio, protocol_params=params,
     )
-    check_flow_ticks(config)
+    check_run_length(config)
     return config
 
 
-def check_flow_ticks(config: ScenarioConfig) -> None:
-    """Reject a flow that would tick more than MAX_FLOW_TICKS times."""
+def check_run_length(config: ScenarioConfig) -> None:
+    """Reject a flow that would tick, or a random-waypoint background that
+    would start legs, more than MAX_FLOW_TICKS times before the run ends."""
     # tick k fires at start_t + k * send_interval, the sum the source uses
     for i, flow in enumerate(config.flows):
         if (flow.start_t + MAX_FLOW_TICKS * flow.send_interval
@@ -476,26 +470,16 @@ def check_flow_ticks(config: ScenarioConfig) -> None:
                 f"flows[{i}].send_interval",
                 f"{flow.send_interval!r} would tick more than "
                 f"{MAX_FLOW_TICKS} times before duration {config.duration!r}")
-
-
-def _protocol_params(raw, config_class, path) -> dict:
-    """One protocol's overrides, checked against its config class's fields."""
-    if not isinstance(raw, dict):
-        raise _field_error(path, "expected an object")
-    types = {f.name: f.type for f in dataclasses.fields(config_class)}
-    for key, value in raw.items():
-        if key not in types:
-            raise _field_error(f"{path}.{key}", "unknown parameter")
-        _number(raw, key, path)
-        if (not math.isfinite(value) or value < 0
-                or (types[key] is int and not isinstance(value, int))):
-            raise _field_error(f"{path}.{key}", f"expected a non-negative "
-                               f"{types[key].__name__}, got {value!r}")
-    try:
-        config_class(**raw)
-    except ValueError as e:
-        raise _field_error(path, str(e)) from None
-    return dict(raw)
+    # a leg takes about the field's shorter side over v_max, plus the pause
+    background = config.background_mobility
+    if background.get("kind") == "random-waypoint":
+        v_max, pause = background["v_max"], background["pause"]
+        if MAX_FLOW_TICKS * (pause + min(config.field) / v_max) <= config.duration:
+            raise _field_error(
+                "background_mobility.v_max",
+                f"{v_max!r} with pause {pause!r} would start more than "
+                f"{MAX_FLOW_TICKS} legs per node before duration "
+                f"{config.duration!r}")
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -505,23 +489,11 @@ def serialize_config(config: ScenarioConfig) -> str:
         "duration": config.duration,
         "seed": config.seed,
         "field": list(config.field),
-        "radio": {
-            "range": config.radio.radio_range,
-            "bandwidth": config.radio.bandwidth,
-            "per_hop_overhead": config.radio.per_hop_overhead,
-        },
+        "radio": _doc_object(config.radio),
         "placements": [[node, [x, y]] for node, (x, y) in config.placements],
         "motions": [[m.node, m.start_t, [m.dest[0], m.dest[1]], m.speed]
                     for m in config.motions],
-        "flows": [
-            {
-                "flow": f.flow, "src": f.src, "sink": f.sink,
-                "start_t": f.start_t, "send_interval": f.send_interval,
-                "data_packet_size": f.data_packet_size, "ack_size": f.ack_size,
-                "max_packets": f.max_packets,
-            }
-            for f in config.flows
-        ],
+        "flows": [_doc_object(f) for f in config.flows],
         "background_mobility": config.background_mobility,
         "protocol_params": config.protocol_params,
     }

@@ -30,8 +30,8 @@ class FlowConfig:
     flow: str
     src: int
     sink: int
-    start_t: float
-    send_interval: float
+    start_t: float = 0.0
+    send_interval: float = 0.1
     data_packet_size: int = 512
     ack_size: int = 210
     max_packets: int = 2048

@@ -129,6 +129,8 @@ def test_malformed_protocol_params_are_validation_errors(
     ({"duration": 10**400}, "duration"),
     ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": 1.0,
                  "send_interval": 1e-20}]}, "flows[0].send_interval"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1e300,
+                              "v_max": 1e300}}, "background_mobility.v_max"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):

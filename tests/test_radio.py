@@ -289,3 +289,36 @@ def test_link_break_found_in_later_leg():
     # moving east at 100 m/s: (x)^2 + 100^2 = 250^2 at x = 229.13
     expected = t2 + (math.sqrt(250.0**2 - 100.0**2) - 200.0) / 100.0
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+# a random leg: the pause before it, its destination and its speed
+LEG = st.tuples(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.0, 600.0),
+                st.floats(0.0, 400.0), st.floats(1.0, 40.0))
+SPOT = st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 400.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spots=st.tuples(SPOT, SPOT),
+       plans=st.tuples(st.lists(LEG, max_size=3), st.lists(LEG, max_size=3)),
+       from_share=st.floats(0.0, 1.0))
+def test_link_break_time_agrees_with_dense_sampling(spots, plans, from_share):
+    sched, mob, radio, inbox, tap = build(dict(enumerate(spots)))
+    for node, plan in enumerate(plans):
+        t = 0.0
+        for pause, x, y, speed in plan:
+            t = mob.set_motion(node, (x, y), speed, t + pause)
+    # past the last arrival both nodes are parked, so nothing changes
+    end = max([leg.arrival_t for n in (0, 1) for leg in mob.legs(n)],
+              default=0.0) + 5.0
+    from_t = from_share * end
+    t_break = radio.link_break_time(0, 1, from_t)
+    assert t_break >= from_t
+    # in range at every sample before the break, on a grid over the whole
+    # span and just before the break, and apart a moment after it
+    span = end - from_t
+    samples = ([from_t + span * i / 1000 for i in range(1000)]
+               + [t_break - span * 1e-6 * i for i in range(1, 11)])
+    assert all(radio.in_range(0, 1, t) for t in samples
+               if from_t <= t < t_break)
+    if t_break != math.inf:
+        assert not radio.in_range(0, 1, t_break + 1e-3)

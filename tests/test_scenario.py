@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -163,11 +164,12 @@ def test_round_trip_preserves_config():
     ({"motions": [[1, -1.0, [400, 300], 5.0]]}, "motions[0][1]:"),
     ({"motions": [[1, 2.0, [400, "y"], 5.0]]}, "motions[0][2][1]:"),
     ({"motions": [[1, 2.0, [400, 300], 0]]},
-     "motions[0][3]: expected a positive speed"),
+     "motions[0][3]: expected a positive number, got 0"),
     ({"motions": [[1, 2.0, [400, 300], "fast"]]}, "motions[0][3]:"),
     ({"motions": [[1, 2.0, [400, 300], 5.0], [2, 1.0, [5000, 300], 5.0]]},
      "motions[1][2]: destination"),
-    ({"motions": [[[1], 2.0, [400, 300], 5.0]]}, "motions[0]:"),
+    ({"motions": [[[1], 2.0, [400, 300], 5.0]]},
+     "motions[0][0]: expected a non-negative int, got [1]"),
     ({"flows": [{"flow": "f0", "src": [0], "sink": 2}]}, "flows[0].src:"),
     ({"flows": [{"flow": "f0", "src": 0, "sink": 2.0}]}, "flows[0].sink:"),
     ({"flows": [{"flow": "f0", "src": 0, "sink": True}]}, "flows[0].sink:"),
@@ -203,7 +205,7 @@ def test_round_trip_preserves_config():
     # a bool passes isinstance(int), and -1 is the broadcast address
     ({"placements": [[0, [100, 300]], [True, [300, 300]],
                      [2, [500, 300]]]},
-     "placements[1][0]: expected a non-negative int node id, got True"),
+     "placements[1][0]: expected a non-negative int, got True"),
     ({"placements": [[0, [100, 300]], [-1, [300, 300]],
                      [2, [500, 300]]]}, "placements[1][0]:"),
     ({"motions": [[True, 1.0, [400, 300], 5.0]]}, "motions[0][0]:"),
@@ -251,13 +253,37 @@ def test_round_trip_preserves_config():
     # a motions value that is not a list ended in a TypeError
     ({"motions": math.nan}, "motions: expected a list"),
     # a zero-area field made random waypoints re-fire at one instant
-    ({"field": [0, 0]}, "field[0]: expected a positive finite number"),
+    ({"field": [0, 0]}, "field[0]: expected a positive number, got 0"),
     ({"field": [1000, math.inf]}, "field[1]:"),
+    # legs shorter than the clock's resolution re-fired at one instant
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1e300,
+                              "v_max": 1e300}},
+     "background_mobility.v_max: 1e+300 with pause 0.0 would start more "
+     "than 1000000 legs"),
+    # a misspelled key used to be ignored, so the run took the default
+    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "send_intervall": 5.0,
+                 "max_packet": 3}]},
+     "flows[0].send_intervall: unknown parameter"),
+    ({"radio": {"rang": 10}}, "radio.rang: unknown parameter"),
+    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
+                              "v_max": 2, "speed": 3}},
+     "background_mobility.speed: unknown parameter"),
+    ({"background_mobility": {"kind": "stationary", "speed": 3}},
+     "background_mobility.speed: unknown parameter"),
+    ({"durration": 5}, "durration: unknown parameter"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
         mini_config(**overrides)
     assert needle in str(err.value)
+
+
+def test_readme_example_document_loads_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario documents", 1)[1]
+    config = load_config(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert config.name == "my-scenario"
+    assert load_config(serialize_config(config)) == config
 
 
 def test_back_to_back_legs_are_accepted():
