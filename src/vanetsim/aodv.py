@@ -112,6 +112,19 @@ class AodvAgent(RoutingAgent):
             return entry.next_hop
         return None
 
+    def _next_hop(self, dest: int, now: float):
+        """route_lookup that refreshes the route and, if plans changed, its watch."""
+        entry = self.table.get(dest)
+        if entry is None or not entry.valid or now > entry.expires_at:
+            return None
+        entry.last_used = now
+        entry.expires_at = now + self.config.route_lifetime
+        hop = entry.next_hop
+        w = self._watches.get(hop)
+        if w is None or w[0] != self.radio.mobility.plan_version:
+            self._ensure_watch(hop)
+        return hop
+
     def _no_route(self, env: RoutedPacket, now: float) -> None:
         if not env.hops:
             # our own packet: hold it and look for a route
@@ -120,7 +133,7 @@ class AodvAgent(RoutingAgent):
         # relay with no usable route: report and drop
         entry = self.table.get(env.dst)
         self._send_rerr([(env.dst, entry.dest_seq if entry is not None else 0)])
-        self._drop(env.packet, now)
+        self._drop(env.packet, now, "no-route")
 
     def _buffer_and_discover(self, packet, dest: int) -> None:
         if dest in self.pending:
@@ -152,7 +165,7 @@ class AodvAgent(RoutingAgent):
         if disc.retries >= self.config.max_retries:
             del self.pending[dest]
             for pkt in disc.buffer:
-                self._drop(pkt, self.sched.now)
+                self._drop(pkt, self.sched.now, "discovery-exhausted")
             return
         disc.wait *= 2
         self._flood(dest)
@@ -163,14 +176,15 @@ class AodvAgent(RoutingAgent):
 
     def on_frame(self, frame: Frame) -> None:
         now = self.sched.now
-        if frame.kind == "RREQ":
-            self._handle_rreq(frame.payload, frame.src, now)
-        elif frame.kind == "RREP":
-            self._handle_rrep(frame.payload, frame.src, now)
-        elif frame.kind == "RERR":
-            self._handle_rerr(frame.payload, frame.src, now)
-        else:
+        kind = frame.kind
+        if kind == "DATA" or kind == "ACK":
             self._handle_data(frame.payload, now)
+        elif kind == "RREQ":
+            self._handle_rreq(frame.payload, frame.src, now)
+        elif kind == "RREP":
+            self._handle_rrep(frame.payload, frame.src, now)
+        else:
+            self._handle_rerr(frame.payload, frame.src, now)
 
     def _handle_rreq(self, rreq: Rreq, prev_hop: int, now: float) -> None:
         key = (rreq.origin, rreq.rreq_id)
@@ -213,16 +227,16 @@ class AodvAgent(RoutingAgent):
                 return
             self.sched.cancel(disc.timer)
             for pkt in disc.buffer:
-                next_hop = self.route_lookup(rrep.dest)
-                if next_hop is not None:
-                    self._forward(RoutedPacket(self.node_id, rrep.dest, pkt), next_hop)
+                if self.route_lookup(rrep.dest) is None:
+                    self._drop(pkt, now, "no-route-after-reply")
                 else:
-                    self._drop(pkt, now)
+                    self._route(RoutedPacket(self.node_id, rrep.dest, pkt), now)
             return
         rev = self.table.get(rrep.origin)
         if rev is None or not rev.usable(now):
             return
-        self._touch(rev, now)
+        rev.last_used = now
+        rev.expires_at = now + self.config.route_lifetime
         self._send_rrep(Rrep(rrep.dest, rrep.dest_seq, rrep.origin, rrep.hop_count + 1),
                         rev.next_hop)
 
@@ -240,11 +254,6 @@ class AodvAgent(RoutingAgent):
             self._send_rerr(affected)
 
     # -- forwarding and failure handling ---------------------------------
-
-    def _forward(self, env: RoutedPacket, next_hop: int) -> None:
-        self._touch(self.table[env.dst], self.sched.now)
-        self._ensure_watch(next_hop)
-        super()._forward(env, next_hop)
 
     def _data_fail(self, frame: Frame) -> None:
         env = frame.payload
@@ -278,10 +287,6 @@ class AodvAgent(RoutingAgent):
         )
 
     # -- table upkeep ------------------------------------------------------
-
-    def _touch(self, entry: RouteEntry, now: float) -> None:
-        entry.last_used = now
-        entry.expires_at = now + self.config.route_lifetime
 
     def _update_route(self, dest, next_hop, hops, seq, now) -> None:
         if dest == self.node_id:

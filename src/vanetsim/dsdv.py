@@ -236,8 +236,12 @@ class DsdvAgent(RoutingAgent):
     # -- data path ---------------------------------------------------------
 
     def route_lookup(self, dest: int) -> Optional[int]:
+        return self._next_hop(dest, self.sched.now)
+
+    def _next_hop(self, dest: int, now: float) -> Optional[int]:
+        # a used route needs no upkeep; DsdvEntry.alive inlined
         e = self.table.get(dest)
-        if e is not None and e.alive():
+        if e is not None and e.seq % 2 == 0 and e.metric != INFINITE:
             return e.next_hop
         return None
 

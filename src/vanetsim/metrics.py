@@ -176,7 +176,7 @@ class MetricsLedger:
         self._handoffs: dict[tuple[str, int], list[float]] = {}
         self._deliveries: dict[str, list] = {}  # flow -> [(t, delay, seq, bits)]
         self._seen = defaultdict(DeliveredSeqs)  # flow -> delivered seqs
-        self._drops: dict[str, int] = {}
+        self._drops: dict[str, dict[str, int]] = {}  # flow -> reason -> count
         self._cwnd: dict[str, list] = {}
         self._paths: dict[str, list] = {}  # flow -> [(t, node chain)]
         # node -> (times, frame bits) of every reception
@@ -210,7 +210,11 @@ class MetricsLedger:
                             "*" if dst == -1 else dst, frame.size))
         flow = getattr(frame.payload, "flow", None)
         if frame.kind == "DATA" and flow is not None:
-            self._drops[flow] = self._drops.get(flow, 0) + 1
+            self._count_drop(flow, reason)
+
+    def _count_drop(self, flow: str, reason: str) -> None:
+        reasons = self._drops.setdefault(flow, {})
+        reasons[reason] = reasons.get(reason, 0) + 1
 
     # -- transport hooks ----------------------------------------------
 
@@ -236,8 +240,8 @@ class MetricsLedger:
         self._deliveries.setdefault(flow, []).append((t, delay, seq, size * 8))
         return True
 
-    def on_flow_drop(self, flow: str, seq: int, t: float) -> None:
-        self._drops[flow] = self._drops.get(flow, 0) + 1
+    def on_flow_drop(self, flow: str, seq: int, t: float, reason: str) -> None:
+        self._count_drop(flow, reason)
 
     def on_cwnd(self, flow: str, t: float, value: float) -> None:
         self._cwnd.setdefault(flow, []).append((t, value))
@@ -321,6 +325,10 @@ class MetricsLedger:
     def deliveries(self, flow) -> list:
         return list(self._deliveries.get(flow, []))
 
+    def drops_by_reason(self, flow) -> dict[str, int]:
+        """The flow's lost data packets by reason, reasons ascending."""
+        return dict(sorted(self._drops.get(flow, {}).items()))
+
     def first_delivery(self, flow) -> Optional[float]:
         d = self._deliveries.get(flow)
         return d[0][0] if d else None
@@ -336,7 +344,7 @@ class MetricsLedger:
         return {
             "flow": flow,
             "delivered": len(delivered),
-            "lost": self._drops.get(flow, 0),
+            "lost": sum(self._drops.get(flow, {}).values()),
             "max_delay": max((d for _t, d, _s, _b in delivered), default=0.0),
             "max_jitter": max((v for _t, v in jitter.points), default=0.0),
             "mean_throughput": statistics.fmean(v for _t, v in throughput.points)

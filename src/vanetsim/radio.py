@@ -135,30 +135,35 @@ class RadioMedium:
         if self.tap is not None:
             self.tap.on_send(frame, now)
         deliver_at = now + airtime + self.config.per_hop_overhead
-        if frame.dst == BROADCAST:
-            targets = self.neighbors(frame.src, now)
-            if not targets:
-                if self.tap is not None:
-                    self.tap.on_loss(frame, "no-neighbors", now)
+        dst = frame.dst
+        if dst != BROADCAST:
+            if dst in self._receivers and self.in_range(frame.src, dst, now):
+                def deliver():
+                    if self.tap is not None:
+                        self.tap.on_delivery(frame, dst, deliver_at)
+                    self._receivers[dst](frame)
+
+                self.sched.schedule(deliver_at, "rx", dst, deliver)
                 return
-        elif frame.dst in self._receivers and self.in_range(frame.src, frame.dst, now):
-            targets = (frame.dst,)
-        else:
             if self.tap is not None:
                 self.tap.on_loss(frame, "out-of-range", now)
             if on_fail is not None:
                 on_fail(frame)
             return
+        targets = self.neighbors(frame.src, now)
+        if not targets:
+            if self.tap is not None:
+                self.tap.on_loss(frame, "no-neighbors", now)
+            return
 
-        def deliver():
-            now = self.sched.now
+        def deliver_all():
             tap = self.tap
             for target in targets:
                 if tap is not None:
-                    tap.on_delivery(frame, target, now)
+                    tap.on_delivery(frame, target, deliver_at)
                 self._receivers[target](frame)
 
-        self.sched.schedule(deliver_at, "rx", frame.dst, deliver)
+        self.sched.schedule(deliver_at, "rx", dst, deliver_all)
 
     def link_break_time(self, a: int, b: int, from_t: float) -> float:
         """Earliest time >= from_t at which a and b are out of range.
@@ -169,8 +174,9 @@ class RadioMedium:
         Returns from_t if already out of range, math.inf if never.
         """
         r2 = self.config.radio_range**2
-        pa = self.mobility.position_at(a, from_t)
-        pb = self.mobility.position_at(b, from_t)
+        position_at = self.mobility.position_at
+        pa = position_at(a, from_t)
+        pb = position_at(b, from_t)
         if (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 > r2:
             return from_t
 
@@ -187,15 +193,17 @@ class RadioMedium:
         )
         starts = [from_t] + edges
         for i, seg_start in enumerate(starts):
+            if i:
+                pa = position_at(a, seg_start)
+                pb = position_at(b, seg_start)
             seg_len = (starts[i + 1] - seg_start) if i + 1 < len(starts) else math.inf
-            t_hit = self._segment_break(a, b, seg_start, seg_len, r2)
+            t_hit = self._segment_break(a, b, pa, pb, seg_start, seg_len, r2)
             if t_hit is not None:
                 return t_hit
         return math.inf
 
-    def _segment_break(self, a, b, seg_start, seg_len, r2) -> Optional[float]:
-        pa = self.mobility.position_at(a, seg_start)
-        pb = self.mobility.position_at(b, seg_start)
+    def _segment_break(self, a, b, pa, pb, seg_start, seg_len, r2) -> Optional[float]:
+        """Exit time within one constant-velocity span, or None; pa, pb at its start."""
         va = self.mobility.velocity_at(a, seg_start)
         vb = self.mobility.velocity_at(b, seg_start)
         dx, dy = pa[0] - pb[0], pa[1] - pb[1]
@@ -211,9 +219,11 @@ class RadioMedium:
         if disc < 0:
             return None
         tau = (-qb + math.sqrt(disc)) / (2 * qa)
-        if tau < 0 or tau > seg_len:
+        if tau < 0 or tau >= seg_len:
             return None
-        if tau == 0.0 and qb <= 0:
-            # touching the boundary while closing in is not a break
+        # the squared distance is convex within a segment, so a pair the
+        # radio finds in range at the segment's end never left it; this
+        # also catches a float root just short of an end on the boundary
+        if self.in_range(a, b, seg_start + seg_len):
             return None
         return seg_start + tau

@@ -3,11 +3,15 @@
 An agent sits between one node's transport endpoints and the radio. The
 data path is the same for every protocol: a packet addressed to this node
 goes straight up, a packet for anyone else is wrapped in a RoutedPacket
-and unicast to the next hop that ``route_lookup`` names, and each relay
+and unicast to the next hop that ``_next_hop`` names, and each relay
 appends its id so the destination can report the whole chain. A protocol
-supplies only ``route_lookup``, what to do when it has no route
-(``_no_route``), what a failed unicast means (``_data_fail``), and its own
-control frames, dispatched from ``on_frame``.
+supplies ``_next_hop(dest, now)``, its data-path hook: one table lookup
+that also does whatever upkeep using a route needs (AODV refreshes the
+route's lifetime and its link watch). Beside it come ``route_lookup``, the
+same answer as a side-effect-free read for auditors and tools, what to do
+when there is no route (``_no_route``), what a failed unicast means
+(``_data_fail``), and the protocol's own control frames, dispatched from
+``on_frame``. Each dropped data packet is reported with its reason.
 """
 
 from .radio import Frame, RoutedPacket
@@ -51,24 +55,21 @@ class RoutingAgent:
         self._route(env, now)
 
     def _route(self, env: RoutedPacket, now: float) -> None:
-        next_hop = self.route_lookup(env.dst)
+        next_hop = self._next_hop(env.dst, now)
         if next_hop is None:
             self._no_route(env, now)
-        else:
-            self._forward(env, next_hop)
-
-    def _forward(self, env: RoutedPacket, next_hop: int) -> None:
+            return
         packet = env.packet
         frame = Frame(packet.kind, self.node_id, next_hop, packet.size, env)
         self.radio.transmit(frame, on_fail=self._data_fail)
 
     def _no_route(self, env: RoutedPacket, now: float) -> None:
         """No next hop; env.hops is empty when this node is the origin."""
-        self._drop(env.packet, now)
+        self._drop(env.packet, now, "no-route")
 
-    def _drop(self, packet, now: float) -> None:
+    def _drop(self, packet, now: float, reason: str) -> None:
         if packet.kind == "DATA" and self.ledger is not None:
-            self.ledger.on_flow_drop(packet.flow, packet.seq, now)
+            self.ledger.on_flow_drop(packet.flow, packet.seq, now, reason)
 
     def _note_mutation(self, dest: int) -> None:
         if self.auditor is not None:

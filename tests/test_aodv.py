@@ -1,14 +1,15 @@
 """On-demand routing tests: discovery, replies, retries, failure handling."""
 
+import dataclasses
 import random
 from collections import deque
 
 import pytest
 
-from vanetsim.aodv import AodvAgent, AodvConfig
+from vanetsim.aodv import AodvAgent, AodvConfig, Rrep
 from vanetsim.engine import Scheduler
 from vanetsim.mobility import MobilityModel
-from vanetsim.radio import RadioMedium
+from vanetsim.radio import Frame, RadioMedium, RoutedPacket
 from vanetsim.transport import DataPacket
 
 
@@ -17,6 +18,7 @@ class FrameLog:
         self.sends = []  # (t, kind, src, dst)
         self.losses = []
         self.drops = []  # flow-level drops reported by routing
+        self.drop_reasons = []
 
     def on_send(self, frame, t):
         self.sends.append((t, frame.kind, frame.src, frame.dst))
@@ -27,8 +29,9 @@ class FrameLog:
     def on_loss(self, frame, reason, t):
         self.losses.append((t, frame.kind, reason))
 
-    def on_flow_drop(self, flow, seq, t):
+    def on_flow_drop(self, flow, seq, t, reason):
         self.drops.append((t, flow, seq))
+        self.drop_reasons.append(reason)
 
     def on_path(self, flow, chain, t):
         pass
@@ -140,6 +143,7 @@ def test_retry_waits_double_then_buffer_is_dropped():
     flood_times = [t for t, _k, src, _d in log.kinds("RREQ") if src == 1]
     assert flood_times == pytest.approx([0.0, 2.8, 8.4])
     assert log.drops == [(pytest.approx(19.6), "f1", 0)]
+    assert log.drop_reasons == ["discovery-exhausted"]
     assert delivered == []
 
 
@@ -219,3 +223,88 @@ def test_first_route_matches_breadth_first_search():
         assert agents[0].table[dest].hop_count == bfs_hops(radio, 0, dest)
         rreq_count = len(log.kinds("RREQ"))
         assert rreq_count <= n
+
+
+# -- the hop path: one lookup that refreshes the route and its watch --------
+
+LINE = {0: (0, 0), 1: (200, 0), 2: (400, 0)}
+
+
+def schedule_spy(sched):
+    """Record the kind of every event scheduled from now on."""
+    kinds = []
+    schedule = sched.schedule
+
+    def spy(fire_at, kind, target, fn):
+        kinds.append(kind)
+        return schedule(fire_at, kind, target, fn)
+
+    sched.schedule = spy
+    return kinds
+
+
+def relay_data(agents, seq):
+    """A DATA frame from 0 for 2 reaches relay 1 now."""
+    env = RoutedPacket(0, 2, DataPacket("f0", seq, 512))
+    agents[1].on_frame(Frame("DATA", 0, 1, 512, env))
+
+
+def test_relay_refreshes_the_route_it_forwards_on():
+    sched, mob, radio, agents, delivered, log = build(LINE)
+    agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+    sched.run_until(2.0)
+    entry = agents[1].table[2]
+    assert entry.last_used < 2.0
+    relay_data(agents, 1)
+    assert entry.last_used == 2.0
+    assert entry.expires_at == 2.0 + agents[1].config.route_lifetime
+
+
+def test_relay_arms_a_link_watch_only_when_plans_changed():
+    sched, mob, radio, agents, delivered, log = build(LINE)
+    agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+    sched.run_until(2.0)
+    kinds = schedule_spy(sched)
+    relay_data(agents, 1)
+    assert kinds == ["rx"]
+    # node 2 will leave node 1's range at t = 10
+    mob.set_motion(2, (600, 0), 10.0, 5.0)
+    sched.run_until(2.5)
+    del kinds[:]
+    relay_data(agents, 2)
+    assert kinds == ["linkwatch", "rx"]
+    sched.run_until(3.0)
+    del kinds[:]
+    relay_data(agents, 3)
+    assert kinds == ["rx"]
+
+
+def test_reply_flush_refreshes_the_route_it_sends_on():
+    # node 2 is out of reach, so the discovery is still pending at t = 1
+    sched, mob, radio, agents, delivered, log = build(
+        {0: (0, 0), 1: (200, 0), 2: (2000, 0)})
+    agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+    sched.run_until(1.0)
+    # a route learnt meanwhile, which a reply with the same sequence
+    # number and hop count does not replace
+    agents[0]._update_route(2, 1, 2, 5, 0.5)
+    entry = agents[0].table[2]
+    assert (entry.last_used, entry.expires_at) == (0.5, 3.5)
+    agents[0].on_frame(Frame("RREP", 1, 0, 44, Rrep(2, 5, 0, 1)))
+    assert entry.last_used == 1.0
+    assert entry.expires_at == 1.0 + agents[0].config.route_lifetime
+    assert log.kinds("DATA")[-1] == (1.0, "DATA", 0, 1)
+
+
+def test_route_lookup_leaves_the_entry_untouched():
+    sched, mob, radio, agents, delivered, log = build(LINE)
+    agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+    sched.run_until(2.0)
+    mob.set_motion(2, (600, 0), 10.0, 5.0)
+    before = dataclasses.replace(agents[1].table[2])
+    watches = dict(agents[1]._watches)
+    kinds = schedule_spy(sched)
+    assert agents[1].route_lookup(2) == 2
+    assert agents[1].table[2] == before
+    assert agents[1]._watches == watches
+    assert kinds == []

@@ -41,9 +41,11 @@ class UpdateLog:
 class LedgerStub:
     def __init__(self):
         self.drops = []
+        self.reasons = []
 
-    def on_flow_drop(self, flow, seq, t):
+    def on_flow_drop(self, flow, seq, t, reason):
         self.drops.append((flow, seq, t))
+        self.reasons.append(reason)
 
 
 def build(positions, config=None, start=True):
@@ -586,6 +588,7 @@ def test_no_route_drops_data_with_flow_loss():
     agent = DsdvAgent(sched, radio, 0, ledger=ledger)
     agent.send_packet(DataPacket("f0", 3, 512), 7)
     assert ledger.drops == [("f0", 3, 0.0)]
+    assert ledger.reasons == ["no-route"]
 
 
 def test_idle_stale_route_outlives_departed_neighbor():

@@ -289,11 +289,12 @@ def test_flow_summary_row():
     led = MetricsLedger()
     deliver(led, "f2", 0, 0.35, handoff=0.30)
     deliver(led, "f2", 1, 0.45, handoff=0.41)
-    led.on_flow_drop("f2", 2, 1.2)
+    led.on_flow_drop("f2", 2, 1.2, "no-route")
     row = led.flow_summary("f2", duration=2.0, window=1.0)
     assert row["flow"] == "f2"
     assert row["delivered"] == 2
     assert row["lost"] == 1
+    assert led.drops_by_reason("f2") == {"no-route": 1}
     assert row["max_delay"] == pytest.approx(0.05)
     assert row["max_jitter"] == pytest.approx(0.005)
     assert row["mean_throughput"] == pytest.approx((2 * 512 * 8) / 2.0)

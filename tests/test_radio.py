@@ -291,17 +291,25 @@ def test_link_break_found_in_later_leg():
     assert got == pytest.approx(expected, rel=1e-9)
 
 
-# a random leg: the pause before it, its destination and its speed
-LEG = st.tuples(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.0, 600.0),
-                st.floats(0.0, 400.0), st.floats(1.0, 40.0))
-SPOT = st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 400.0))
+def test_link_break_on_boundary_moving_tangentially_is_immediate():
+    # exactly at range with zero radial speed, the distance only grows
+    sched, mob, radio, inbox, tap = build({0: (0, 0), 1: (250, 0)})
+    mob.set_motion(1, (250, 200), 10.0, 0.0)
+    assert radio.link_break_time(0, 1, 0.0) == 0.0
+    assert not radio.in_range(0, 1, 0.001)
 
 
-@settings(max_examples=150, deadline=None)
-@given(spots=st.tuples(SPOT, SPOT),
-       plans=st.tuples(st.lists(LEG, max_size=3), st.lists(LEG, max_size=3)),
-       from_share=st.floats(0.0, 1.0))
-def test_link_break_time_agrees_with_dense_sampling(spots, plans, from_share):
+# legs that park exactly 250 m from node 0; on the second the float root
+# of the crossing falls just short of the arrival
+@pytest.mark.parametrize("start", [(0, 200), (0, 100)])
+def test_link_break_never_for_leg_that_parks_on_the_boundary(start):
+    sched, mob, radio, inbox, tap = build({0: (0, 0), 1: start})
+    mob.set_motion(1, (150, 200), 10.0, 0.0)
+    assert radio.link_break_time(0, 1, 0.0) == math.inf
+
+
+def check_break_against_sampling(spots, plans, from_share):
+    """link_break_time agrees with in_range sampled densely over the plans."""
     sched, mob, radio, inbox, tap = build(dict(enumerate(spots)))
     for node, plan in enumerate(plans):
         t = 0.0
@@ -322,3 +330,36 @@ def test_link_break_time_agrees_with_dense_sampling(spots, plans, from_share):
                if from_t <= t < t_break)
     if t_break != math.inf:
         assert not radio.in_range(0, 1, t_break + 1e-3)
+
+
+# a random leg: the pause before it, its destination and its speed
+LEG = st.tuples(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.0, 600.0),
+                st.floats(0.0, 400.0), st.floats(1.0, 40.0))
+SPOT = st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 400.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spots=st.tuples(SPOT, SPOT),
+       plans=st.tuples(st.lists(LEG, max_size=3), st.lists(LEG, max_size=3)),
+       from_share=st.floats(0.0, 1.0))
+def test_link_break_time_agrees_with_dense_sampling(spots, plans, from_share):
+    check_break_against_sampling(spots, plans, from_share)
+
+
+# the same draw on a 50 m lattice, where legs start, end and pass exactly
+# 250 m apart, so pairs sit on the range boundary
+LATTICE_X = st.integers(0, 12).map(lambda i: 50.0 * i)
+LATTICE_Y = st.integers(0, 8).map(lambda i: 50.0 * i)
+LATTICE_LEG = st.tuples(st.sampled_from([0.0, 0.5, 3.0]), LATTICE_X,
+                        LATTICE_Y, st.sampled_from([5.0, 10.0, 20.0]))
+LATTICE_SPOT = st.tuples(LATTICE_X, LATTICE_Y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spots=st.tuples(LATTICE_SPOT, LATTICE_SPOT),
+       plans=st.tuples(st.lists(LATTICE_LEG, max_size=3),
+                       st.lists(LATTICE_LEG, max_size=3)),
+       from_share=st.sampled_from([0.0, 0.25, 0.5]))
+def test_link_break_time_agrees_with_dense_sampling_on_a_lattice(
+        spots, plans, from_share):
+    check_break_against_sampling(spots, plans, from_share)

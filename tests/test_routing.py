@@ -18,8 +18,9 @@ class Recorder:
 
     def __init__(self):
         self.sends = []  # frame kinds, in send order
-        self.drops = []  # (flow, seq)
+        self.drops = []  # (flow, seq, reason)
         self.paths = []  # (flow, chain)
+        self.losses = []  # (frame kind, reason)
 
     def on_send(self, frame, t):
         self.sends.append(frame.kind)
@@ -28,10 +29,10 @@ class Recorder:
         pass
 
     def on_loss(self, frame, reason, t):
-        pass
+        self.losses.append((frame.kind, reason))
 
-    def on_flow_drop(self, flow, seq, t):
-        self.drops.append((flow, seq))
+    def on_flow_drop(self, flow, seq, t, reason):
+        self.drops.append((flow, seq, reason))
 
     def on_path(self, flow, chain, t):
         self.paths.append((flow, tuple(chain)))
@@ -89,8 +90,29 @@ def test_relay_without_route_drops_once(name):
     env = RoutedPacket(0, 9, DataPacket("f0", 4, 512))
     agents[1].on_frame(Frame("DATA", 0, 1, 512, env))
     sched.run_until(sched.now + 0.5)
-    assert log.drops == [("f0", 4)]
+    assert log.drops == [("f0", 4, "no-route")]
     assert env.hops == [1]
     assert log.sends[sent:].count("RERR") == RERRS_ON_RELAY_NO_ROUTE[name]
     assert "DATA" not in log.sends[sent:]
     assert delivered == []
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_unicast_to_a_departed_next_hop_fails_synchronously(name):
+    sched, agents, log, delivered = chain(name)
+    if not agents[0].proactive:
+        agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+        sched.run_until(sched.now + 1.0)
+    # relay 1 races off north, 500 m from where it was after 0.5 s
+    mobility = agents[0].radio.mobility
+    mobility.set_motion(1, (300.0, 1500.0), 1000.0, sched.now)
+    sched.run_until(sched.now + 0.5)
+    lost = len(log.losses)
+    failed = []
+    data_fail = agents[0]._data_fail
+    agents[0]._data_fail = lambda frame: (failed.append(frame.dst),
+                                          data_fail(frame))
+    agents[0].send_packet(DataPacket("f0", 1, 512), 2)
+    # both before send_packet returns
+    assert failed == [1]
+    assert log.losses[lost] == ("DATA", "out-of-range")

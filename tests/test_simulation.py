@@ -3,7 +3,8 @@
 import pytest
 
 from vanetsim.metrics import parse_mobility_trace
-from vanetsim.simulation import Motion, Simulation
+from vanetsim.scenario import BUILTIN_SCENARIOS, build_simulation, builtin_scenario
+from vanetsim.simulation import PROTOCOLS, Motion, Simulation
 from vanetsim.transport import FlowConfig
 
 CHAIN = {0: (100.0, 400.0), 1: (300.0, 400.0), 2: (500.0, 400.0)}
@@ -88,3 +89,24 @@ def test_auditors_stay_clean_through_link_break():
     assert sim.route_auditor.loop_violations == []
     assert sim.transport_auditor.violations == []
     assert not sim.sources["f0"].complete
+
+RADIO_LOSSES = {"no-neighbors", "out-of-range"}
+ROUTING_DROPS = {"no-route", "discovery-exhausted", "no-route-after-reply"}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_drops_by_reason_add_up_to_lost(name, protocol):
+    config = builtin_scenario(name, protocol)
+    ledger = build_simulation(config).run(60.0).ledger
+    radio_losses = 0
+    for flow in config.flows:
+        reasons = ledger.drops_by_reason(flow.flow)
+        assert set(reasons) <= RADIO_LOSSES | ROUTING_DROPS
+        assert (sum(reasons.values())
+                == ledger.flow_summary(flow.flow, 60.0)["lost"])
+        radio_losses += sum(n for r, n in reasons.items() if r in RADIO_LOSSES)
+    # the radio's share is every DATA loss record in the trace
+    records = [line.split() for line in ledger.trace_text().splitlines()]
+    assert radio_losses == sum(1 for r in records
+                               if r[0] == "l" and r[2] == "DATA")
