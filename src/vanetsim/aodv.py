@@ -102,6 +102,7 @@ class AodvAgent(RoutingAgent):
         super().__init__(*args, **kwargs)
         self.next_rreq_id = 0
         self.seen: dict[tuple[int, int], float] = {}
+        self._seen_cap = 512  # seen's size that triggers the next prune
         self.pending: dict[int, _Discovery] = {}
         self._watches: dict[int, tuple] = {}  # next_hop -> (plan version, handle)
 
@@ -192,8 +193,11 @@ class AodvAgent(RoutingAgent):
         if expiry is not None and expiry > now:
             return
         self.seen[key] = now + self.config.seen_expiry
-        if len(self.seen) > 512:
+        # expired ids count as absent, so pruning is only for memory; a
+        # prune per doubling keeps its amortised cost constant per id
+        if len(self.seen) > self._seen_cap:
             self.seen = {k: e for k, e in self.seen.items() if e > now}
+            self._seen_cap = max(512, 2 * len(self.seen))
         self._update_route(rreq.origin, prev_hop, rreq.hop_count, rreq.origin_seq, now)
         if rreq.dest == self.node_id:
             self.own_seq += 1

@@ -18,6 +18,7 @@ from .scenario import (
     builtin_scenario,
     check_number,
     check_run_length,
+    check_window,
     compare,
     format_comparison,
     format_report,
@@ -69,7 +70,6 @@ def build_parser():
 def _check_flags(args):
     """Reject numeric overrides a run cannot use, naming the flag."""
     for flag, value, positive in (("--duration", args.duration, True),
-                                  ("--window", args.window, True),
                                   ("--range", args.radio_range, False)):
         if value is not None:
             check_number(value, flag, positive)
@@ -100,6 +100,7 @@ def _resolve_config(args, protocol):
             config,
             radio=dataclasses.replace(config.radio,
                                       radio_range=args.radio_range))
+    check_window(args.window, config.duration, "--window")
     return config
 
 

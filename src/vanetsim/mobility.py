@@ -4,10 +4,12 @@ Every node carries a full motion plan: an ordered list of constant-speed
 legs. Because the plan is data rather than scheduled state, a node's
 position is computable for any time, past or future, which is what lets
 the radio model solve link-break times analytically. Each plan also
-records when the node settles for good and where, so reading a parked
-node's position never walks its legs.
+records when the node settles for good and where, and keeps its legs'
+start times in order, so a position or velocity read bisects to its one
+leg instead of walking them.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,6 +59,7 @@ class _NodePlan:
     rest: Point
     settled_at: float = -math.inf
     legs: list[MotionLeg] = field(default_factory=list)
+    starts: list[float] = field(default_factory=list)  # legs' start_t, in order
 
 
 class MobilityModel:
@@ -118,6 +121,7 @@ class MobilityModel:
         arrival = start_t + math.dist(origin, dest) / speed
         leg = MotionLeg(start_t, origin, tuple(dest), speed, arrival)
         plan.legs.append(leg)
+        plan.starts.append(start_t)
         plan.settled_at = arrival
         plan.rest = leg.dest
         self._arrivals[node_id] = arrival
@@ -135,31 +139,31 @@ class MobilityModel:
             plan = self._plan(node_id)
         if t > plan.settled_at:
             return plan.rest
-        pos = plan.home
-        for leg in plan.legs:
-            if t <= leg.start_t:
-                break
-            pos = leg.position_at(t)
-        return pos
+        # the last leg starting before t decides; before the first, home
+        i = bisect.bisect_left(plan.starts, t)
+        return plan.legs[i - 1].position_at(t) if i else plan.home
 
     def velocity_at(self, node_id: int, t: float) -> Point:
         """Instantaneous velocity vector; leg boundaries take the later leg."""
         plan = self._plan(node_id)
-        for leg in reversed(plan.legs):
-            if leg.start_t <= t < leg.arrival_t:
-                d = math.dist(leg.origin, leg.dest)
-                if d == 0.0:
-                    return (0.0, 0.0)
-                return (
-                    (leg.dest[0] - leg.origin[0]) / d * leg.speed,
-                    (leg.dest[1] - leg.origin[1]) / d * leg.speed,
-                )
-        return (0.0, 0.0)
+        # legs never overlap, so only the last leg starting by t can hold t
+        i = bisect.bisect_right(plan.starts, t)
+        leg = plan.legs[i - 1] if i else None
+        if leg is None or t >= leg.arrival_t:
+            return (0.0, 0.0)
+        d = math.dist(leg.origin, leg.dest)
+        return (
+            (leg.dest[0] - leg.origin[0]) / d * leg.speed,
+            (leg.dest[1] - leg.origin[1]) / d * leg.speed,
+        )
 
     def motion_breakpoints(self, node_id: int, from_t: float, to_t: float) -> list[float]:
         """Times in (from_t, to_t) where the node's velocity changes."""
+        plan = self._plan(node_id)
+        # legs that ended by from_t add nothing; the one holding it may
+        first = max(bisect.bisect_right(plan.starts, from_t) - 1, 0)
         pts = []
-        for leg in self._plan(node_id).legs:
+        for leg in plan.legs[first:]:
             for t in (leg.start_t, leg.arrival_t):
                 if from_t < t < to_t:
                     pts.append(t)

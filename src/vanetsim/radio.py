@@ -168,58 +168,45 @@ class RadioMedium:
     def link_break_time(self, a: int, b: int, from_t: float) -> float:
         """Earliest time >= from_t at which a and b are out of range.
 
-        Solved analytically from the two motion plans: within each span of
-        constant velocities the squared distance is quadratic in time, so
-        the first upward crossing of range**2 is a closed-form root.
-        Returns from_t if already out of range, math.inf if never.
+        Out of range is what ``in_range`` says: ``math.dist`` above the
+        range. Solved analytically from the two motion plans: within each
+        span of constant velocities the squared distance is quadratic in
+        time, so the exit is a closed-form root. Returns from_t if already
+        out of range, math.inf if never.
         """
-        r2 = self.config.radio_range**2
         position_at = self.mobility.position_at
-        pa = position_at(a, from_t)
-        pb = position_at(b, from_t)
-        if (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 > r2:
-            return from_t
-
-        horizon = from_t
-        for node in (a, b):
-            for leg in self.mobility.legs(node):
-                horizon = max(horizon, leg.arrival_t)
-        horizon += 1.0
-        edges = sorted(
-            set(
-                self.mobility.motion_breakpoints(a, from_t, horizon)
-                + self.mobility.motion_breakpoints(b, from_t, horizon)
-            )
-        )
-        starts = [from_t] + edges
+        breakpoints = self.mobility.motion_breakpoints
+        starts = [from_t] + sorted(set(breakpoints(a, from_t, math.inf)
+                                       + breakpoints(b, from_t, math.inf)))
         for i, seg_start in enumerate(starts):
-            if i:
-                pa = position_at(a, seg_start)
-                pb = position_at(b, seg_start)
             seg_len = (starts[i + 1] - seg_start) if i + 1 < len(starts) else math.inf
-            t_hit = self._segment_break(a, b, pa, pb, seg_start, seg_len, r2)
+            pa = position_at(a, seg_start)
+            pb = position_at(b, seg_start)
+            if math.dist(pa, pb) > self.config.radio_range:
+                return seg_start
+            t_hit = self._segment_break(a, b, pa, pb, seg_start, seg_len)
             if t_hit is not None:
                 return t_hit
         return math.inf
 
-    def _segment_break(self, a, b, pa, pb, seg_start, seg_len, r2) -> Optional[float]:
-        """Exit time within one constant-velocity span, or None; pa, pb at its start."""
+    def _segment_break(self, a, b, pa, pb, seg_start, seg_len) -> Optional[float]:
+        """Exit time within one constant-velocity span, or None; pa, pb at
+        its start, in range."""
         va = self.mobility.velocity_at(a, seg_start)
         vb = self.mobility.velocity_at(b, seg_start)
         dx, dy = pa[0] - pb[0], pa[1] - pb[1]
         vx, vy = va[0] - vb[0], va[1] - vb[1]
         qa = vx * vx + vy * vy
         qb = 2 * (dx * vx + dy * vy)
-        qc = dx * dx + dy * dy - r2
-        if qc > 0:
-            return seg_start
+        qc = dx * dx + dy * dy - self.config.radio_range**2
         if qa == 0.0:
             return None
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            return None
-        tau = (-qb + math.sqrt(disc)) / (2 * qa)
-        if tau < 0 or tau >= seg_len:
+        # a pair on the edge may square to just outside it, which can sink
+        # the discriminant below 0 (it leaves at the vertex) or the exit
+        # root below 0 (it leaves now)
+        disc = max(qb * qb - 4 * qa * qc, 0.0)
+        tau = max((-qb + math.sqrt(disc)) / (2 * qa), 0.0)
+        if tau >= seg_len:
             return None
         # the squared distance is convex within a segment, so a pair the
         # radio finds in range at the segment's end never left it; this

@@ -223,7 +223,8 @@ _UPPER_BOUNDS = {"data_packet_size": _MAX_FRAME_BYTES,
                  "ack_size": _MAX_FRAME_BYTES}
 # times a flow may tick, or a random-waypoint node start a leg, before the
 # run ends (the builtins tick at most 2,069 times); an interval too small
-# to advance the clock re-fires at one instant and stalls a run
+# to advance the clock re-fires at one instant and stalls a run. It also
+# caps the windows of one metric series.
 MAX_FLOW_TICKS = 10**6
 # the document keys whose number must be positive; any other may be 0
 _POSITIVE_KEYS = {"duration", "bandwidth", "send_interval", "data_packet_size",
@@ -482,6 +483,15 @@ def check_run_length(config: ScenarioConfig) -> None:
                 f"{config.duration!r}")
 
 
+def check_window(window, duration, path="window") -> None:
+    """A metric window: positive, and tiling the run in at most
+    MAX_FLOW_TICKS windows, since every series holds one bin per window."""
+    if duration / check_number(window, path, positive=True) > MAX_FLOW_TICKS:
+        raise _field_error(
+            path, f"{window!r} would make more than {MAX_FLOW_TICKS} "
+                  f"windows over duration {duration!r}")
+
+
 def serialize_config(config: ScenarioConfig) -> str:
     doc = {
         "name": config.name,
@@ -555,6 +565,7 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
     has no ``trace_text()``, and a simulation that raises leaves no
     ``trace.txt`` behind. Each flow's series are built once.
     """
+    check_window(window, config.duration)
     sim = build_simulation(config, auditing=auditing)
     ledger = sim.ledger
     duration = config.duration

@@ -1,16 +1,18 @@
 """On-demand routing tests: discovery, replies, retries, failure handling."""
 
 import dataclasses
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from vanetsim.aodv import AodvAgent, AodvConfig, Rrep
+from vanetsim.aodv import AodvAgent, AodvConfig, Rrep, Rreq
 from vanetsim.engine import Scheduler
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import Frame, RadioMedium, RoutedPacket
-from vanetsim.transport import DataPacket
+from vanetsim.simulation import Simulation
+from vanetsim.transport import DataPacket, FlowConfig
 
 
 class FrameLog:
@@ -308,3 +310,41 @@ def test_route_lookup_leaves_the_entry_untouched():
     assert agents[1].table[2] == before
     assert agents[1]._watches == watches
     assert kinds == []
+
+
+def test_seen_table_is_rebuilt_only_when_it_has_doubled():
+    sched, mob, radio, agents, delivered, log = build({0: (0, 0), 1: (100, 0)})
+    agent = agents[0]
+
+    def flood(rid, now):
+        # ttl 1 for an unknown destination: recorded, never rebroadcast
+        agent._handle_rreq(Rreq(1, rid, 7, -1, rid, 0, 1), 1, now)
+
+    rebuilds = 0
+    for rid in range(600):
+        before = agent.seen
+        flood(rid, 0.0)
+        rebuilds += agent.seen is not before
+    assert len(agent.seen) == 600
+    # a rebuild per new id past 512 would be 88
+    assert rebuilds <= math.log2(600)
+    # a duplicate leaves its expiry alone; an expired id is admitted again
+    flood(599, 5.0)
+    assert agent.seen[(1, 599)] == 10.0
+    flood(0, 10.0)
+    assert agent.seen[(1, 0)] == 20.0
+
+
+def test_parked_neighbours_one_rounding_step_inside_range_discover_once():
+    # in range by math.dist, a hair outside by the squared distance: a
+    # link watch that judged range by the latter broke the route at once,
+    # so each packet rediscovered it and reported the break
+    pa = (867.9155032407795, 1538.3647823201336)
+    pb = (625.4692513363111, 1477.3744967209082)
+    sim = Simulation(positions={0: pa, 1: pb}, protocol="AODV",
+                     flows=[FlowConfig("f0", 0, 1, 0.0, 0.1, max_packets=100)])
+    sim.run(10.0)
+    sends = Counter(line.split()[2] for line in sim.ledger.trace_text().splitlines()
+                    if line.startswith("s "))
+    assert sim.ledger.flow_summary("f0", 10.0)["delivered"] == 100
+    assert (sends["RREQ"], sends["RREP"], sends["RERR"]) == (1, 1, 0)

@@ -148,6 +148,8 @@ def test_malformed_documents_fail_before_running(
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("flag, value", [
     ("--window", "0"), ("--window", "-1"), ("--window", "nan"),
+    # 6 s in 5.999e-6 s windows is just over 10**6 bins per series
+    ("--window", "5.999e-6"),
     ("--range", "-5"), ("--range", "inf"),
     ("--duration", "0"), ("--duration", "-3"), ("--duration", "inf"),
 ])

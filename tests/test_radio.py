@@ -308,6 +308,42 @@ def test_link_break_never_for_leg_that_parks_on_the_boundary(start):
     assert radio.link_break_time(0, 1, 0.0) == math.inf
 
 
+# pairs within one rounding step of the edge, where the squared distance
+# and math.dist disagree; link_break_time must side with in_range
+EDGE_IN = ((867.9155032407795, 1538.3647823201336),
+           (625.4692513363111, 1477.3744967209082))
+EDGE_OUT = ((76.51935478523075, 464.9637286152734),
+            (275.157948742037, 313.16547766730275))
+
+
+@pytest.mark.parametrize("pair, in_range", [(EDGE_IN, True), (EDGE_OUT, False)],
+                         ids=["in-by-a-rounding-step", "out-by-a-rounding-step"])
+def test_link_break_sides_with_in_range_for_parked_edge_pair(pair, in_range):
+    sched, mob, radio, inbox, tap = build(dict(enumerate(pair)))
+    assert radio.in_range(0, 1, 0.0) is in_range
+    assert radio.link_break_time(0, 1, 2.0) == (math.inf if in_range else 2.0)
+
+
+# node 1 of EDGE_IN drives 100 m at 1 m/s: away from node 0 (along) or
+# turned left of that (left). Moving apart, the exit root rounds to just
+# below 0; tangentially, the discriminant does. Either way it leaves now.
+@pytest.mark.parametrize("along, left, leaves", [
+    (1.0, 0.0, True), (0.0, 1.0, True), (-1.0, 0.0, False),
+], ids=["apart", "tangential", "closer"])
+def test_link_break_for_edge_pair_when_one_node_drives_off(along, left, leaves):
+    (ax, ay), (bx, by) = EDGE_IN
+    d = math.dist(*EDGE_IN)
+    ux, uy = (bx - ax) / d, (by - ay) / d
+    sched, mob, radio, inbox, tap = build(dict(enumerate(EDGE_IN)))
+    mob.set_motion(1, (bx + 100 * (along * ux - left * uy),
+                       by + 100 * (along * uy + left * ux)), 1.0, 0.0)
+    t_break = radio.link_break_time(0, 1, 0.0)
+    if leaves:
+        assert t_break < 1e-9 and not radio.in_range(0, 1, 1e-6)
+    else:
+        assert t_break == math.inf
+
+
 def check_break_against_sampling(spots, plans, from_share):
     """link_break_time agrees with in_range sampled densely over the plans."""
     sched, mob, radio, inbox, tap = build(dict(enumerate(spots)))

@@ -352,6 +352,16 @@ def test_run_summary_rows_equal_flow_summary():
         assert {key: stats[key] for key in expected} == expected
 
 
+def test_run_rejects_a_window_with_too_many_bins_before_simulating(tmp_path):
+    config = mini_config(duration=12)
+    scenario.check_window(1.0, config.duration)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"^window: "):
+        run(config, out_dir=str(out),
+            window=config.duration / (scenario.MAX_FLOW_TICKS + 1))
+    assert not out.exists()
+
+
 def test_run_is_reproducible_byte_for_byte(tmp_path):
     config = mini_config(protocol="DSDV",
                          protocol_params={"dsdv": {"update_interval": 1.0}},
