@@ -35,7 +35,7 @@ def _add_common_flags(parser):
                         help="builtin name (%s) or path to a scenario file"
                         % ", ".join(BUILTIN_SCENARIOS))
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
+                        help="override the scenario seed (a non-negative int)")
     parser.add_argument("--duration", type=float, default=None,
                         help="override the simulated duration in seconds")
     parser.add_argument("--out", default="out",
@@ -68,11 +68,15 @@ def build_parser():
 
 
 def _check_flags(args):
-    """Reject numeric overrides a run cannot use, naming the flag."""
-    for flag, value, positive in (("--duration", args.duration, True),
-                                  ("--range", args.radio_range, False)):
+    """Reject numeric overrides a run cannot use, naming the flag; a seed
+    is checked by the document's rule, since random.Random(-s) draws what
+    random.Random(s) draws."""
+    for flag, value, positive, integer in (
+            ("--seed", args.seed, False, True),
+            ("--duration", args.duration, True, False),
+            ("--range", args.radio_range, False, False)):
         if value is not None:
-            check_number(value, flag, positive)
+            check_number(value, flag, positive, integer)
 
 
 def _resolve_config(args, protocol):

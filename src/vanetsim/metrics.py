@@ -202,7 +202,7 @@ class MetricsLedger:
         size = frame.size
         bits.append(size * 8)
         self._lines.append(("r", t, frame.kind, frame.trace_id, frame.src,
-                            "*" if receiver == -1 else receiver, size))
+                            receiver, size))
 
     def on_loss(self, frame, reason: str, t: float) -> None:
         dst = frame.dst

@@ -23,6 +23,8 @@ import os
 import random
 from dataclasses import dataclass
 
+from .aodv import AodvConfig
+from .dsdv import DsdvConfig
 from .metrics import write_plot_series
 from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
@@ -73,12 +75,12 @@ class ScenarioConfig:
     duration: float
     seed: int
     field: tuple  # (width, height)
-    placements: list  # [(node, (x, y))], node ids unique
+    placements: dict  # {node: (x, y)}
     motions: list  # [Motion]
     flows: list  # [FlowConfig]
-    background_mobility: dict  # {"kind": "stationary"} or random-waypoint
+    background_mobility: "RandomWaypoint | None"  # None: parked nodes
     radio: RadioConfig
-    protocol_params: dict  # params key -> {config field: value}
+    protocol_params: dict  # lower-case protocol name -> its config
 
 
 def grid_positions() -> dict:
@@ -146,14 +148,14 @@ def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
         duration=BUILTIN_DURATION,
         seed=BUILTIN_SEED,
         field=(3000.0, 1600.0),
-        placements=sorted(grid_positions().items()),
+        placements=dict(sorted(grid_positions().items())),
         motions=_long_motions() if long_haul else _short_motions(),
         flows=_builtin_flows(),
-        background_mobility={"kind": "stationary"},
+        background_mobility=None,
         radio=RadioConfig(),
         protocol_params={
-            "aodv": {},
-            "dsdv": {"update_interval": 40.0 if long_haul else 15.0},
+            "aodv": AodvConfig(),
+            "dsdv": DsdvConfig(update_interval=40.0 if long_haul else 15.0),
         },
     )
 
@@ -207,11 +209,11 @@ def random_waypoint_document(seed: int, nodes: int, flows: int,
 
 
 def primary_flow(config: ScenarioConfig) -> str:
-    """The flow whose endpoints the scenario's motion script separates."""
-    if config.name == "long-distance":
-        return "f0"
-    if config.name == "short-distance":
-        return "f1"
+    """The flow whose endpoints the scenario's motion script separates: a
+    builtin's named flow if the config has it, else the first flow."""
+    flow = {"long-distance": "f0", "short-distance": "f1"}.get(config.name)
+    if any(f.flow == flow for f in config.flows):
+        return flow
     return config.flows[0].flow
 
 
@@ -357,8 +359,7 @@ def load_config(text: str) -> ScenarioConfig:
     raw_placements = doc.get("placements")
     if not isinstance(raw_placements, list) or not raw_placements:
         raise _field_error("placements", "expected a non-empty list")
-    placements = []
-    seen_nodes = set()
+    placements = {}
     for i, item in enumerate(raw_placements):
         path = f"placements[{i}]"
         if not (isinstance(item, list) and len(item) == 2
@@ -366,13 +367,12 @@ def load_config(text: str) -> ScenarioConfig:
             raise _field_error(path, "expected [node, [x, y]]")
         # -1 is the radio's broadcast address, so ids are non-negative
         node = check_number(item[0], f"{path}[0]", integer=True)
-        if node in seen_nodes:
+        if node in placements:
             raise _field_error(path, f"duplicate node id {node}")
-        seen_nodes.add(node)
         pos = _point(item[1], f"{path}[1]")
         if not bounds.contains(pos):
             raise _field_error(path, f"position {pos} outside field {field}")
-        placements.append((node, pos))
+        placements[node] = pos
     if "nodes" in doc and doc["nodes"] != len(placements):
         raise _field_error(
             "nodes", f"declares {doc['nodes']} nodes but "
@@ -388,7 +388,7 @@ def load_config(text: str) -> ScenarioConfig:
                 and isinstance(item[2], list) and len(item[2]) == 2):
             raise _field_error(path, "expected [node, start_t, [x, y], speed]")
         node = check_number(item[0], f"{path}[0]", integer=True)
-        if node not in seen_nodes:
+        if node not in placements:
             raise _field_error(path, f"motion references unknown node {node!r}")
         start_t = check_number(item[1], f"{path}[1]")
         dest = _point(item[2], f"{path}[2]")
@@ -400,7 +400,7 @@ def load_config(text: str) -> ScenarioConfig:
     # replay the legs in the order the scheduler applies them (start time,
     # then document order) so an overlap is found before the run
     replay = MobilityModel(bounds)
-    for node, (x, y) in placements:
+    for node, (x, y) in placements.items():
         replay.add_node(node, x, y)
     for i in sorted(range(len(motions)), key=lambda i: motions[i].start_t):
         m = motions[i]
@@ -421,7 +421,7 @@ def load_config(text: str) -> ScenarioConfig:
             raise _field_error(path, f"duplicate flow name {flow.flow!r}")
         flow_names.add(flow.flow)
         for label, node in (("src", flow.src), ("sink", flow.sink)):
-            if node not in seen_nodes:
+            if node not in placements:
                 raise _field_error(f"{path}.{label}", f"flow {flow.flow!r} "
                                    f"references unknown node {node!r}")
         flows.append(flow)
@@ -435,9 +435,9 @@ def load_config(text: str) -> ScenarioConfig:
         if waypoint.v_max < waypoint.v_min:
             raise _field_error(f"{path}.v_max", f"expected at least v_min "
                                f"{waypoint.v_min!r}, got {waypoint.v_max!r}")
-        background = {"kind": "random-waypoint", **_doc_object(waypoint)}
     elif background["kind"] == "stationary":
         _check_keys(background, {"kind"}, path)
+        waypoint = None
     else:
         raise _field_error(f"{path}.kind",
                            f"unknown kind {background['kind']!r}")
@@ -445,16 +445,17 @@ def load_config(text: str) -> ScenarioConfig:
     params = doc.get("protocol_params", {})
     if not isinstance(params, dict):
         raise _field_error("protocol_params", "expected an object")
-    config_classes = {p.params_key: p.config for p in PROTOCOLS.values()}
+    config_classes = {name.lower(): agent.config_class
+                      for name, agent in PROTOCOLS.items()}
     _check_keys(params, config_classes, "protocol_params")
-    for key, config_class in config_classes.items():
-        _read(params.get(key, {}), config_class, f"protocol_params.{key}")
-    params = {key: dict(params.get(key, {})) for key in config_classes}
+    params = {key: _read(params.get(key, {}), config_class,
+                         f"protocol_params.{key}")
+              for key, config_class in config_classes.items()}
 
     config = ScenarioConfig(
         name=name, protocol=protocol, duration=duration, seed=seed,
         field=field, placements=placements, motions=motions, flows=flows,
-        background_mobility=background, radio=radio, protocol_params=params,
+        background_mobility=waypoint, radio=radio, protocol_params=params,
     )
     check_run_length(config)
     return config
@@ -472,9 +473,9 @@ def check_run_length(config: ScenarioConfig) -> None:
                 f"{flow.send_interval!r} would tick more than "
                 f"{MAX_FLOW_TICKS} times before duration {config.duration!r}")
     # a leg takes about the field's shorter side over v_max, plus the pause
-    background = config.background_mobility
-    if background.get("kind") == "random-waypoint":
-        v_max, pause = background["v_max"], background["pause"]
+    waypoint = config.background_mobility
+    if waypoint is not None:
+        v_max, pause = waypoint.v_max, waypoint.pause
         if MAX_FLOW_TICKS * (pause + min(config.field) / v_max) <= config.duration:
             raise _field_error(
                 "background_mobility.v_max",
@@ -493,6 +494,7 @@ def check_window(window, duration, path="window") -> None:
 
 
 def serialize_config(config: ScenarioConfig) -> str:
+    waypoint = config.background_mobility
     doc = {
         "name": config.name,
         "protocol": config.protocol,
@@ -500,12 +502,16 @@ def serialize_config(config: ScenarioConfig) -> str:
         "seed": config.seed,
         "field": list(config.field),
         "radio": _doc_object(config.radio),
-        "placements": [[node, [x, y]] for node, (x, y) in config.placements],
+        "placements": [[node, [x, y]]
+                       for node, (x, y) in config.placements.items()],
         "motions": [[m.node, m.start_t, [m.dest[0], m.dest[1]], m.speed]
                     for m in config.motions],
         "flows": [_doc_object(f) for f in config.flows],
-        "background_mobility": config.background_mobility,
-        "protocol_params": config.protocol_params,
+        "background_mobility": (
+            {"kind": "stationary"} if waypoint is None
+            else {"kind": "random-waypoint", **_doc_object(waypoint)}),
+        "protocol_params": {key: _doc_object(params) for key, params
+                            in config.protocol_params.items()},
     }
     return json.dumps(doc, indent=2)
 
@@ -528,23 +534,16 @@ class RunReport:
 
 
 def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
-    background = config.background_mobility
-    waypoint = None
-    if background.get("kind") == "random-waypoint":
-        waypoint = (background["v_min"], background["v_max"],
-                    background.get("pause", 0.0))
-    protocol = PROTOCOLS[config.protocol]
-    params = config.protocol_params.get(protocol.params_key, {})
     return Simulation(
-        positions=dict(config.placements),
+        positions=config.placements,
         protocol=config.protocol,
         flows=config.flows,
         motions=config.motions,
         seed=config.seed,
         field=FieldConfig(*config.field),
         radio_config=config.radio,
-        protocol_config=protocol.config(**params) if params else None,
-        waypoint=waypoint,
+        protocol_config=config.protocol_params[config.protocol.lower()],
+        waypoint=config.background_mobility,
         auditing=auditing,
     )
 
@@ -556,8 +555,7 @@ def _first_nonzero(points):
     return None
 
 
-def run(config: ScenarioConfig, out_dir=None, window=1.0,
-        auditing=False) -> RunReport:
+def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     """Execute a scenario and, if out_dir is given, write every artifact.
 
     With out_dir, ``trace.txt`` is written block by block while the
@@ -566,7 +564,7 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0,
     ``trace.txt`` behind. Each flow's series are built once.
     """
     check_window(window, config.duration)
-    sim = build_simulation(config, auditing=auditing)
+    sim = build_simulation(config)
     ledger = sim.ledger
     duration = config.duration
 
@@ -712,7 +710,7 @@ def compare(report_a: RunReport, report_b: RunReport) -> dict:
     # when both runs are of one nature
     reactive, proactive = sorted(
         (report_a, report_b),
-        key=lambda report: PROTOCOLS[report.protocol].agent.proactive)
+        key=lambda report: PROTOCOLS[report.protocol].proactive)
 
     def stats_of(report, flow):
         for stats in report.flows:

@@ -6,15 +6,15 @@ given) and every random draw comes from one seeded generator, so a
 same trace, byte for byte.
 
 ``PROTOCOLS`` is the one protocol table: it maps each protocol name to
-its agent class, its config class, and its key under a scenario's
-``protocol_params``. Everything that chooses a protocol reads it.
+its agent class. The agent's ``config_class`` is its config, and the
+lower-case name its key under a scenario's ``protocol_params``.
+Everything that chooses a protocol reads it.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .aodv import AodvAgent, AodvConfig
-from .dsdv import DsdvAgent, DsdvConfig
+from .aodv import AodvAgent
+from .dsdv import DsdvAgent
 from .engine import Scheduler, seeded_rng
 from .metrics import MetricsLedger
 from .mobility import MobilityModel
@@ -23,16 +23,7 @@ from .transport import TcpSink, TcpSource
 from .validation import RouteAuditor, TransportAuditor
 
 
-class Protocol(NamedTuple):
-    agent: type
-    config: type
-    params_key: str
-
-
-PROTOCOLS = {
-    "AODV": Protocol(AodvAgent, AodvConfig, "aodv"),
-    "DSDV": Protocol(DsdvAgent, DsdvConfig, "dsdv"),
-}
+PROTOCOLS = {"AODV": AodvAgent, "DSDV": DsdvAgent}
 
 # spread of the one-off random delay before a node's first proactive
 # table broadcast; keeps the network from updating in lockstep
@@ -55,7 +46,7 @@ class Simulation:
                  waypoint=None, auditing=False):
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
-        agent_class = PROTOCOLS[protocol].agent
+        agent_class = PROTOCOLS[protocol]
         self.protocol = protocol
         self.seed = seed
         self.sched = Scheduler()
@@ -101,9 +92,8 @@ class Simulation:
         self.waypoint = waypoint
         if waypoint is not None:
             scripted = {m.node for m in self.motions}
-            pause = waypoint[2]
             for node in sorted(set(positions) - scripted):
-                self.sched.schedule(pause, "waypoint", node,
+                self.sched.schedule(waypoint.pause, "waypoint", node,
                                     lambda n=node: self._next_waypoint(n))
 
         # initial state line for every node, in id order; a parked node
@@ -129,12 +119,13 @@ class Simulation:
 
     def _next_waypoint(self, node: int) -> None:
         now = self.sched.now
-        v_min, v_max, pause = self.waypoint
-        dest, speed = self.mobility.random_waypoint_next(self.rng, v_min, v_max)
+        waypoint = self.waypoint
+        dest, speed = self.mobility.random_waypoint_next(
+            self.rng, waypoint.v_min, waypoint.v_max)
         arrival = self.mobility.set_motion(node, dest, speed, now)
         pos = self.mobility.position_at(node, now)
         self.ledger.on_motion_state(now, node, pos, dest, speed)
-        self.sched.schedule(arrival + pause, "waypoint", node,
+        self.sched.schedule(arrival + waypoint.pause, "waypoint", node,
                             lambda: self._next_waypoint(node))
 
     def run(self, until: float) -> "Simulation":

@@ -152,6 +152,7 @@ def test_malformed_documents_fail_before_running(
     ("--window", "5.999e-6"),
     ("--range", "-5"), ("--range", "inf"),
     ("--duration", "0"), ("--duration", "-3"), ("--duration", "inf"),
+    ("--seed", "-3"),
 ])
 def test_out_of_range_numeric_flags_are_validation_errors(
         scenario_file, tmp_path, capsys, command, flag, value):

@@ -389,11 +389,15 @@ _TRACE_TIMES = st.one_of(
     st.sampled_from([0, 0.0, -0.0, 3, 1e-8, 1e9, 0.1 + 0.2, 599.99999995]),
     st.integers(min_value=0, max_value=10**6),
     st.floats(min_value=0.0, max_value=1e9))
+_FRAME_FIELDS = (
+    _TRACE_TIMES, st.sampled_from(["DATA", "ACK", "RREQ", "DSDV"]),
+    st.one_of(st.none(), st.integers(0, 10**6)), st.integers(0, 120))
 _TRACE_EVENTS = st.one_of(
-    st.tuples(st.sampled_from("srl"), _TRACE_TIMES,
-              st.sampled_from(["DATA", "ACK", "RREQ", "DSDV"]),
-              st.one_of(st.none(), st.integers(0, 10**6)),
-              st.integers(0, 120), st.integers(-1, 120),
+    # a send or a loss names the frame's destination, -1 for broadcast; a
+    # reception names its receiver, a node id
+    st.tuples(st.sampled_from("sl"), *_FRAME_FIELDS, st.integers(-1, 120),
+              st.integers(1, 10**6)),
+    st.tuples(st.just("r"), *_FRAME_FIELDS, st.integers(0, 120),
               st.integers(1, 10**6)),
     st.tuples(st.just("M"), _TRACE_TIMES, st.integers(0, 120)),
     st.tuples(st.just("text"), st.text("abc #()", max_size=8)))
@@ -404,7 +408,7 @@ _TRACE_EVENTS = st.one_of(
        block=st.integers(min_value=1, max_value=6))
 @example(events=[("s", t, "RREQ", None, 1, -1, 64)
                  for t in (0, -0.0, 3, 1e-8, 1e9)]
-         + [("r", 0.5, "DATA", None, 0, -1, 512), ("M", 2, 4),
+         + [("r", 0.5, "DATA", None, 0, 2, 512), ("M", 2, 4),
             ("l", 1e-8, "ACK", 9, 2, -1, 210), ("text", "")],
          block=2)
 def test_packed_records_equal_the_fstring_lines(events, block):

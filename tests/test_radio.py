@@ -1,9 +1,10 @@
 """Radio medium tests: timing, FIFO, range checks, link-break solver."""
 
+import bisect
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.engine import Scheduler
@@ -362,8 +363,27 @@ def check_break_against_sampling(spots, plans, from_share):
     span = end - from_t
     samples = ([from_t + span * i / 1000 for i in range(1000)]
                + [t_break - span * 1e-6 * i for i in range(1, 11)])
-    assert all(radio.in_range(0, 1, t) for t in samples
-               if from_t <= t < t_break)
+    # the spans of constant velocities link_break_time solves one by one
+    starts = sorted({from_t, *mob.motion_breakpoints(0, from_t, math.inf),
+                     *mob.motion_breakpoints(1, from_t, math.inf)})
+
+    def distance(t):
+        return math.dist(mob.position_at(0, t), mob.position_at(1, t))
+
+    def in_range_as_solved(t):
+        """in_range at t, except that a sample with no relative motion is
+        judged at its span's start, which link_break_time reads: between
+        leg ends, interpolated positions may round the distance a step
+        off it, as for a pair driving in parallel on the edge."""
+        if radio.in_range(0, 1, t):
+            return True
+        start = starts[bisect.bisect_right(starts, t) - 1]
+        if mob.velocity_at(0, start) != mob.velocity_at(1, start):
+            return False
+        assert abs(distance(t) - distance(start)) <= 4 * math.ulp(distance(start))
+        return radio.in_range(0, 1, start)
+
+    assert all(in_range_as_solved(t) for t in samples if from_t <= t < t_break)
     if t_break != math.inf:
         assert not radio.in_range(0, 1, t_break + 1e-3)
 
@@ -396,6 +416,14 @@ LATTICE_SPOT = st.tuples(LATTICE_X, LATTICE_Y)
        plans=st.tuples(st.lists(LATTICE_LEG, max_size=3),
                        st.lists(LATTICE_LEG, max_size=3)),
        from_share=st.sampled_from([0.0, 0.25, 0.5]))
+# pairs moving in parallel exactly 250 m apart, whose sampled distance
+# rounds to 250.00000000000003 m between leg ends
+@example(spots=((0.0, 0.0), (250.0, 0.0)),
+         plans=([(0.0, 50.0, 0.0, 5.0)], [(0.0, 300.0, 0.0, 5.0)]),
+         from_share=0.0)
+@example(spots=((50.0, 0.0), (300.0, 0.0)),
+         plans=([(0.0, 0.0, 0.0, 10.0)], [(0.0, 0.0, 0.0, 10.0)]),
+         from_share=0.0)
 def test_link_break_time_agrees_with_dense_sampling_on_a_lattice(
         spots, plans, from_share):
     check_break_against_sampling(spots, plans, from_share)

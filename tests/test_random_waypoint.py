@@ -36,7 +36,7 @@ def test_generator_is_a_valid_document():
     config = load_config(random_waypoint_document(5, 30, 10, 60.0, pause=30.0))
     assert (config.name, config.protocol) == ("rwp-aodv", "AODV")
     assert len(config.placements) == 30 and len(config.flows) == 10
-    assert config.background_mobility["pause"] == 30.0
+    assert config.background_mobility.pause == 30.0
     assert all(f.src != f.sink for f in config.flows)
 
 

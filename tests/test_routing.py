@@ -40,7 +40,7 @@ class Recorder:
 
 def chain(name):
     """Agents of one protocol on a three-node line, routes converged."""
-    agent_class = PROTOCOLS[name].agent
+    agent_class = PROTOCOLS[name]
     sched = Scheduler()
     mobility = MobilityModel()
     radio = RadioMedium(sched, mobility)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from vanetsim import scenario
-from vanetsim.aodv import AodvAgent
+from vanetsim.aodv import AodvAgent, AodvConfig
+from vanetsim.dsdv import DsdvConfig
 from vanetsim.metrics import TRACE_BLOCK_LINES, parse_mobility_trace
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
@@ -22,6 +23,7 @@ from vanetsim.scenario import (
     grid_positions,
     load_config,
     primary_flow,
+    random_waypoint_document,
     run,
     serialize_config,
 )
@@ -93,6 +95,16 @@ def test_builtin_flows_and_primary():
     assert primary_flow(builtin_scenario("short-distance", "AODV")) == "f1"
 
 
+def test_primary_flow_is_a_builtin_name_only_if_the_config_has_that_flow():
+    custom = mini_config(name="long-distance",
+                         flows=[dict(MINI_DOC["flows"][0], flow="x")])
+    assert primary_flow(custom) == "x"
+    aodv = run(custom)
+    dsdv = run(dataclasses.replace(custom, protocol="DSDV"))
+    assert aodv.primary_flow == "x"
+    assert compare(aodv, dsdv)["primary_flow"] == "x"
+
+
 def test_builtin_rejects_unknown_names():
     with pytest.raises(ConfigError):
         builtin_scenario("medium-distance", "AODV")
@@ -107,8 +119,8 @@ def test_minimal_document_fills_defaults():
     assert config.protocol == "AODV"
     assert config.duration == 6.0
     assert config.radio.radio_range == 250.0
-    assert config.background_mobility == {"kind": "stationary"}
-    assert config.protocol_params == {"aodv": {}, "dsdv": {}}
+    assert config.background_mobility is None
+    assert config.protocol_params == {"aodv": AodvConfig(), "dsdv": DsdvConfig()}
     assert config.flows[0].max_packets == 5
     assert config.flows[0].ack_size == 210
 
@@ -123,6 +135,18 @@ def test_round_trip_preserves_config():
                              "v_min": 1.0, "v_max": 3.0, "pause": 2.0},
     )
     assert load_config(serialize_config(custom)) == custom
+
+
+def test_build_simulation_hands_over_the_configs_own_objects():
+    """Nothing is rebuilt between the document and the run: the simulation
+    and every agent hold the config's own waypoint and protocol config."""
+    doc = random_waypoint_document(5, 6, 2, 20.0, pause=2.0)
+    for protocol in ("AODV", "DSDV"):
+        config = dataclasses.replace(load_config(doc), protocol=protocol)
+        sim = build_simulation(config)
+        assert sim.waypoint is config.background_mobility
+        params = config.protocol_params[protocol.lower()]
+        assert all(agent.config is params for agent in sim.agents.values())
 
 
 @pytest.mark.parametrize("overrides, needle", [
