@@ -140,14 +140,11 @@ class AodvAgent(RoutingAgent):
         if dest in self.pending:
             self.pending[dest].buffer.append(packet)
             return
-        now = self.sched.now
-        cfg = self.config
-        self._flood(dest)
-        timer = self.sched.schedule(now + cfg.reply_wait, "rreq-timer",
-                                    self.node_id, lambda: self._retry(dest))
-        self.pending[dest] = _Discovery(cfg.reply_wait, [packet], timer)
+        wait = self.config.reply_wait
+        self.pending[dest] = _Discovery(wait, [packet], self._flood(dest, wait))
 
-    def _flood(self, dest: int) -> None:
+    def _flood(self, dest: int, wait: float) -> list:
+        """Broadcast a fresh request for dest; returns its reply timer."""
         cfg = self.config
         self.own_seq += 1
         rid = self.next_rreq_id
@@ -157,6 +154,8 @@ class AodvAgent(RoutingAgent):
         known = entry.dest_seq if entry is not None else -1
         rreq = Rreq(self.node_id, self.own_seq, dest, known, rid, 0, cfg.ttl)
         self.radio.transmit(Frame("RREQ", self.node_id, BROADCAST, cfg.rreq_size, rreq))
+        return self.sched.schedule(self.sched.now + wait, "rreq-timer",
+                                   self.node_id, lambda: self._retry(dest))
 
     def _retry(self, dest: int) -> None:
         disc = self.pending.get(dest)
@@ -169,9 +168,7 @@ class AodvAgent(RoutingAgent):
                 self._drop(pkt, self.sched.now, "discovery-exhausted")
             return
         disc.wait *= 2
-        self._flood(dest)
-        disc.timer = self.sched.schedule(self.sched.now + disc.wait, "rreq-timer",
-                                         self.node_id, lambda: self._retry(dest))
+        disc.timer = self._flood(dest, disc.wait)
 
     # -- frame dispatch -----------------------------------------------------
 
@@ -245,17 +242,7 @@ class AodvAgent(RoutingAgent):
                         rev.next_hop)
 
     def _handle_rerr(self, rerr: Rerr, prev_hop: int, now: float) -> None:
-        affected = []
-        for dest, seq in rerr.unreachable:
-            e = self.table.get(dest)
-            if e is not None and e.valid and e.next_hop == prev_hop:
-                e.dest_seq = max(e.dest_seq, seq)
-                e.valid = False
-                self._note_mutation(dest)
-                if now - e.last_used <= self.config.route_lifetime:
-                    affected.append((dest, e.dest_seq))
-        if affected:
-            self._send_rerr(affected)
+        self._invalidate(prev_hop, rerr.unreachable, now)
 
     # -- forwarding and failure handling ---------------------------------
 
@@ -271,11 +258,17 @@ class AodvAgent(RoutingAgent):
         self.handle_link_failure(frame.dst, self.sched.now)
 
     def handle_link_failure(self, dead: int, now: float) -> None:
+        self._invalidate(dead, [(dest, None) for dest in sorted(self.table)], now)
+
+    def _invalidate(self, hop: int, pairs, now: float) -> None:
+        """Invalidate the valid routes to pairs' dests via hop and report
+        the ones used within route_lifetime. A seq of None bumps the stored
+        seq (own link failure); a reported seq raises it by max (RERR)."""
         affected = []
-        for dest in sorted(self.table):
-            e = self.table[dest]
-            if e.valid and e.next_hop == dead:
-                e.dest_seq += 1
+        for dest, seq in pairs:
+            e = self.table.get(dest)
+            if e is not None and e.valid and e.next_hop == hop:
+                e.dest_seq = e.dest_seq + 1 if seq is None else max(e.dest_seq, seq)
                 e.valid = False
                 self._note_mutation(dest)
                 if now - e.last_used <= self.config.route_lifetime:
@@ -335,12 +328,8 @@ class AodvAgent(RoutingAgent):
         self._watches.pop(hop, None)
         if not any(e.valid and e.next_hop == hop for e in self.table.values()):
             return
-        tb = self.radio.link_break_time(self.node_id, hop, now)
-        if tb <= now:
+        if self.radio.link_break_time(self.node_id, hop, now) <= now:
             self.handle_link_failure(hop, now)
         else:
             # motion plans changed since the watch was set; rearm
-            version = self.radio.mobility.plan_version
-            handle = self.sched.schedule(tb, "linkwatch", self.node_id,
-                                         lambda h=hop: self._watch_fired(h))
-            self._watches[hop] = (version, handle)
+            self._ensure_watch(hop)

@@ -119,11 +119,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     _check_flags(args)
+    # one resolved scenario; the two runs differ only in protocol
+    config = _resolve_config(args, next(iter(PROTOCOLS)))
     reports = []
     for protocol in PROTOCOLS:
-        config = _resolve_config(args, protocol)
         out_dir = os.path.join(args.out, protocol.lower())
-        reports.append(run(config, out_dir=out_dir, window=args.window))
+        reports.append(run(dataclasses.replace(config, protocol=protocol),
+                           out_dir=out_dir, window=args.window))
     result = compare(reports[0], reports[1])
     text = format_comparison(result)
     with open(os.path.join(args.out, "comparison.txt"), "w") as fh:

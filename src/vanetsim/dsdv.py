@@ -69,7 +69,6 @@ class DsdvEntry:
     next_hop: int
     metric: float
     seq: int
-    install_time: float
     settling_deadline: Optional[float] = None
 
     def alive(self) -> bool:
@@ -82,7 +81,7 @@ class DsdvAgent(RoutingAgent):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        me = DsdvEntry(self.node_id, self.node_id, 0, 0, 0.0)
+        me = DsdvEntry(self.node_id, self.node_id, 0, 0)
         self.table[self.node_id] = me
         # the table's entries in ascending dest order; entries are never
         # removed, so a new one is insorted where it is created
@@ -209,8 +208,7 @@ class DsdvAgent(RoutingAgent):
                 e = get(dest)
                 if e is None:
                     e = self.table[dest] = DsdvEntry(
-                        dest, sender, INFINITE if seq % 2 else metric + 1,
-                        seq, now)
+                        dest, sender, INFINITE if seq % 2 else metric + 1, seq)
                     insort(self._entries, e, key=attrgetter("dest"))
                 else:
                     old_seq = e.seq
@@ -228,7 +226,6 @@ class DsdvAgent(RoutingAgent):
                     e.next_hop = sender
                     e.metric = cand_metric
                     e.seq = seq
-                    e.install_time = now
             dirty.add(dest)
             if auditor is not None:
                 auditor.on_route_mutation(me, dest)

@@ -39,7 +39,6 @@ the run.
 
 import math
 import re
-import statistics
 import sys
 from array import array
 from bisect import bisect_right
@@ -347,9 +346,8 @@ class MetricsLedger:
             "lost": sum(self._drops.get(flow, {}).values()),
             "max_delay": max((d for _t, d, _s, _b in delivered), default=0.0),
             "max_jitter": max((v for _t, v in jitter.points), default=0.0),
-            "mean_throughput": statistics.fmean(v for _t, v in throughput.points)
-            if throughput.points
-            else 0.0,
+            "mean_throughput": math.fsum(v for _t, v in throughput.points)
+            / len(throughput.points) if throughput.points else 0.0,
         }
 
     def trace_text(self) -> str:

@@ -48,7 +48,6 @@ class Frame:
     dst: int
     size: int
     payload: object = None
-    sent_at: Optional[float] = None
     trace_id: Optional[int] = None
 
 
@@ -131,7 +130,6 @@ class RadioMedium:
 
     def _launch(self, frame: Frame, on_fail, airtime: float) -> None:
         now = self.sched.now
-        frame.sent_at = now
         if self.tap is not None:
             self.tap.on_send(frame, now)
         deliver_at = now + airtime + self.config.per_hop_overhead

@@ -74,7 +74,7 @@ class ScenarioConfig:
     protocol: str
     duration: float
     seed: int
-    field: tuple  # (width, height)
+    field: FieldConfig
     placements: dict  # {node: (x, y)}
     motions: list  # [Motion]
     flows: list  # [FlowConfig]
@@ -147,7 +147,7 @@ def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
         protocol=protocol,
         duration=BUILTIN_DURATION,
         seed=BUILTIN_SEED,
-        field=(3000.0, 1600.0),
+        field=FieldConfig(),
         placements=dict(sorted(grid_positions().items())),
         motions=_long_motions() if long_haul else _short_motions(),
         flows=_builtin_flows(),
@@ -352,8 +352,8 @@ def load_config(text: str) -> ScenarioConfig:
         raise _field_error("field", "expected [width, height]")
     # a field needs an extent: in a 0 x 0 field every random waypoint is
     # the node's own position and re-fires at one instant forever
-    field = _point(raw_field, "field", positive=True)
-    bounds = FieldConfig(*field)
+    extent = _point(raw_field, "field", positive=True)
+    field = FieldConfig(*extent)
     radio = _read(doc.get("radio", {}), RadioConfig, "radio")
 
     raw_placements = doc.get("placements")
@@ -370,8 +370,8 @@ def load_config(text: str) -> ScenarioConfig:
         if node in placements:
             raise _field_error(path, f"duplicate node id {node}")
         pos = _point(item[1], f"{path}[1]")
-        if not bounds.contains(pos):
-            raise _field_error(path, f"position {pos} outside field {field}")
+        if not field.contains(pos):
+            raise _field_error(path, f"position {pos} outside field {extent}")
         placements[node] = pos
     if "nodes" in doc and doc["nodes"] != len(placements):
         raise _field_error(
@@ -392,14 +392,14 @@ def load_config(text: str) -> ScenarioConfig:
             raise _field_error(path, f"motion references unknown node {node!r}")
         start_t = check_number(item[1], f"{path}[1]")
         dest = _point(item[2], f"{path}[2]")
-        if not bounds.contains(dest):
+        if not field.contains(dest):
             raise _field_error(f"{path}[2]",
-                               f"destination {dest} outside field {field}")
+                               f"destination {dest} outside field {extent}")
         speed = check_number(item[3], f"{path}[3]", positive=True)
         motions.append(Motion(node, start_t, dest, speed))
     # replay the legs in the order the scheduler applies them (start time,
     # then document order) so an overlap is found before the run
-    replay = MobilityModel(bounds)
+    replay = MobilityModel(field)
     for node, (x, y) in placements.items():
         replay.add_node(node, x, y)
     for i in sorted(range(len(motions)), key=lambda i: motions[i].start_t):
@@ -476,7 +476,8 @@ def check_run_length(config: ScenarioConfig) -> None:
     waypoint = config.background_mobility
     if waypoint is not None:
         v_max, pause = waypoint.v_max, waypoint.pause
-        if MAX_FLOW_TICKS * (pause + min(config.field) / v_max) <= config.duration:
+        side = min(config.field.width, config.field.height)
+        if MAX_FLOW_TICKS * (pause + side / v_max) <= config.duration:
             raise _field_error(
                 "background_mobility.v_max",
                 f"{v_max!r} with pause {pause!r} would start more than "
@@ -500,7 +501,7 @@ def serialize_config(config: ScenarioConfig) -> str:
         "protocol": config.protocol,
         "duration": config.duration,
         "seed": config.seed,
-        "field": list(config.field),
+        "field": [config.field.width, config.field.height],
         "radio": _doc_object(config.radio),
         "placements": [[node, [x, y]]
                        for node, (x, y) in config.placements.items()],
@@ -540,7 +541,7 @@ def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
         flows=config.flows,
         motions=config.motions,
         seed=config.seed,
-        field=FieldConfig(*config.field),
+        field=config.field,
         radio_config=config.radio,
         protocol_config=config.protocol_params[config.protocol.lower()],
         waypoint=config.background_mobility,

@@ -109,7 +109,6 @@ class TcpSource:
         self.highest_acked = -1
         self.in_flight: dict[int, float] = {}  # seq -> last handoff time
         self.pending: list[int] = []  # timed-out seqs awaiting retransmission
-        self.dup_acks = 0
         self.complete = False
         self._timer = None
 
@@ -180,7 +179,6 @@ class TcpSource:
         if self.complete:
             return
         if ack <= self.highest_acked:
-            self.dup_acks += 1
             return
         self.highest_acked = ack
         self.in_flight = {s: t for s, t in self.in_flight.items() if s > ack}

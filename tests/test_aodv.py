@@ -7,10 +7,10 @@ from collections import Counter, deque
 
 import pytest
 
-from vanetsim.aodv import AodvAgent, AodvConfig, Rrep, Rreq
+from vanetsim.aodv import AodvAgent, AodvConfig, Rerr, RouteEntry, Rrep, Rreq
 from vanetsim.engine import Scheduler
 from vanetsim.mobility import MobilityModel
-from vanetsim.radio import Frame, RadioMedium, RoutedPacket
+from vanetsim.radio import BROADCAST, Frame, RadioMedium, RoutedPacket
 from vanetsim.simulation import Simulation
 from vanetsim.transport import DataPacket, FlowConfig
 
@@ -21,9 +21,12 @@ class FrameLog:
         self.losses = []
         self.drops = []  # flow-level drops reported by routing
         self.drop_reasons = []
+        self.rerrs = []  # (src, unreachable pairs) of every error notice
 
     def on_send(self, frame, t):
         self.sends.append((t, frame.kind, frame.src, frame.dst))
+        if frame.kind == "RERR":
+            self.rerrs.append((frame.src, frame.payload.unreachable))
 
     def on_delivery(self, frame, node, t):
         pass
@@ -189,6 +192,33 @@ def test_geometric_break_invalidates_and_spreads_error():
     assert 1 in rerr_srcs
 
 
+def test_error_notice_and_link_failure_share_one_invalidation_rule():
+    sched, mob, radio, agents, delivered, log = build(
+        {0: (0, 0), 1: (200, 0), 2: (0, 200)})
+    agent = agents[0]
+    sched.run_until(10.0)
+    stale = 10.0 - 2 * agent.config.route_lifetime
+    # dest: next hop, stored seq, last used
+    for dest, hop, seq, used in ((5, 1, 4, 9.0), (6, 1, 3, stale),
+                                 (7, 2, 8, 9.0), (8, 1, 1, 9.0)):
+        agent.table[dest] = RouteEntry(dest, hop, 2, seq, 20.0, True, used)
+
+    def state():
+        return {d: (e.valid, e.dest_seq) for d, e in agent.table.items()}
+
+    agent.on_frame(Frame("RERR", 1, BROADCAST, 36,
+                         Rerr([(5, 2), (6, 9), (7, 8)])))
+    # only listed routes via the sender fall; a reported seq never lowers
+    # the stored one; only the recently used route is reported on
+    assert state() == {5: (False, 4), 6: (False, 9), 7: (True, 8), 8: (True, 1)}
+    assert log.rerrs == [(0, [(5, 4)])]
+    # a failed link of our own bumps the seq of every route through it
+    agent.handle_link_failure(2, 10.0)
+    assert state() == {5: (False, 4), 6: (False, 9), 7: (False, 9), 8: (True, 1)}
+    sched.run_until(10.1)  # the first notice is still on the air
+    assert log.rerrs[1:] == [(0, [(7, 9)])]
+
+
 def test_unicast_failure_buffers_and_rediscovers_at_origin():
     sched, mob, radio, agents, delivered, log = build(
         {0: (0, 0), 1: (200, 0), 2: (400, 0)}
@@ -348,3 +378,30 @@ def test_parked_neighbours_one_rounding_step_inside_range_discover_once():
                     if line.startswith("s "))
     assert sim.ledger.flow_summary("f0", 10.0)["delivered"] == 100
     assert (sends["RREQ"], sends["RREP"], sends["RERR"]) == (1, 1, 0)
+
+
+def test_fired_watch_rearms_at_the_break_later_plans_moved_it_to():
+    sched, mob, radio, agents, delivered, log = build(LINE)
+    agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+    sched.run_until(1.0)
+    # node 2 heads east: relay 1's watch on it is armed for t = 6
+    mob.set_motion(2, (600, 0), 10.0, 1.0)
+    relay_data(agents, 1)
+    # from t = 3 node 1 follows at 5 m/s, so the 220 m gap reaches the
+    # 250 m range only at t = 9
+    mob.set_motion(1, (400, 0), 5.0, 3.0)
+    timers = []
+    schedule = sched.schedule
+
+    def spy(fire_at, kind, target, fn):
+        timers.append((fire_at, kind, target))
+        return schedule(fire_at, kind, target, fn)
+
+    sched.schedule = spy
+    sched.run_until(6.5)
+    assert agents[1].table[2].valid
+    assert [t for t in timers if t[1] == "linkwatch"] == [
+        (pytest.approx(9.0), "linkwatch", 1)]
+    sched.run_until(9.5)
+    assert not agents[1].table[2].valid
+    assert agents[1].table[0].valid  # node 0 is still 232.5 m away

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vanetsim import cli
 from vanetsim.cli import main
 
 MINI_DOC = {
@@ -205,6 +206,21 @@ def test_compare_subcommand_runs_both_protocols(scenario_file, tmp_path, capsys)
     assert "reactive=AODV" in text
     assert "proactive=DSDV" in text
     assert capsys.readouterr().out == text
+
+
+def test_compare_loads_its_document_once(scenario_file, tmp_path, monkeypatch):
+    loads = []
+    load_config = cli.load_config
+
+    def counting(text):
+        loads.append(text)
+        return load_config(text)
+
+    monkeypatch.setattr(cli, "load_config", counting)
+    code = main(["compare", "--scenario", str(scenario_file),
+                 "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    assert len(loads) == 1
 
 
 def test_trace_parse_subcommand(scenario_file, tmp_path, capsys):

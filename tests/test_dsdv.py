@@ -194,12 +194,12 @@ class MutationLog:
 class ReferenceTable:
     """The module docstring's rules, written out plainly for node 0.
 
-    Rows are [next_hop, metric, seq, install_time, settling_deadline].
+    Rows are [next_hop, metric, seq, settling_deadline].
     """
 
     def __init__(self, config):
         self.config = config
-        self.table = {0: [0, 0, 0, 0.0, None]}
+        self.table = {0: [0, 0, 0, None]}
         self.dirty = set()
         self.own_seq = 0
         self.mutations = []
@@ -224,12 +224,12 @@ class ReferenceTable:
             cand = INFINITE if seq % 2 else metric + 1
             old = self.table.get(dest)
             if old is None:
-                self.table[dest] = [sender, cand, seq, now, None]
+                self.table[dest] = [sender, cand, seq, None]
             elif seq > old[2] or (seq == old[2] and cand < old[1]):
                 live = old[2] % 2 == 0 and old[1] != INFINITE
                 damped = seq % 2 == 0 and live and cand > old[1]
                 deadline = now + self.config.settling_time if damped else None
-                self.table[dest] = [sender, cand, seq, now, deadline]
+                self.table[dest] = [sender, cand, seq, deadline]
             else:
                 continue
             self._changed(dest)
@@ -239,14 +239,14 @@ class ReferenceTable:
         for dest in sorted(self.table):
             row = self.table[dest]
             if row[0] == dead and row[2] % 2 == 0 and row[1] != INFINITE:
-                row[1], row[2], row[4] = INFINITE, row[2] + 1, None
+                row[1], row[2], row[3] = INFINITE, row[2] + 1, None
                 self._changed(dest)
                 changed = True
         # an immediate update unless one went out within trigger_min_gap;
         # a deferred one never fires here, as the scheduler never runs
         if changed and now - self.last_trigger >= self.config.trigger_min_gap:
             sent = [d for d in sorted(self.dirty)
-                    if self.table[d][4] is None or self.table[d][4] <= now]
+                    if self.table[d][3] is None or self.table[d][3] <= now]
             if sent:
                 self.last_trigger = now
                 self._send("incremental", sent)
@@ -256,7 +256,7 @@ class ReferenceTable:
         self.own_seq += 2
         self.table[0][2] = self.own_seq
         self.dirty.add(0)
-        deadlines = {d: row[4] for d, row in self.table.items()}
+        deadlines = {d: row[3] for d, row in self.table.items()}
         kind, dests = two_pass_dump(deadlines, self.dirty, now,
                                     self.last_full_dump, self.config)
         if kind == "full":
@@ -266,7 +266,7 @@ class ReferenceTable:
     def _send(self, kind, dests):
         """Sent rows are no longer settling and no longer dirty."""
         for d in dests:
-            self.table[d][4] = None
+            self.table[d][3] = None
         self.dirty -= set(dests)
         self.sent.append(
             (kind, [(d, self.table[d][1], self.table[d][2]) for d in dests]))
@@ -330,8 +330,8 @@ def test_agent_matches_reference_rules(steps):
         else:
             agent._periodic(0)
             ref.periodic(now)
-        table = {d: [e.next_hop, e.metric, e.seq, e.install_time,
-                     e.settling_deadline] for d, e in agent.table.items()}
+        table = {d: [e.next_hop, e.metric, e.seq, e.settling_deadline]
+                 for d, e in agent.table.items()}
         assert table == ref.table
         assert agent.dirty == ref.dirty
         assert agent.own_seq == ref.own_seq
@@ -339,7 +339,7 @@ def test_agent_matches_reference_rules(steps):
         assert sent == ref.sent
         # the settling set covers every running deadline, and a full dump
         # prunes it to just those
-        settling = {d for d, row in ref.table.items() if row[4] is not None}
+        settling = {d for d, row in ref.table.items() if row[3] is not None}
         assert settling <= agent._damped
         if step[0] == "periodic" and ref.sent[-1][0] == "full":
             assert agent._damped == settling
@@ -474,7 +474,7 @@ def test_periodic_update_equals_two_pass_rule(rows, now, since_full, fraction):
     sched.run_until(now)
     for dest, (dirty, deadline) in rows.items():
         # written as _handle_update would: ordered, and damped if settling
-        entry = agent.table[dest] = DsdvEntry(dest, 9, 2, 2, 0.0, deadline)
+        entry = agent.table[dest] = DsdvEntry(dest, 9, 2, 2, deadline)
         insort(agent._entries, entry, key=attrgetter("dest"))
         if deadline is not None:
             agent._damped.add(dest)

@@ -226,8 +226,7 @@ def test_destination_bandwidth_counts_every_frame_kind():
     led = MetricsLedger()
     for i in range(3):
         f = Frame("ACK", 9, 4, 210)
-        f.sent_at = 0.1 * i
-        led.on_send(f, f.sent_at)
+        led.on_send(f, 0.1 * i)
         led.on_delivery(f, 4, 0.1 * i + 0.001)
     series = led.bandwidth_series(4, duration=2.0, window=1.0)
     # three 210 byte frames: 5040 bits in the first second
@@ -239,11 +238,9 @@ def test_destination_bandwidth_counts_every_frame_kind():
 def test_bandwidth_ignores_frames_to_other_nodes_and_losses():
     led = MetricsLedger()
     ok = Frame("DATA", 0, 1, 512)
-    ok.sent_at = 0.0
     led.on_send(ok, 0.0)
     led.on_delivery(ok, 1, 0.0005)
     lost = Frame("DATA", 0, 1, 512)
-    lost.sent_at = 0.1
     led.on_send(lost, 0.1)
     led.on_loss(lost, "out-of-range", 0.1)
     series = led.bandwidth_series(1, duration=1.0, window=1.0)
@@ -349,7 +346,6 @@ def test_ledger_emits_interleaved_trace_lines():
     led = MetricsLedger()
     led.on_motion_state(0.0, 2, (550.0, 290.0), (550.0, 290.0), 0.0)
     f = Frame("DATA", 0, 15, 512)
-    f.sent_at = 0.5
     led.on_send(f, 0.5)
     led.on_delivery(f, 15, 0.5004596)
     text = led.trace_text()

@@ -48,7 +48,7 @@ def test_unicast_delivery_timing():
     sched.run_until(1.0)
     assert len(inbox[1]) == 1
     t, frame = inbox[1][0]
-    assert frame.sent_at == 0.0
+    assert tap.sends == [(frame, 0.0)]
     # 512 bytes at 10 Mbit/s is 409.6 us on the air, plus 50 us overhead
     assert t == pytest.approx(409.6e-6 + 50e-6, rel=1e-12)
     assert tap.deliveries[0][1] == 1
@@ -60,7 +60,7 @@ def test_sender_fifo_serializes_back_to_back_frames():
         radio.transmit(Frame("DATA", 0, 1, 512))
     sched.run_until(1.0)
     airtime = 512 * 8 / 10_000_000
-    sent = [f.sent_at for _, f in inbox[1]]
+    sent = [t for _, t in tap.sends]
     assert sent == pytest.approx([0.0, airtime, 2 * airtime])
     arrived = [t for t, _ in inbox[1]]
     assert arrived == pytest.approx([airtime + 50e-6, 2 * airtime + 50e-6, 3 * airtime + 50e-6])

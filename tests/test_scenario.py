@@ -12,6 +12,7 @@ from vanetsim import scenario
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
 from vanetsim.metrics import TRACE_BLOCK_LINES, parse_mobility_trace
+from vanetsim.mobility import FieldConfig
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -147,6 +148,25 @@ def test_build_simulation_hands_over_the_configs_own_objects():
         assert sim.waypoint is config.background_mobility
         params = config.protocol_params[protocol.lower()]
         assert all(agent.config is params for agent in sim.agents.values())
+
+
+def test_build_simulation_runs_on_the_configs_own_field():
+    builtin, loaded = builtin_scenario("long-distance", "AODV"), mini_config()
+    assert (builtin.field, loaded.field) == (FieldConfig(3000.0, 1600.0),
+                                             FieldConfig(1000.0, 600.0))
+    for config in (builtin, loaded):
+        assert build_simulation(config).mobility.field is config.field
+
+
+def test_out_of_field_errors_print_the_field_as_width_and_height():
+    with pytest.raises(ConfigError) as placed:
+        mini_config(placements=[[0, [100, 300]], [1, [1000, 700]]])
+    assert str(placed.value) == ("placements[1]: position (1000.0, 700.0) "
+                                 "outside field (1000.0, 600.0)")
+    with pytest.raises(ConfigError) as moved:
+        mini_config(motions=[[1, 2.0, [1001, 300], 5.0]])
+    assert str(moved.value) == ("motions[0][2]: destination (1001.0, 300.0) "
+                                "outside field (1000.0, 600.0)")
 
 
 @pytest.mark.parametrize("overrides, needle", [

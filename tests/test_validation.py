@@ -23,7 +23,7 @@ def route_entry(agent_class, next_hop):
     """A usable route to DEST through next_hop, in the agent's own table type."""
     if agent_class is AodvAgent:
         return RouteEntry(DEST, next_hop, 1, 2, math.inf, True, 0.0)
-    return DsdvEntry(DEST, next_hop, 1, 2, 0.0)
+    return DsdvEntry(DEST, next_hop, 1, 2)
 
 
 def agents_routing(agent_class, next_hops):
