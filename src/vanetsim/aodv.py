@@ -248,11 +248,13 @@ class AodvAgent(RoutingAgent):
 
     def _data_fail(self, frame: Frame) -> None:
         env = frame.payload
-        self.handle_link_failure(frame.dst, self.sched.now)
+        now = self.sched.now
+        self.handle_link_failure(frame.dst, now)
         if env.origin == self.node_id:
-            # our own packet: hold it and look for a fresh route
+            # our own packet: hold it and look for a fresh route; not lost
             self._buffer_and_discover(env.packet, env.dst)
-        # a relay drops it; the radio already recorded the loss
+        else:
+            self._drop(env.packet, now, "out-of-range")
 
     def _control_fail(self, frame: Frame) -> None:
         self.handle_link_failure(frame.dst, self.sched.now)

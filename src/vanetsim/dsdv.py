@@ -243,8 +243,10 @@ class DsdvAgent(RoutingAgent):
         return None
 
     def _data_fail(self, frame: Frame) -> None:
-        # the packet is gone (the radio logged it); poison the routes
-        self.handle_neighbor_loss(frame.dst, self.sched.now)
+        # the packet is gone; poison the routes through the lost neighbour
+        now = self.sched.now
+        self.handle_neighbor_loss(frame.dst, now)
+        self._drop(frame.payload.packet, now, "out-of-range")
 
     def handle_neighbor_loss(self, dead: int, now: float) -> None:
         changed = False

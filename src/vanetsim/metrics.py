@@ -1,8 +1,9 @@
 """Observation layer: delivery ledger, windowed metrics, trace formats.
 
-The ledger hangs off the radio as a tap and off the transport layer as a
-set of notification hooks. It never schedules events, so enabling it
-cannot change simulation behaviour. Series builders only read what the
+The ledger hangs off the radio as its tap, which the routing agents also
+report dropped data packets and paths to, and off the transport layer as
+a set of notification hooks. It never schedules events, so it cannot
+change simulation behaviour. Series builders only read what the
 ledger collected and may be called repeatedly.
 
 Windowed series tile [0, duration) with half-open windows [kW, (k+1)W)
@@ -204,16 +205,11 @@ class MetricsLedger:
                             receiver, size))
 
     def on_loss(self, frame, reason: str, t: float) -> None:
+        """Trace a frame the radio could not deliver; a lost data packet
+        is counted by ``on_flow_drop``, from the agent that drops it."""
         dst = frame.dst
         self._lines.append(("l", t, frame.kind, frame.trace_id, frame.src,
                             "*" if dst == -1 else dst, frame.size))
-        flow = getattr(frame.payload, "flow", None)
-        if frame.kind == "DATA" and flow is not None:
-            self._count_drop(flow, reason)
-
-    def _count_drop(self, flow: str, reason: str) -> None:
-        reasons = self._drops.setdefault(flow, {})
-        reasons[reason] = reasons.get(reason, 0) + 1
 
     # -- transport hooks ----------------------------------------------
 
@@ -240,7 +236,9 @@ class MetricsLedger:
         return True
 
     def on_flow_drop(self, flow: str, seq: int, t: float, reason: str) -> None:
-        self._count_drop(flow, reason)
+        """Count one lost data packet; its routing agent reports it once."""
+        reasons = self._drops.setdefault(flow, {})
+        reasons[reason] = reasons.get(reason, 0) + 1
 
     def on_cwnd(self, flow: str, t: float, value: float) -> None:
         self._cwnd.setdefault(flow, []).append((t, value))

@@ -157,6 +157,16 @@ class MobilityModel:
             (leg.dest[1] - leg.origin[1]) / d * leg.speed,
         )
 
+    def velocity_since(self, node_id: int, t: float) -> float:
+        """When the velocity the node has at t took effect: its last leg
+        start or arrival by t, or -inf if it has been at home throughout."""
+        plan = self._plan(node_id)
+        i = bisect.bisect_right(plan.starts, t)
+        if not i:
+            return -math.inf
+        leg = plan.legs[i - 1]
+        return leg.start_t if t < leg.arrival_t else leg.arrival_t
+
     def motion_breakpoints(self, node_id: int, from_t: float, to_t: float) -> list[float]:
         """Times in (from_t, to_t) where the node's velocity changes."""
         plan = self._plan(node_id)

@@ -18,6 +18,15 @@ from .engine import Scheduler
 from .mobility import MobilityModel
 
 BROADCAST = -1
+# metres either side of the range edge within which position rounding
+# can decide a range check
+EDGE_BAND = 1e-6
+
+
+def _together(va, vb) -> bool:
+    """Equal velocities up to rounding, as on parallel legs at one speed."""
+    return (abs(va[0] - vb[0]) + abs(va[1] - vb[1])
+            <= 1e-12 * (abs(va[0]) + abs(va[1])))
 
 
 @dataclass(frozen=True)
@@ -36,10 +45,6 @@ class RoutedPacket:
     packet: object
     hops: list = field(default_factory=list)  # relay nodes, in forwarding order
 
-    @property
-    def flow(self):
-        return self.packet.flow
-
 
 @dataclass(slots=True)
 class Frame:
@@ -52,14 +57,19 @@ class Frame:
 
 
 class RadioMedium:
+    """The shared channel. ``tap`` observes every send, reception and
+    loss, and the routing agents report their data drops and paths to it."""
+
     def __init__(
         self,
         sched: Scheduler,
         mobility: MobilityModel,
+        tap,
         config: Optional[RadioConfig] = None,
     ):
         self.sched = sched
         self.mobility = mobility
+        self.tap = tap
         self.config = config or RadioConfig()
         self._receivers: dict[int, Callable[[Frame], None]] = {}
         self._ids: list[int] = []  # registered ids, ascending
@@ -67,7 +77,6 @@ class RadioMedium:
         # settled node -> its settled neighbours, valid while _memo_key holds
         self._memo: dict[int, list[int]] = {}
         self._memo_key = None
-        self.tap = None
 
     def register(self, node_id: int, on_receive: Callable[[Frame], None]) -> None:
         if node_id not in self._receivers:
@@ -78,7 +87,24 @@ class RadioMedium:
 
     def in_range(self, a: int, b: int, t: float) -> bool:
         pos = self.mobility.position_at
-        return math.dist(pos(a, t), pos(b, t)) <= self.config.radio_range
+        d = math.dist(pos(a, t), pos(b, t))
+        r = self.config.radio_range
+        if abs(d - r) > EDGE_BAND:
+            return d <= r
+        return self._edge_in_range(a, b, t, d)
+
+    def _edge_in_range(self, a: int, b: int, t: float, d: float) -> bool:
+        """The range rule for a pair within EDGE_BAND of the edge, d apart
+        at t. A pair moving together keeps the distance it had when its
+        velocities took effect: between leg ends, interpolated positions
+        round that distance a few ulps either way, and would flicker."""
+        mob = self.mobility
+        if _together(mob.velocity_at(a, t), mob.velocity_at(b, t)):
+            since = max(mob.velocity_since(a, t), mob.velocity_since(b, t))
+            if since > -math.inf:
+                pos = mob.position_at
+                d = math.dist(pos(a, since), pos(b, since))
+        return d <= self.config.radio_range
 
     def neighbors(self, node_id: int, t: float) -> list[int]:
         """Registered nodes other than node_id in range at t, ascending.
@@ -92,10 +118,14 @@ class RadioMedium:
         dist = math.dist
         r = self.config.radio_range
         p = position_at(node_id, t)
+        lo, hi = r - EDGE_BAND, r + EDGE_BAND
+        edge = self._edge_in_range
 
         def near(ids):
-            return [o for o in ids
-                    if o != node_id and dist(p, position_at(o, t)) <= r]
+            # in_range's rule, with its edge case inline
+            return [o for o in ids if o != node_id
+                    and (d := dist(p, position_at(o, t))) <= hi
+                    and (d < lo or edge(node_id, o, t, d))]
 
         moving = self.mobility.moving_at(t)
         if node_id in moving:
@@ -130,35 +160,30 @@ class RadioMedium:
 
     def _launch(self, frame: Frame, on_fail, airtime: float) -> None:
         now = self.sched.now
-        if self.tap is not None:
-            self.tap.on_send(frame, now)
+        tap = self.tap
+        tap.on_send(frame, now)
         deliver_at = now + airtime + self.config.per_hop_overhead
         dst = frame.dst
         if dst != BROADCAST:
             if dst in self._receivers and self.in_range(frame.src, dst, now):
                 def deliver():
-                    if self.tap is not None:
-                        self.tap.on_delivery(frame, dst, deliver_at)
+                    tap.on_delivery(frame, dst, deliver_at)
                     self._receivers[dst](frame)
 
                 self.sched.schedule(deliver_at, "rx", dst, deliver)
                 return
-            if self.tap is not None:
-                self.tap.on_loss(frame, "out-of-range", now)
+            tap.on_loss(frame, "out-of-range", now)
             if on_fail is not None:
                 on_fail(frame)
             return
         targets = self.neighbors(frame.src, now)
         if not targets:
-            if self.tap is not None:
-                self.tap.on_loss(frame, "no-neighbors", now)
+            tap.on_loss(frame, "no-neighbors", now)
             return
 
         def deliver_all():
-            tap = self.tap
             for target in targets:
-                if tap is not None:
-                    tap.on_delivery(frame, target, deliver_at)
+                tap.on_delivery(frame, target, deliver_at)
                 self._receivers[target](frame)
 
         self.sched.schedule(deliver_at, "rx", dst, deliver_all)
@@ -167,7 +192,8 @@ class RadioMedium:
         """Earliest time >= from_t at which a and b are out of range.
 
         Out of range is what ``in_range`` says: ``math.dist`` above the
-        range. Solved analytically from the two motion plans: within each
+        range, read for a pair moving together where its velocities took
+        effect. Solved analytically from the two motion plans: within each
         span of constant velocities the squared distance is quadratic in
         time, so the exit is a closed-form root. Returns from_t if already
         out of range, math.inf if never.
@@ -178,10 +204,10 @@ class RadioMedium:
                                        + breakpoints(b, from_t, math.inf)))
         for i, seg_start in enumerate(starts):
             seg_len = (starts[i + 1] - seg_start) if i + 1 < len(starts) else math.inf
+            if not self.in_range(a, b, seg_start):
+                return seg_start
             pa = position_at(a, seg_start)
             pb = position_at(b, seg_start)
-            if math.dist(pa, pb) > self.config.radio_range:
-                return seg_start
             t_hit = self._segment_break(a, b, pa, pb, seg_start, seg_len)
             if t_hit is not None:
                 return t_hit
@@ -197,8 +223,8 @@ class RadioMedium:
         qa = vx * vx + vy * vy
         qb = 2 * (dx * vx + dy * vy)
         qc = dx * dx + dy * dy - self.config.radio_range**2
-        if qa == 0.0:
-            return None
+        if _together(va, vb):
+            return None  # the distance in_range reads holds all span
         # a pair on the edge may square to just outside it, which can sink
         # the discriminant below 0 (it leaves at the vertex) or the exit
         # root below 0 (it leaves now)

@@ -11,7 +11,8 @@ route's lifetime and its link watch). Beside it come ``route_lookup``, the
 same answer as a side-effect-free read for auditors and tools, what to do
 when there is no route (``_no_route``), what a failed unicast means
 (``_data_fail``), and the protocol's own control frames, dispatched from
-``on_frame``. Each dropped data packet is reported with its reason.
+``on_frame``. The agent is the one place that declares a data packet
+lost: each drop is reported once, with its reason, to the radio's tap.
 """
 
 from .radio import Frame, RoutedPacket
@@ -24,13 +25,12 @@ class RoutingAgent:
     config_class = None
 
     def __init__(self, sched, radio, node_id, config=None, deliver_up=None,
-                 ledger=None, auditor=None):
+                 auditor=None):
         self.sched = sched
         self.radio = radio
         self.node_id = node_id
         self.config = config or self.config_class()
         self.deliver_up = deliver_up
-        self.ledger = ledger
         self.auditor = auditor
         self.table = {}
         self.own_seq = 0
@@ -46,8 +46,8 @@ class RoutingAgent:
     def _handle_data(self, env: RoutedPacket, now: float) -> None:
         if env.dst == self.node_id:
             packet = env.packet
-            if packet.kind == "DATA" and self.ledger is not None:
-                self.ledger.on_path(
+            if packet.kind == "DATA":
+                self.radio.tap.on_path(
                     packet.flow, [env.origin, *env.hops, self.node_id], now)
             self.deliver_up(packet, now)
             return
@@ -68,8 +68,8 @@ class RoutingAgent:
         self._drop(env.packet, now, "no-route")
 
     def _drop(self, packet, now: float, reason: str) -> None:
-        if packet.kind == "DATA" and self.ledger is not None:
-            self.ledger.on_flow_drop(packet.flow, packet.seq, now, reason)
+        if packet.kind == "DATA":
+            self.radio.tap.on_flow_drop(packet.flow, packet.seq, now, reason)
 
     def _note_mutation(self, dest: int) -> None:
         if self.auditor is not None:

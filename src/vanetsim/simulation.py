@@ -49,11 +49,11 @@ class Simulation:
         agent_class = PROTOCOLS[protocol]
         self.protocol = protocol
         self.seed = seed
+        self.ledger = MetricsLedger()
         self.sched = Scheduler()
         self.mobility = MobilityModel(field)
-        self.radio = RadioMedium(self.sched, self.mobility, radio_config)
-        self.ledger = MetricsLedger()
-        self.radio.tap = self.ledger
+        self.radio = RadioMedium(self.sched, self.mobility, self.ledger,
+                                 radio_config)
         self.agents = {}
         self.route_auditor = RouteAuditor(
             self.agents, check_parity=agent_class.proactive) if auditing else None
@@ -64,8 +64,7 @@ class Simulation:
             self.mobility.add_node(node, x, y)
             self.agents[node] = agent_class(
                 self.sched, self.radio, node, config=protocol_config,
-                deliver_up=self._deliver_for(node), ledger=self.ledger,
-                auditor=self.route_auditor)
+                deliver_up=self._deliver, auditor=self.route_auditor)
 
         self.rng = seeded_rng(seed)
         if agent_class.proactive:
@@ -77,10 +76,9 @@ class Simulation:
         for cfg in flows:
             self.sources[cfg.flow] = TcpSource(
                 self.sched, cfg, self.agents[cfg.src].send_packet,
-                ledger=self.ledger, auditor=self.transport_auditor)
+                self.ledger, auditor=self.transport_auditor)
             self.sinks[cfg.flow] = TcpSink(
-                self.sched, cfg, self.agents[cfg.sink].send_packet,
-                ledger=self.ledger)
+                self.sched, cfg, self.agents[cfg.sink].send_packet, self.ledger)
             self.sources[cfg.flow].start()
 
         self.motions = tuple(motions)
@@ -102,13 +100,12 @@ class Simulation:
             pos = self.mobility.position_at(node, 0.0)
             self.ledger.on_motion_state(0.0, node, pos, pos, 0.0)
 
-    def _deliver_for(self, node):
-        def deliver(packet, now):
-            if packet.kind == "DATA":
-                self.sinks[packet.flow].on_data(packet, now)
-            else:
-                self.sources[packet.flow].on_ack(packet.seq, now)
-        return deliver
+    def _deliver(self, packet, now: float) -> None:
+        """Every agent's deliver_up: a packet reached its flow's endpoint."""
+        if packet.kind == "DATA":
+            self.sinks[packet.flow].on_data(packet, now)
+        else:
+            self.sources[packet.flow].on_ack(packet.seq, now)
 
     def _apply_motion(self, motion: Motion) -> None:
         now = self.sched.now

@@ -96,7 +96,7 @@ class DeliveredSeqs:
 
 
 class TcpSource:
-    def __init__(self, sched, config: FlowConfig, route_send, ledger=None, auditor=None):
+    def __init__(self, sched, config: FlowConfig, route_send, ledger, auditor=None):
         self.sched = sched
         self.config = config
         self.route_send = route_send
@@ -107,7 +107,7 @@ class TcpSource:
         self.rto = INITIAL_RTO
         self.next_seq = 0
         self.highest_acked = -1
-        self.in_flight: dict[int, float] = {}  # seq -> last handoff time
+        self.in_flight: set[int] = set()
         self.pending: list[int] = []  # timed-out seqs awaiting retransmission
         self.complete = False
         self._timer = None
@@ -138,9 +138,8 @@ class TcpSource:
 
     def _send(self, seq: int) -> None:
         now = self.sched.now
-        self.in_flight[seq] = now
-        if self.ledger is not None:
-            self.ledger.on_data_handoff(self.config.flow, seq, now)
+        self.in_flight.add(seq)
+        self.ledger.on_data_handoff(self.config.flow, seq, now)
         if self._timer is None:
             self._arm_timer()
         self.route_send(
@@ -168,7 +167,7 @@ class TcpSource:
         self.cwnd = 1.0
         self._sample_cwnd()
         self.rto = min(max(self.rto * 2, RTO_MIN), RTO_MAX)
-        self.pending = sorted(set(self.pending) | set(self.in_flight))
+        self.pending = sorted(self.in_flight.union(self.pending))
         self.in_flight.clear()
         self._send(self.pending.pop(0))
         self._audit()
@@ -181,7 +180,7 @@ class TcpSource:
         if ack <= self.highest_acked:
             return
         self.highest_acked = ack
-        self.in_flight = {s: t for s, t in self.in_flight.items() if s > ack}
+        self.in_flight = {s for s in self.in_flight if s > ack}
         self.pending = [s for s in self.pending if s > ack]
         self.rto = INITIAL_RTO
         if self.cwnd < self.ssthresh:
@@ -203,8 +202,7 @@ class TcpSource:
     # -- bookkeeping ------------------------------------------------------
 
     def _sample_cwnd(self) -> None:
-        if self.ledger is not None:
-            self.ledger.on_cwnd(self.config.flow, self.sched.now, self.cwnd)
+        self.ledger.on_cwnd(self.config.flow, self.sched.now, self.cwnd)
 
     def _audit(self) -> None:
         if self.auditor is not None:
@@ -212,7 +210,7 @@ class TcpSource:
 
 
 class TcpSink:
-    def __init__(self, sched, config: FlowConfig, route_send, ledger=None):
+    def __init__(self, sched, config: FlowConfig, route_send, ledger):
         self.sched = sched
         self.config = config
         self.route_send = route_send
@@ -222,10 +220,9 @@ class TcpSink:
     def on_data(self, packet: DataPacket, now: float) -> None:
         if packet.seq not in self.received:
             self.received.add(packet.seq)
-            if self.ledger is not None:
-                self.ledger.on_sink_delivery(
-                    self.config.flow, packet.seq, packet.size, now
-                )
+            self.ledger.on_sink_delivery(
+                self.config.flow, packet.seq, packet.size, now
+            )
         self.route_send(
             AckPacket(self.config.flow, self.received.floor - 1, self.config.ack_size),
             self.config.src,

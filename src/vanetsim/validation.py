@@ -66,7 +66,7 @@ class TransportAuditor:
         flow = src.config.flow
         if len(src.in_flight) > int(src.cwnd):
             self.violations.append((flow, "window overrun", len(src.in_flight), src.cwnd))
-        in_f = set(src.in_flight)
+        in_f = src.in_flight
         pend = set(src.pending)
         if in_f & pend:
             self.violations.append((flow, "seq in two states", sorted(in_f & pend)))

@@ -15,7 +15,8 @@ import pytest
 from vanetsim.aodv import AodvAgent
 from vanetsim.dsdv import DsdvAgent, DsdvConfig
 from vanetsim.engine import Scheduler, seeded_rng
-from vanetsim.metrics import format_motion_line, parse_mobility_trace
+from vanetsim.metrics import (MetricsLedger, format_motion_line,
+                              parse_mobility_trace)
 from vanetsim.mobility import FieldConfig, MobilityModel
 from vanetsim.radio import RadioMedium
 from vanetsim.scenario import build_simulation, builtin_scenario, compare, run
@@ -148,7 +149,7 @@ def _static_world(side, pos):
     mobility = MobilityModel(FieldConfig(side, side))
     for node, (x, y) in pos.items():
         mobility.add_node(node, x, y)
-    return sched, RadioMedium(sched, mobility)
+    return sched, RadioMedium(sched, mobility, MetricsLedger())
 
 
 # -- exact property suites ---------------------------------------------------

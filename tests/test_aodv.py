@@ -48,9 +48,8 @@ class FrameLog:
 def build(positions, config=None):
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
     log = FrameLog()
-    radio.tap = log
+    radio = RadioMedium(sched, mob, log)
     delivered = []
     agents = {}
     for node_id, (x, y) in positions.items():
@@ -58,7 +57,6 @@ def build(positions, config=None):
         agents[node_id] = AodvAgent(
             sched, radio, node_id, config=config,
             deliver_up=lambda pkt, now, n=node_id: delivered.append((n, pkt, now)),
-            ledger=log,
         )
     return sched, mob, radio, agents, delivered, log
 

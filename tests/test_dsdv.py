@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vanetsim.dsdv import INFINITE, DsdvAgent, DsdvConfig, DsdvEntry, DsdvUpdate
 from vanetsim.engine import Scheduler
+from vanetsim.metrics import MetricsLedger
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import RadioMedium
 from vanetsim.transport import DataPacket
@@ -52,7 +53,7 @@ def build(positions, config=None, start=True):
     """One agent per position, all broadcasting on the same schedule."""
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
+    radio = RadioMedium(sched, mob, MetricsLedger())
     agents = {}
     delivered = []
     for node, pos in sorted(positions.items()):
@@ -71,7 +72,7 @@ def agent_with_listener(config=None):
     """A single agent at node 0 plus a passive listener in range at node 9."""
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
+    radio = RadioMedium(sched, mob, MetricsLedger())
     mob.add_node(0, 100.0, 400.0)
     mob.add_node(9, 250.0, 400.0)
     agent = DsdvAgent(sched, radio, 0, config=config)
@@ -161,7 +162,7 @@ def test_adoption_order_independent_of_arrival(rows, order):
     """
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
+    radio = RadioMedium(sched, mob, MetricsLedger())
     mob.add_node(0, 100.0, 100.0)
     agent = DsdvAgent(sched, radio, 0)
     shuffled = list(rows)
@@ -306,7 +307,7 @@ def test_agent_matches_reference_rules(steps):
     cfg = DsdvConfig()
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
+    radio = RadioMedium(sched, mob, MetricsLedger())
     mob.add_node(0, 100.0, 100.0)
     log = MutationLog()
     agent = DsdvAgent(sched, radio, 0, config=cfg, auditor=log)
@@ -582,10 +583,10 @@ def test_data_follows_converged_routes():
 def test_no_route_drops_data_with_flow_loss():
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
-    mob.add_node(0, 100.0, 400.0)
     ledger = LedgerStub()
-    agent = DsdvAgent(sched, radio, 0, ledger=ledger)
+    radio = RadioMedium(sched, mob, ledger)
+    mob.add_node(0, 100.0, 400.0)
+    agent = DsdvAgent(sched, radio, 0)
     agent.send_packet(DataPacket("f0", 3, 512), 7)
     assert ledger.drops == [("f0", 3, 0.0)]
     assert ledger.reasons == ["no-route"]

@@ -357,22 +357,21 @@ def test_ledger_emits_interleaved_trace_lines():
 
 def test_broadcast_trace_lines_use_star_and_loss_marks_flow():
     led = MetricsLedger()
-
-    class Payload:
-        flow = "f1"
-        seq = 12
-
     f = Frame("RREQ", 1, -1, 64)
     led.on_send(f, 1.0)
     led.on_loss(f, "no-neighbors", 1.0)
-    d = Frame("DATA", 1, 2, 512, payload=Payload())
+    d = Frame("DATA", 1, 2, 512)
     led.on_send(d, 1.1)
     led.on_loss(d, "out-of-range", 1.1)
     lines = led.trace_text().splitlines()
     assert lines[0] == "s 1.0000000 RREQ 0 1 * 64"
     assert lines[1] == "l 1.0000000 RREQ 0 1 * 64"
     assert lines[3] == "l 1.1000000 DATA 1 1 2 512"
+    # the radio's loss only traces the frame; the dropping agent counts it
+    assert led.flow_summary("f1", 1.0)["lost"] == 0
+    led.on_flow_drop("f1", 12, 1.1, "out-of-range")
     assert led.flow_summary("f1", 1.0)["lost"] == 1
+    assert led.drops_by_reason("f1") == {"out-of-range": 1}
 
 
 def _fstring_line(op, t, kind, trace_id, src, dst, size):

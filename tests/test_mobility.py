@@ -113,6 +113,15 @@ def test_velocity_reports_leg_direction_and_zero_when_parked():
     assert m.velocity_at(1, 100.0) == (0.0, 0.0)
 
 
+def test_velocity_since_is_the_last_leg_edge():
+    m = make_model()
+    m.add_node(1, 0.0, 0.0)
+    a1 = m.set_motion(1, (100.0, 0.0), 10.0, 2.0)
+    m.set_motion(1, (0.0, 0.0), 10.0, a1 + 1.0)
+    got = [m.velocity_since(1, t) for t in (0.0, 2.0, 5.0, 12.0, 12.5, 13.0, 20.0, 99.0)]
+    assert got == [-math.inf, 2.0, 2.0, 12.0, 12.0, 13.0, 13.0, 23.0]
+
+
 def test_motion_breakpoints_lists_leg_edges_within_range():
     m = make_model()
     m.add_node(1, 0.0, 0.0)

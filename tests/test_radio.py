@@ -4,7 +4,7 @@ import bisect
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim.engine import Scheduler
@@ -31,14 +31,13 @@ class TapRecorder:
 def build(positions):
     sched = Scheduler()
     mob = MobilityModel()
-    radio = RadioMedium(sched, mob)
+    tap = TapRecorder()
+    radio = RadioMedium(sched, mob, tap)
     inbox = {}
     for node_id, (x, y) in positions.items():
         mob.add_node(node_id, x, y)
         inbox[node_id] = []
         radio.register(node_id, lambda f, n=node_id: inbox[n].append((sched.now, f)))
-    tap = TapRecorder()
-    radio.tap = tap
     return sched, mob, radio, inbox, tap
 
 
@@ -345,6 +344,20 @@ def test_link_break_for_edge_pair_when_one_node_drives_off(along, left, leaves):
         assert t_break == math.inf
 
 
+# two nodes drive to (600, 0) at 10 m/s from 250 m apart; their legs
+# differ in length, so their positions round apart between leg ends
+def test_pair_driving_together_on_the_edge_stays_in_range():
+    sched, mob, radio, inbox, tap = build({0: (0.0, 0.0), 1: (250.0, 0.0)})
+    for node in (0, 1):
+        mob.set_motion(node, (600.0, 0.0), 10.0, 3.0)
+    samples = [3.0 + i * 0.034 for i in range(1100)]
+    assert any(math.dist(mob.position_at(0, t), mob.position_at(1, t)) > 250.0
+               for t in samples)
+    assert all(radio.in_range(0, 1, t) for t in samples)
+    assert all(radio.neighbors(0, t) == [1] for t in samples)
+    assert radio.link_break_time(0, 1, 34.0) == math.inf
+
+
 def check_break_against_sampling(spots, plans, from_share):
     """link_break_time agrees with in_range sampled densely over the plans."""
     sched, mob, radio, inbox, tap = build(dict(enumerate(spots)))
@@ -424,6 +437,51 @@ LATTICE_SPOT = st.tuples(LATTICE_X, LATTICE_Y)
 @example(spots=((50.0, 0.0), (300.0, 0.0)),
          plans=([(0.0, 0.0, 0.0, 10.0)], [(0.0, 0.0, 0.0, 10.0)]),
          from_share=0.0)
+@example(spots=((0.0, 0.0), (250.0, 0.0)),
+         plans=([(3.0, 600.0, 0.0, 10.0)], [(3.0, 600.0, 0.0, 10.0)]),
+         from_share=0.5)
 def test_link_break_time_agrees_with_dense_sampling_on_a_lattice(
         spots, plans, from_share):
     check_break_against_sampling(spots, plans, from_share)
+
+
+# two nodes exactly 250 m apart that drive the same way at one speed,
+# on legs of different lengths; the sampled distance rounds either side
+# of 250 m, and parallel legs of different lengths may get velocities a
+# rounding step apart
+EDGE_OFFSETS = [(250, 0), (0, 250), (150, 200), (200, 150), (-150, 200),
+                (-200, 150), (-250, 0), (0, -250), (150, -200), (-200, -150)]
+
+
+@st.composite
+def pairs_driving_together(draw):
+    ox, oy = draw(st.sampled_from(EDGE_OFFSETS))
+    dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-3, 3))
+    assume((dx, dy) != (0, 0))
+    k0, k1 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    # the four points relative to node 0's spot, placed to fit the field
+    rel = [(0, 0), (ox, oy), (50 * dx * k0, 50 * dy * k0),
+           (ox + 50 * dx * k1, oy + 50 * dy * k1)]
+    xs, ys = [x for x, _ in rel], [y for _, y in rel]
+    assume(max(xs) - min(xs) <= 600 and max(ys) - min(ys) <= 400)
+    x0 = 50.0 * draw(st.integers(-min(xs) // 50, (600 - max(xs)) // 50))
+    y0 = 50.0 * draw(st.integers(-min(ys) // 50, (400 - max(ys)) // 50))
+    spots = ((x0, y0), (x0 + ox, y0 + oy))
+    pause = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    speed = draw(st.sampled_from([5.0, 10.0, 20.0]))
+    plans = ([(pause, x0 + rel[2][0], y0 + rel[2][1], speed)],
+             [(pause, x0 + rel[3][0], y0 + rel[3][1], speed)])
+    return spots, plans
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=pairs_driving_together(), from_share=st.sampled_from([0.0, 0.25, 0.5]))
+@example(pair=(((100.0, 100.0), (250.0, 300.0)),
+               ([(0.0, 550.0, 400.0, 5.0)], [(0.0, 400.0, 400.0, 5.0)])),
+         from_share=0.0)
+@example(pair=(((250.0, 250.0), (0.0, 250.0)),
+               ([(3.0, 550.0, 400.0, 5.0)], [(3.0, 100.0, 300.0, 5.0)])),
+         from_share=0.25)
+def test_link_break_time_agrees_with_dense_sampling_for_pairs_driving_together(
+        pair, from_share):
+    check_break_against_sampling(*pair, from_share)

@@ -3,6 +3,7 @@
 import pytest
 
 from vanetsim.engine import Scheduler
+from vanetsim.metrics import MetricsLedger
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import Frame, RadioMedium, RoutedPacket
 from vanetsim.simulation import PROTOCOLS
@@ -38,20 +39,20 @@ class Recorder:
         self.paths.append((flow, tuple(chain)))
 
 
-def chain(name):
-    """Agents of one protocol on a three-node line, routes converged."""
+def chain(name, log=None):
+    """Agents of one protocol on a three-node line, routes converged; log
+    (a Recorder unless given) is the radio's tap."""
     agent_class = PROTOCOLS[name]
     sched = Scheduler()
     mobility = MobilityModel()
-    radio = RadioMedium(sched, mobility)
-    log = Recorder()
-    radio.tap = log
+    log = Recorder() if log is None else log
+    radio = RadioMedium(sched, mobility, log)
     delivered = []
     agents = {}
     for node, (x, y) in CHAIN.items():
         mobility.add_node(node, x, y)
         agents[node] = agent_class(
-            sched, radio, node, ledger=log,
+            sched, radio, node,
             deliver_up=lambda pkt, now, n=node: delivered.append((n, pkt)))
     if agent_class.proactive:
         for agent in agents.values():
@@ -116,3 +117,34 @@ def test_unicast_to_a_departed_next_hop_fails_synchronously(name):
     # both before send_packet returns
     assert failed == [1]
     assert log.losses[lost] == ("DATA", "out-of-range")
+
+
+# what a failed data unicast costs its flow: a relay, or a DSDV origin,
+# drops the packet; an AODV origin holds it for a fresh discovery, which
+# on this line runs out
+LOST_AT_ORIGIN = {"AODV": {"discovery-exhausted": 1},
+                  "DSDV": {"out-of-range": 1}}
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+@pytest.mark.parametrize("at", ["origin", "relay"])
+def test_a_failed_data_unicast_is_counted_lost_once(name, at):
+    ledger = MetricsLedger()
+    sched, agents, _log, delivered = chain(name, ledger)
+    if not agents[0].proactive:
+        agents[0].send_packet(DataPacket("f0", 0, 512), 2)
+        sched.run_until(sched.now + 1.0)
+    # the sender's next hop races north, out of range within 0.5 s
+    gone = 1 if at == "origin" else 2
+    mobility = agents[0].radio.mobility
+    mobility.set_motion(gone, (CHAIN[gone][0], 1500.0), 1000.0, sched.now)
+    sched.run_until(sched.now + 0.5)
+    packet = DataPacket("f0", 1, 512)
+    if at == "origin":
+        agents[0].send_packet(packet, 2)
+    else:
+        agents[1].on_frame(Frame("DATA", 0, 1, 512, RoutedPacket(0, 2, packet)))
+    sched.run_until(sched.now + 60.0)
+    assert packet not in [pkt for _n, pkt in delivered]
+    expected = LOST_AT_ORIGIN[name] if at == "origin" else {"out-of-range": 1}
+    assert ledger.drops_by_reason("f0") == expected

@@ -51,7 +51,7 @@ class Auditor:
         self.checks += 1
 
 
-def make_pair(sched, cfg, ledger=None, auditor=None, drop_data=None,
+def make_pair(sched, cfg, ledger, auditor=None, drop_data=None,
               drop_ack=None, latency=0.001):
     """Source and sink joined by a fixed-latency wire with optional drops."""
     ends = {}
@@ -129,7 +129,7 @@ def test_slow_start_then_congestion_avoidance():
 def test_timeout_multiplicative_decrease():
     sched = Scheduler()
     cfg = FlowConfig("f0", 0, 15, 0.0, 0.1, max_packets=100)
-    src = TcpSource(sched, cfg, lambda pkt, dest: None)
+    src = TcpSource(sched, cfg, lambda pkt, dest: None, LedgerStub())
     src.start()
     src.cwnd = 16.0
     sched.run_until(1.5)  # first rto fires at 1.0
@@ -140,7 +140,7 @@ def test_timeout_multiplicative_decrease():
 def test_rto_resets_on_new_ack():
     sched = Scheduler()
     cfg = FlowConfig("f0", 0, 15, 0.0, 0.1)
-    src = TcpSource(sched, cfg, lambda pkt, dest: None)
+    src = TcpSource(sched, cfg, lambda pkt, dest: None, LedgerStub())
     src.start()
     sched.run_until(10.0)
     assert src.rto > INITIAL_RTO
@@ -151,10 +151,10 @@ def test_rto_resets_on_new_ack():
 def test_stale_ack_is_ignored():
     sched = Scheduler()
     cfg = FlowConfig("f0", 0, 15, 0.0, 0.1)
-    src = TcpSource(sched, cfg, lambda pkt, dest: None)
+    src = TcpSource(sched, cfg, lambda pkt, dest: None, LedgerStub())
     src.start()
     sched.run_until(0.2)
-    before = (src.cwnd, src.highest_acked, dict(src.in_flight))
+    before = (src.cwnd, src.highest_acked, set(src.in_flight))
     src.on_ack(-1, sched.now)
     assert (src.cwnd, src.highest_acked, src.in_flight) == before
 
@@ -163,7 +163,8 @@ def test_sink_cumulative_ack_values():
     sched = Scheduler()
     cfg = FlowConfig("f0", 0, 15, 0.0, 0.1)
     acks = []
-    sink = TcpSink(sched, cfg, lambda pkt, dest: acks.append(pkt.seq))
+    sink = TcpSink(sched, cfg, lambda pkt, dest: acks.append(pkt.seq),
+                   LedgerStub())
     for seq in range(5):
         sink.on_data(DataPacket("f0", seq, 512), 0.0)
     assert acks == [0, 1, 2, 3, 4]
@@ -179,7 +180,7 @@ def test_sink_cumulative_ack_values():
 def test_in_order_flow_keeps_no_out_of_order_seqs():
     sched = Scheduler()
     cfg = FlowConfig("f0", 0, 15, 0.0, 0.1, max_packets=30)
-    src, sink = make_pair(sched, cfg)
+    src, sink = make_pair(sched, cfg, LedgerStub())
     others = []
 
     def on_data(pkt, now, receive=sink.on_data):

@@ -11,6 +11,7 @@ import pytest
 from vanetsim.aodv import AodvAgent, RouteEntry
 from vanetsim.dsdv import DsdvAgent, DsdvEntry
 from vanetsim.engine import Scheduler
+from vanetsim.metrics import MetricsLedger
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import RadioMedium
 from vanetsim.transport import FlowConfig, TcpSource
@@ -30,7 +31,7 @@ def agents_routing(agent_class, next_hops):
     """Agents whose routes to DEST follow next_hops (node -> next hop)."""
     sched = Scheduler()
     mobility = MobilityModel()
-    radio = RadioMedium(sched, mobility)
+    radio = RadioMedium(sched, mobility, MetricsLedger())
     agents = {}
     for node, hop in next_hops.items():
         mobility.add_node(node, 100.0 * (node + 1), 100.0)
@@ -63,9 +64,9 @@ def test_route_auditor_reports_broken_sequence_parity():
 def source(cwnd, in_flight, pending, highest_acked, next_seq):
     """A flow of ten packets with its window state set by hand."""
     src = TcpSource(Scheduler(), FlowConfig("f0", 0, 1, max_packets=10),
-                    route_send=lambda packet: None)
+                    route_send=lambda packet: None, ledger=MetricsLedger())
     src.cwnd = cwnd
-    src.in_flight = dict.fromkeys(in_flight, 0.0)
+    src.in_flight = set(in_flight)
     src.pending = list(pending)
     src.highest_acked = highest_acked
     src.next_seq = next_seq
