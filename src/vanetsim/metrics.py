@@ -29,13 +29,15 @@ formatting runs a block at a time. A ledger keeps its blocks for
 ``trace_text()``, or, once
 ``trace_lines.stream_to(write)`` is called, hands each block to ``write``
 and keeps none, so a run that writes ``trace.txt`` holds at most one
-block of trace text. Each node's receptions are two ``array('d')``s
-(times, bits); bit counts are integers below 2**53, so each converts to a
-float exactly and the bandwidth sums equal those over the ints. A
-sequence's handoff times are dropped at its first delivery, and each
-flow's delivered sequences are a contiguous floor plus a sparse set, so
-delivery bookkeeping grows with the sequences still in flight, not with
-the run.
+block of trace text. Receptions are logged only at the sinks a ledger is
+built with, the only nodes whose bandwidth a run reports; asking for any
+other node's raises ValueError. Each sink's receptions are two
+``array('d')``s (times, bits); bit counts are integers below 2**53, so
+each converts to a float exactly and the bandwidth sums equal those over
+the ints. A sequence's handoff times are dropped at its first delivery,
+and each flow's delivered sequences are a contiguous floor plus a sparse
+set, so delivery bookkeeping grows with the sequences still in flight,
+not with the run.
 """
 
 import math
@@ -166,7 +168,7 @@ def _nudge_ties(points):
 
 
 class MetricsLedger:
-    def __init__(self):
+    def __init__(self, sinks=()):
         self.trace_lines = TraceLines()
         # lines and records go straight onto the pending list, one plain
         # list.append each
@@ -179,8 +181,9 @@ class MetricsLedger:
         self._drops: dict[str, dict[str, int]] = {}  # flow -> reason -> count
         self._cwnd: dict[str, list] = {}
         self._paths: dict[str, list] = {}  # flow -> [(t, node chain)]
-        # node -> (times, frame bits) of every reception
-        self._received = defaultdict(lambda: (array("d"), array("d")))
+        # sink -> (times, frame bits) of every reception there; no other
+        # node's receptions are kept
+        self._received = {node: (array("d"), array("d")) for node in sinks}
 
     # -- radio tap ---------------------------------------------------
 
@@ -197,10 +200,11 @@ class MetricsLedger:
             self.trace_lines.pack()
 
     def on_delivery(self, frame, receiver: int, t: float) -> None:
-        times, bits = self._received[receiver]
-        times.append(t)
         size = frame.size
-        bits.append(size * 8)
+        log = self._received.get(receiver)
+        if log is not None:
+            log[0].append(t)
+            log[1].append(size * 8)
         self._lines.append(("r", t, frame.kind, frame.trace_id, frame.src,
                             receiver, size))
 
@@ -309,8 +313,12 @@ class MetricsLedger:
         return MetricSeries(_nudge_ties(self._cwnd.get(flow, [])), "packets")
 
     def _receptions(self, node):
-        """(t, bits) pairs of every frame node received, in order."""
-        return zip(*self._received.get(node, ((), ())))
+        """(t, bits) pairs of every frame the sink node received, in order."""
+        log = self._received.get(node)
+        if log is None:
+            raise ValueError(f"node {node} is not a sink: its receptions "
+                             "are not recorded")
+        return zip(*log)
 
     def bandwidth_series(self, node, duration, window=1.0) -> MetricSeries:
         return self._bit_rate(self._receptions(node), duration, window)

@@ -24,7 +24,7 @@ class RoutingAgent:
     proactive = False
     config_class = None
 
-    def __init__(self, sched, radio, node_id, config=None, deliver_up=None,
+    def __init__(self, sched, radio, node_id, config=None, *, deliver_up,
                  auditor=None):
         self.sched = sched
         self.radio = radio

@@ -49,7 +49,7 @@ class Simulation:
         agent_class = PROTOCOLS[protocol]
         self.protocol = protocol
         self.seed = seed
-        self.ledger = MetricsLedger()
+        self.ledger = MetricsLedger({cfg.sink for cfg in flows})
         self.sched = Scheduler()
         self.mobility = MobilityModel(field)
         self.radio = RadioMedium(self.sched, self.mobility, self.ledger,

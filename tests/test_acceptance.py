@@ -232,7 +232,8 @@ def test_c03_proactive_tables_converge_to_shortest_paths(topologies):
     for i, (side, pos, dists, diameter) in enumerate(topologies):
         sched, radio = _static_world(side, pos)
         config = DsdvConfig()
-        agents = {node: DsdvAgent(sched, radio, node, config=config)
+        agents = {node: DsdvAgent(sched, radio, node, config=config,
+                                  deliver_up=lambda p, t: None)
                   for node in sorted(pos)}
         for agent in agents.values():
             agent.start(0.0)

@@ -75,7 +75,8 @@ def agent_with_listener(config=None):
     radio = RadioMedium(sched, mob, MetricsLedger())
     mob.add_node(0, 100.0, 400.0)
     mob.add_node(9, 250.0, 400.0)
-    agent = DsdvAgent(sched, radio, 0, config=config)
+    agent = DsdvAgent(sched, radio, 0, config=config,
+                      deliver_up=lambda packet, now: None)
     log = UpdateLog(sched, radio, 9)
     return sched, agent, log
 
@@ -164,7 +165,7 @@ def test_adoption_order_independent_of_arrival(rows, order):
     mob = MobilityModel()
     radio = RadioMedium(sched, mob, MetricsLedger())
     mob.add_node(0, 100.0, 100.0)
-    agent = DsdvAgent(sched, radio, 0)
+    agent = DsdvAgent(sched, radio, 0, deliver_up=lambda packet, now: None)
     shuffled = list(rows)
     order.shuffle(shuffled)
     for seq, metric in shuffled:
@@ -310,7 +311,8 @@ def test_agent_matches_reference_rules(steps):
     radio = RadioMedium(sched, mob, MetricsLedger())
     mob.add_node(0, 100.0, 100.0)
     log = MutationLog()
-    agent = DsdvAgent(sched, radio, 0, config=cfg, auditor=log)
+    agent = DsdvAgent(sched, radio, 0, config=cfg, auditor=log,
+                      deliver_up=lambda packet, now: None)
     # no scheduler runs: the clock is set by hand, the next periodic update
     # and any deferred trigger are dropped, and sent updates are captured
     agent.sched = Clock()
@@ -586,7 +588,7 @@ def test_no_route_drops_data_with_flow_loss():
     ledger = LedgerStub()
     radio = RadioMedium(sched, mob, ledger)
     mob.add_node(0, 100.0, 400.0)
-    agent = DsdvAgent(sched, radio, 0)
+    agent = DsdvAgent(sched, radio, 0, deliver_up=lambda packet, now: None)
     agent.send_packet(DataPacket("f0", 3, 512), 7)
     assert ledger.drops == [("f0", 3, 0.0)]
     assert ledger.reasons == ["no-route"]

@@ -1,6 +1,8 @@
 """Metric and trace-format tests with hand-computed expected values."""
 
+import csv
 import dataclasses
+import json
 import math
 import statistics
 import sys
@@ -26,7 +28,7 @@ from vanetsim.metrics import (
     write_plot_series,
 )
 from vanetsim.radio import Frame
-from vanetsim.scenario import build_simulation, builtin_scenario
+from vanetsim.scenario import build_simulation, builtin_scenario, load_config
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
 
@@ -223,7 +225,7 @@ def test_delay_series_nudges_equal_timestamps():
 
 
 def test_destination_bandwidth_counts_every_frame_kind():
-    led = MetricsLedger()
+    led = MetricsLedger(sinks={4})
     for i in range(3):
         f = Frame("ACK", 9, 4, 210)
         led.on_send(f, 0.1 * i)
@@ -236,7 +238,7 @@ def test_destination_bandwidth_counts_every_frame_kind():
 
 
 def test_bandwidth_ignores_frames_to_other_nodes_and_losses():
-    led = MetricsLedger()
+    led = MetricsLedger(sinks={1})
     ok = Frame("DATA", 0, 1, 512)
     led.on_send(ok, 0.0)
     led.on_delivery(ok, 1, 0.0005)
@@ -267,19 +269,63 @@ def _reference_bandwidth(receptions, duration, window):
     window=st.sampled_from([0.1, 0.25, 1.0, 3.0]),
     duration=st.floats(0.5, 12.0),
     until=st.one_of(st.none(), st.floats(0.0, 12.0)),
+    sinks=st.sets(st.integers(0, 2)),
 )
 def test_bandwidth_equals_list_of_tuples_reference(receptions, window,
-                                                   duration, until):
-    led = MetricsLedger()
+                                                   duration, until, sinks):
+    led = MetricsLedger(sinks=sinks)
     for node, t, size in receptions:
         led.on_delivery(Frame("DATA", 9, node, size), node, t)
     for node in range(3):
+        if node not in sinks:
+            # a node that is not a sink has no log, not an empty one
+            with pytest.raises(ValueError, match=f"node {node} is not a sink"):
+                led.bandwidth_series(node, duration, window)
+            with pytest.raises(ValueError, match=f"node {node} is not a sink"):
+                led.cumulative_bandwidth_bits(node, until)
+            continue
         mine = [(t, size * 8) for n, t, size in receptions if n == node]
         series = led.bandwidth_series(node, duration, window)
         assert series.points == _reference_bandwidth(mine, duration, window)
         expected = sum((b for t, b in mine if until is None or t <= until),
                        0.0)
         assert led.cumulative_bandwidth_bits(node, until) == expected
+
+
+# two flows into one sink: the sink's series is written once per flow
+SHARED_SINK_DOCUMENT = {
+    "duration": 20.0,
+    "placements": [[0, [100, 300]], [1, [300, 300]], [2, [500, 300]]],
+    "flows": [{"flow": "f0", "src": 0, "sink": 2},
+              {"flow": "f1", "src": 1, "sink": 2, "start_t": 0.5}],
+}
+
+
+@pytest.mark.parametrize("config", [
+    dataclasses.replace(builtin_scenario("long-distance", "AODV"),
+                        duration=60.0),
+    load_config(json.dumps(SHARED_SINK_DOCUMENT)),
+], ids=["long-distance-60s", "shared-sink"])
+def test_sink_bandwidth_equals_trace_receptions(config, tmp_path):
+    """Each flow's sink bandwidth is the sum of the trace's r lines to it."""
+    scenario_run(config, out_dir=str(tmp_path))
+    received = {}  # node -> [(t, bits)] from trace.txt alone
+    with open(tmp_path / "trace.txt") as fh:
+        for line in fh:
+            if line.startswith("r "):
+                _op, t, _kind, _id, _src, node, size = line.split()
+                received.setdefault(int(node), []).append(
+                    (float(t), 8 * int(size)))
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        rows = {row["flow"]: row for row in csv.DictReader(fh)}
+    assert sorted(rows) == sorted(fc.flow for fc in config.flows)
+    for fc in config.flows:
+        mine = received[fc.sink]
+        assert float(rows[fc.flow]["sink_bandwidth_bits"]) == sum(
+            b for _t, b in mine)
+        series = parse_plot_series(
+            tmp_path / "metrics" / fc.flow / "destination_bandwidth.dat")
+        assert series == _reference_bandwidth(mine, config.duration, 1.0)
 
 
 def test_flow_summary_row():
@@ -497,11 +543,15 @@ def test_ledger_memory_per_record_stays_small():
     held = sum(stat.size for stat in snapshot.filter_traces(
         [tracemalloc.Filter(True, metrics.__file__)]).statistics("filename"))
     receptions = sum(len(times) for times, _bits in ledger._received.values())
-    records = len(ledger.trace_lines) + receptions
-    assert records > 20000
+    lines = len(ledger.trace_lines)
+    records = lines + receptions
+    assert lines > 15000
     # one list entry, one string and a boxed (t, bits) tuple per record
     # held about 108 bytes each; packed text and float arrays hold about 50
     assert held / records < 60
+    # with a reception log for every node the ledger held about 71 bytes
+    # per trace line; keeping logs for the flows' sinks alone, about 60
+    assert held / lines < 65
 
 
 def test_streaming_ledger_has_no_trace_text():
@@ -539,7 +589,8 @@ def test_streamed_run_holds_little_trace(tmp_path, monkeypatch):
     assert lines > 3 * TRACE_BLOCK_LINES
     # the ledger held about 81 bytes per trace line once the simulation
     # ended when it kept every block; streamed, it holds one block of
-    # pending lines at most, plus receptions and deliveries: about 39
+    # pending lines at most, plus the sinks' receptions and deliveries:
+    # about 33
     assert size / lines < 60
 
 

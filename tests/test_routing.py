@@ -63,6 +63,15 @@ def chain(name, log=None):
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
+def test_an_agent_without_deliver_up_fails_at_construction(name):
+    radio = RadioMedium(Scheduler(), MobilityModel(), Recorder())
+    with pytest.raises(TypeError, match="deliver_up"):
+        PROTOCOLS[name](radio.sched, radio, 0)
+    # it failed before registering, so the radio never hands it a frame
+    assert 0 not in radio._receivers
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
 def test_self_addressed_packet_goes_straight_up(name):
     _sched, agents, log, delivered = chain(name)
     sent = len(log.sends)

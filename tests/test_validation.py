@@ -35,7 +35,8 @@ def agents_routing(agent_class, next_hops):
     agents = {}
     for node, hop in next_hops.items():
         mobility.add_node(node, 100.0 * (node + 1), 100.0)
-        agents[node] = agent_class(sched, radio, node)
+        agents[node] = agent_class(sched, radio, node,
+                                   deliver_up=lambda packet, now: None)
         agents[node].table[DEST] = route_entry(agent_class, hop)
     return agents
 
