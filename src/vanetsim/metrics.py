@@ -58,6 +58,23 @@ class MetricSeries:
     unit: str
 
 
+@dataclass(slots=True)
+class FlowStats:
+    """One flow's outcome; its first eight fields are summary.csv's."""
+
+    flow: str
+    delivered: int
+    lost: int
+    max_delay: float
+    max_jitter: float
+    mean_throughput: float
+    first_delivery: Optional[float]
+    sink_bandwidth_bits: float
+    # end times of the first windows with nonzero throughput and sink bandwidth
+    first_data_window: Optional[float]
+    first_sink_bandwidth_window: Optional[float]
+
+
 class TraceFormatError(ValueError):
     pass
 
@@ -136,11 +153,8 @@ class TraceLines:
             pending.clear()
 
     def stream_to(self, write) -> None:
-        """Pass the trace so far, then each later block, to write.
-
-        No block is kept from then on; call ``pack`` once the last line is
-        in to write the tail.
-        """
+        """Pass the trace so far, then each block packed later, to write,
+        keeping none; ``Simulation.run`` packs the tail when it ends."""
         for block in self.blocks():
             write(block)
         self._blocks = None
@@ -153,6 +167,13 @@ class TraceLines:
                                "its text is not kept")
         self.pack()
         return self._blocks
+
+
+def _first_nonzero(points):
+    for t, v in points:
+        if v > 0.0:
+            return t
+    return None
 
 
 def _nudge_ties(points):
@@ -273,12 +294,9 @@ class MetricsLedger:
 
     # -- series builders ------------------------------------------------
 
-    def _windows(self, duration: float, window: float) -> int:
-        return int(math.ceil(duration / window))
-
     def _bit_rate(self, arrivals, duration, window) -> MetricSeries:
         """Bits per second in each window, from (t, bits) arrivals."""
-        n = self._windows(duration, window)
+        n = math.ceil(duration / window)
         bits = [0.0] * n
         for t, b in arrivals:
             k = int(t // window)
@@ -292,7 +310,7 @@ class MetricsLedger:
         return self._bit_rate(arrivals, duration, window)
 
     def jitter_series(self, flow, duration, window=1.0) -> MetricSeries:
-        n = self._windows(duration, window)
+        n = math.ceil(duration / window)
         delays = [[] for _ in range(n)]
         for t, delay, _seq, _b in self._deliveries.get(flow, []):
             k = int(t // window)
@@ -338,23 +356,23 @@ class MetricsLedger:
         d = self._deliveries.get(flow)
         return d[0][0] if d else None
 
-    def flow_summary(self, flow, duration, window=1.0) -> dict:
-        return self._summary(flow,
-                             self.throughput_series(flow, duration, window),
-                             self.jitter_series(flow, duration, window))
-
-    def _summary(self, flow, throughput, jitter) -> dict:
-        """flow_summary's row from the flow's already-built series."""
+    def flow_summary(self, flow, sink, duration, throughput, jitter,
+                     bandwidth) -> FlowStats:
+        """The flow's outcome, from the series already built for it."""
         delivered = self._deliveries.get(flow, [])
-        return {
-            "flow": flow,
-            "delivered": len(delivered),
-            "lost": sum(self._drops.get(flow, {}).values()),
-            "max_delay": max((d for _t, d, _s, _b in delivered), default=0.0),
-            "max_jitter": max((v for _t, v in jitter.points), default=0.0),
-            "mean_throughput": math.fsum(v for _t, v in throughput.points)
+        return FlowStats(
+            flow=flow,
+            delivered=len(delivered),
+            lost=sum(self._drops.get(flow, {}).values()),
+            max_delay=max((d for _t, d, _s, _b in delivered), default=0.0),
+            max_jitter=max((v for _t, v in jitter.points), default=0.0),
+            mean_throughput=math.fsum(v for _t, v in throughput.points)
             / len(throughput.points) if throughput.points else 0.0,
-        }
+            first_delivery=self.first_delivery(flow),
+            sink_bandwidth_bits=self.cumulative_bandwidth_bits(sink, until=duration),
+            first_data_window=_first_nonzero(throughput.points),
+            first_sink_bandwidth_window=_first_nonzero(bandwidth.points),
+        )
 
     def trace_text(self) -> str:
         return "".join(self.trace_lines.blocks())

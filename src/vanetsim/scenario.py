@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .aodv import AodvConfig
 from .dsdv import DsdvConfig
-from .metrics import write_plot_series
+from .metrics import FlowStats, write_plot_series
 from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
 from .simulation import PROTOCOLS, Motion, Simulation
@@ -519,9 +519,6 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 # -- running ---------------------------------------------------------------
 
-METRIC_NAMES = ("throughput", "jitter", "delay", "cwnd", "destination_bandwidth")
-
-
 @dataclass
 class RunReport:
     scenario: str
@@ -529,7 +526,7 @@ class RunReport:
     seed: int
     duration: float
     primary_flow: str
-    flows: list  # one stats dict per flow, config order
+    flows: list  # one FlowStats per flow, config order
     paths: dict  # flow -> [(t, chain)]
     manifest: list  # files written, relative to the output directory
 
@@ -547,13 +544,6 @@ def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
         waypoint=config.background_mobility,
         auditing=auditing,
     )
-
-
-def _first_nonzero(points):
-    for t, v in points:
-        if v > 0.0:
-            return t
-    return None
 
 
 def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
@@ -579,7 +569,6 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
             try:
                 ledger.trace_lines.stream_to(fh.write)
                 sim.run(duration)
-                ledger.trace_lines.pack()
             except BaseException:
                 fh.close()
                 os.remove(trace_path)
@@ -589,30 +578,23 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
         series = {
             "throughput": ledger.throughput_series(fc.flow, duration, window),
             "jitter": ledger.jitter_series(fc.flow, duration, window),
+            "delay": ledger.delay_series(fc.flow),
+            "cwnd": ledger.cwnd_series(fc.flow),
             "destination_bandwidth": ledger.bandwidth_series(
                 fc.sink, duration, window),
         }
-        stats = ledger._summary(fc.flow, series["throughput"], series["jitter"])
-        stats["first_delivery"] = ledger.first_delivery(fc.flow)
-        stats["sink_bandwidth_bits"] = ledger.cumulative_bandwidth_bits(
-            fc.sink, until=duration)
-        stats["first_data_window"] = _first_nonzero(series["throughput"].points)
-        stats["first_sink_bandwidth_window"] = _first_nonzero(
-            series["destination_bandwidth"].points)
-        flow_stats.append(stats)
-        if out_dir is None:
-            continue
-        series["delay"] = ledger.delay_series(fc.flow)
-        series["cwnd"] = ledger.cwnd_series(fc.flow)
-        for metric in METRIC_NAMES:
-            rel = os.path.join("metrics", fc.flow, f"{metric}.dat")
-            write_plot_series(series[metric], _out_path(out_dir, rel))
-            manifest.append(rel)
+        flow_stats.append(ledger.flow_summary(
+            fc.flow, fc.sink, duration, series["throughput"],
+            series["jitter"], series["destination_bandwidth"]))
+        if out_dir is not None:
+            for metric, values in series.items():
+                rel = os.path.join("metrics", fc.flow, f"{metric}.dat")
+                write_plot_series(values, _out_path(out_dir, rel))
+                manifest.append(rel)
 
     if out_dir is not None:
-        manifest.append("summary.csv")
+        manifest += ["summary.csv", "paths.log", "report.txt"]
         _write_summary_csv(out_dir, flow_stats)
-        manifest.append("paths.log")
         path_lines = ledger.path_log_lines()
         _write_text(out_dir, "paths.log",
                     "\n".join(path_lines) + "\n" if path_lines else "")
@@ -625,7 +607,7 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
         primary_flow=primary_flow(config),
         flows=flow_stats,
         paths=ledger.paths_taken(),
-        manifest=manifest + (["report.txt"] if out_dir is not None else []),
+        manifest=manifest,
     )
     if out_dir is not None:
         _write_text(out_dir, "report.txt", format_report(report))
@@ -644,10 +626,7 @@ def _write_text(out_dir, rel, text):
         fh.write(text)
 
 
-_SUMMARY_COLUMNS = (
-    "flow", "delivered", "lost", "max_delay", "max_jitter",
-    "mean_throughput", "first_delivery", "sink_bandwidth_bits",
-)
+_SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(FlowStats))[:8]
 
 
 def _write_summary_csv(out_dir, flow_stats):
@@ -656,8 +635,8 @@ def _write_summary_csv(out_dir, flow_stats):
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_COLUMNS)
         for stats in flow_stats:
-            writer.writerow([stats[c] if stats[c] is not None else ""
-                             for c in _SUMMARY_COLUMNS])
+            # csv writes None as an empty cell
+            writer.writerow([getattr(stats, c) for c in _SUMMARY_COLUMNS])
 
 
 def format_report(report: RunReport) -> str:
@@ -670,12 +649,12 @@ def format_report(report: RunReport) -> str:
         "",
     ]
     for stats in report.flows:
-        first = stats["first_delivery"]
+        first = stats.first_delivery
         lines.append(
-            f"flow {stats['flow']}: delivered={stats['delivered']} "
-            f"lost={stats['lost']} max_delay={stats['max_delay']:.6f} "
-            f"max_jitter={stats['max_jitter']:.6f} "
-            f"mean_throughput={stats['mean_throughput']:.3f} "
+            f"flow {stats.flow}: delivered={stats.delivered} "
+            f"lost={stats.lost} max_delay={stats.max_delay:.6f} "
+            f"max_jitter={stats.max_jitter:.6f} "
+            f"mean_throughput={stats.mean_throughput:.3f} "
             f"first_delivery={'-' if first is None else format(first, '.3f')}"
         )
     lines.append("")
@@ -692,8 +671,30 @@ def format_report(report: RunReport) -> str:
 
 # -- comparison ------------------------------------------------------------
 
-_COMPARE_METRICS = ("delivered", "lost", "max_delay", "max_jitter",
-                    "mean_throughput")
+_COMPARE_METRICS = _SUMMARY_COLUMNS[1:6]  # delivered to mean_throughput
+
+
+def verdicts(reactive: FlowStats, proactive: FlowStats) -> dict[str, bool]:
+    """The seven verdicts on one flow's outcome under the two protocols."""
+    r, p = reactive, proactive
+    r_first = r.first_delivery
+    p_first = p.first_delivery
+    r_rise = r.first_sink_bandwidth_window
+    p_data = p.first_data_window
+    return {
+        "reactive_max_delay_exceeds_proactive": r.max_delay > p.max_delay,
+        "reactive_max_jitter_exceeds_proactive": r.max_jitter > p.max_jitter,
+        "proactive_throughput_geq_reactive":
+            p.mean_throughput >= r.mean_throughput,
+        "reactive_throughput_geq_proactive":
+            r.mean_throughput >= p.mean_throughput,
+        "proactive_first_delivery_leq_reactive":
+            p_first is not None and (r_first is None or p_first <= r_first),
+        "proactive_sink_bandwidth_exceeds_reactive":
+            p.sink_bandwidth_bits > r.sink_bandwidth_bits,
+        "reactive_bandwidth_rises_before_proactive_data":
+            r_rise is not None and (p_data is None or r_rise < p_data),
+    }
 
 
 def compare(report_a: RunReport, report_b: RunReport) -> dict:
@@ -713,53 +714,31 @@ def compare(report_a: RunReport, report_b: RunReport) -> dict:
         (report_a, report_b),
         key=lambda report: PROTOCOLS[report.protocol].proactive)
 
-    def stats_of(report, flow):
-        for stats in report.flows:
-            if stats["flow"] == flow:
-                return stats
-        raise ValueError(f"flow {flow!r} missing from {report.protocol} report")
-
+    r_stats, p_stats = ({stats.flow: stats for stats in report.flows}
+                        for report in (reactive, proactive))
+    if r_stats.keys() != p_stats.keys():
+        raise ValueError(f"cannot compare runs of different flows "
+                         f"({sorted(r_stats)} vs {sorted(p_stats)})")
     table = []
-    for stats in reactive.flows:
-        flow = stats["flow"]
-        other = stats_of(proactive, flow)
+    for flow, stats in r_stats.items():
+        other = p_stats[flow]
         for metric in _COMPARE_METRICS:
             table.append({
                 "flow": flow,
                 "metric": metric,
-                "reactive": stats[metric],
-                "proactive": other[metric],
-                "delta": other[metric] - stats[metric],
+                "reactive": getattr(stats, metric),
+                "proactive": getattr(other, metric),
+                "delta": getattr(other, metric) - getattr(stats, metric),
             })
 
     primary = reactive.primary_flow
-    r = stats_of(reactive, primary)
-    p = stats_of(proactive, primary)
-    r_first = r["first_delivery"]
-    p_first = p["first_delivery"]
-    r_rise = r["first_sink_bandwidth_window"]
-    p_data = p["first_data_window"]
-    verdicts = {
-        "reactive_max_delay_exceeds_proactive": r["max_delay"] > p["max_delay"],
-        "reactive_max_jitter_exceeds_proactive": r["max_jitter"] > p["max_jitter"],
-        "proactive_throughput_geq_reactive":
-            p["mean_throughput"] >= r["mean_throughput"],
-        "reactive_throughput_geq_proactive":
-            r["mean_throughput"] >= p["mean_throughput"],
-        "proactive_first_delivery_leq_reactive":
-            p_first is not None and (r_first is None or p_first <= r_first),
-        "proactive_sink_bandwidth_exceeds_reactive":
-            p["sink_bandwidth_bits"] > r["sink_bandwidth_bits"],
-        "reactive_bandwidth_rises_before_proactive_data":
-            r_rise is not None and (p_data is None or r_rise < p_data),
-    }
     return {
         "scenario": reactive.scenario,
         "primary_flow": primary,
         "reactive_protocol": reactive.protocol,
         "proactive_protocol": proactive.protocol,
         "table": table,
-        "verdicts": verdicts,
+        "verdicts": verdicts(r_stats[primary], p_stats[primary]),
     }
 
 

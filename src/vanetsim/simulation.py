@@ -127,4 +127,6 @@ class Simulation:
 
     def run(self, until: float) -> "Simulation":
         self.sched.run_until(until)
+        # pack the last partial block too: a finished run keeps no raw records
+        self.ledger.trace_lines.pack()
         return self

@@ -19,14 +19,15 @@ from vanetsim.metrics import (MetricsLedger, format_motion_line,
                               parse_mobility_trace)
 from vanetsim.mobility import FieldConfig, MobilityModel
 from vanetsim.radio import RadioMedium
-from vanetsim.scenario import build_simulation, builtin_scenario, compare, run
+from vanetsim.scenario import (build_simulation, builtin_scenario, compare,
+                               format_comparison, run)
 from vanetsim.transport import DataPacket
 
-from make_golden import GOLDEN, WINDOW, combo_key, digests
+from make_golden import (GOLDEN, WINDOW, combo_key, comparison_key, digests,
+                         text_digest)
 
-COMBOS = [(name, proto)
-          for name in ("long-distance", "short-distance")
-          for proto in ("AODV", "DSDV")]
+BUILTINS = ("long-distance", "short-distance")
+COMBOS = [(name, proto) for name in BUILTINS for proto in ("AODV", "DSDV")]
 TOPOLOGY_COUNT = 200
 
 # frozen initial-placement lines for the grid's four central columns;
@@ -183,7 +184,8 @@ def test_artifacts_match_golden_digests(timed_reports):
     """
     golden = json.loads(GOLDEN.read_text())
     problems = []
-    if set(golden) != {combo_key(*combo) for combo in COMBOS}:
+    if set(golden) != ({combo_key(*combo) for combo in COMBOS}
+                       | {comparison_key(name) for name in BUILTINS}):
         problems.append(f"{GOLDEN.name} holds {sorted(golden)}")
     for combo, ((_report, out_dir, _dt), _rerun) in timed_reports.items():
         key = combo_key(*combo)
@@ -193,6 +195,19 @@ def test_artifacts_match_golden_digests(timed_reports):
                      if got.get(rel) != want.get(rel)]
     verdict("golden artifacts: every file of the four builtin runs has the "
             "digest pinned in tests/golden_artifacts.json", problems)
+
+
+def test_comparison_matches_golden_digest(reports):
+    """Each builtin's comparison.txt text has its pinned digest."""
+    golden = json.loads(GOLDEN.read_text())
+    problems = []
+    for name in BUILTINS:
+        text = format_comparison(compare(reports[(name, "AODV")],
+                                         reports[(name, "DSDV")]))
+        if text_digest(text) != golden.get(comparison_key(name)):
+            problems.append(f"{name}: comparison.txt differs from {GOLDEN.name}")
+    verdict("golden comparison: each builtin's comparison.txt has the digest "
+            "pinned in tests/golden_artifacts.json", problems)
 
 
 def test_c02_reactive_first_route_matches_shortest_path(topologies):
@@ -430,11 +445,12 @@ def test_c10_post_break_behavior(audited_sims):
 
 def test_c11_long_distance_jitter_and_delay_ordering(reports):
     problems = []
-    stats = {proto: {s["flow"]: s for s in
+    stats = {proto: {s.flow: s for s in
                      reports[("long-distance", proto)].flows}["f0"]
              for proto in ("AODV", "DSDV")}
     for metric in ("max_jitter", "max_delay"):
-        reactive, proactive = stats["AODV"][metric], stats["DSDV"][metric]
+        reactive = getattr(stats["AODV"], metric)
+        proactive = getattr(stats["DSDV"], metric)
         if not (reactive > 0.0 and reactive >= 10.0 * proactive):
             problems.append(
                 f"{metric}: reactive {reactive:.6f} not >= 10x "
@@ -446,8 +462,8 @@ def test_c11_long_distance_jitter_and_delay_ordering(reports):
 def test_c12_short_distance_first_route(reports):
     problems = []
     report = reports[("short-distance", "DSDV")]
-    stats = {s["flow"]: s for s in report.flows}["f1"]
-    first = stats["first_delivery"]
+    stats = {s.flow: s for s in report.flows}["f1"]
+    first = stats.first_delivery
     if first is None or abs(first - 153.0) > 30.0:
         problems.append(f"first 1->25 delivery at {first}, outside 153 +/- 30")
     chains = report.paths.get("f1", [])
@@ -465,28 +481,28 @@ def test_c12_short_distance_first_route(reports):
 
 def test_c13_short_distance_ordering(reports, audited_sims):
     problems = []
-    aodv = {s["flow"]: s for s in reports[("short-distance", "AODV")].flows}["f1"]
-    dsdv = {s["flow"]: s for s in reports[("short-distance", "DSDV")].flows}["f1"]
+    aodv = {s.flow: s for s in reports[("short-distance", "AODV")].flows}["f1"]
+    dsdv = {s.flow: s for s in reports[("short-distance", "DSDV")].flows}["f1"]
 
     aodv_post_153 = [t for t, _d, _s, _b in
                      audited_sims[("short-distance", "AODV")].ledger.deliveries("f1")
                      if t >= 153.0]
     if not aodv_post_153:
         problems.append("reactive run has no post-153 deliveries")
-    elif dsdv["first_delivery"] is None \
-            or dsdv["first_delivery"] > min(aodv_post_153):
+    elif dsdv.first_delivery is None \
+            or dsdv.first_delivery > min(aodv_post_153):
         problems.append(
-            f"proactive first {dsdv['first_delivery']} not <= reactive "
+            f"proactive first {dsdv.first_delivery} not <= reactive "
             f"first post-153 {min(aodv_post_153)}")
 
-    if not dsdv["sink_bandwidth_bits"] > aodv["sink_bandwidth_bits"]:
+    if not dsdv.sink_bandwidth_bits > aodv.sink_bandwidth_bits:
         problems.append(
             f"proactive cumulative sink bandwidth "
-            f"{dsdv['sink_bandwidth_bits']:.0f} not above reactive "
-            f"{aodv['sink_bandwidth_bits']:.0f}")
+            f"{dsdv.sink_bandwidth_bits:.0f} not above reactive "
+            f"{aodv.sink_bandwidth_bits:.0f}")
 
-    rise = aodv["first_sink_bandwidth_window"]
-    second_rise = dsdv["first_data_window"]
+    rise = aodv.first_sink_bandwidth_window
+    second_rise = dsdv.first_data_window
     if rise is None or second_rise is None or not rise < second_rise:
         problems.append(f"reactive bandwidth rise {rise} not before "
                         f"proactive data rise {second_rise}")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from vanetsim import metrics
 from vanetsim.metrics import (
     TRACE_BLOCK_LINES,
+    FlowStats,
     MetricSeries,
     MetricsLedger,
     TraceFormatError,
@@ -36,6 +37,14 @@ from vanetsim.simulation import Simulation
 def deliver(ledger, flow, seq, t, size=512, handoff=None):
     ledger.on_data_handoff(flow, seq, handoff if handoff is not None else t)
     return ledger.on_sink_delivery(flow, seq, size, t)
+
+
+def summarize(ledger, flow, sink, duration, window=1.0):
+    """flow_summary over series built for it, as scenario.run builds them."""
+    return ledger.flow_summary(
+        flow, sink, duration, ledger.throughput_series(flow, duration, window),
+        ledger.jitter_series(flow, duration, window),
+        ledger.bandwidth_series(sink, duration, window))
 
 
 def test_throughput_ten_packets_in_one_second_window():
@@ -329,18 +338,27 @@ def test_sink_bandwidth_equals_trace_receptions(config, tmp_path):
 
 
 def test_flow_summary_row():
-    led = MetricsLedger()
+    led = MetricsLedger(sinks={2})
     deliver(led, "f2", 0, 0.35, handoff=0.30)
     deliver(led, "f2", 1, 0.45, handoff=0.41)
+    frame = Frame("RREQ", 1, -1, 64)
+    led.on_send(frame, 1.5)
+    led.on_delivery(frame, 2, 1.5)
     led.on_flow_drop("f2", 2, 1.2, "no-route")
-    row = led.flow_summary("f2", duration=2.0, window=1.0)
-    assert row["flow"] == "f2"
-    assert row["delivered"] == 2
-    assert row["lost"] == 1
+    row = summarize(led, "f2", sink=2, duration=2.0)
+    assert isinstance(row, FlowStats)
+    assert row.flow == "f2"
+    assert row.delivered == 2
+    assert row.lost == 1
     assert led.drops_by_reason("f2") == {"no-route": 1}
-    assert row["max_delay"] == pytest.approx(0.05)
-    assert row["max_jitter"] == pytest.approx(0.005)
-    assert row["mean_throughput"] == pytest.approx((2 * 512 * 8) / 2.0)
+    assert row.max_delay == pytest.approx(0.05)
+    assert row.max_jitter == pytest.approx(0.005)
+    assert row.mean_throughput == pytest.approx((2 * 512 * 8) / 2.0)
+    assert row.first_delivery == 0.35
+    # every frame bit reaching the sink counts, control traffic included
+    assert row.sink_bandwidth_bits == 64 * 8
+    assert row.first_data_window == 1.0
+    assert row.first_sink_bandwidth_window == 2.0
 
 
 def test_cwnd_series_keeps_every_sample():
@@ -402,7 +420,7 @@ def test_ledger_emits_interleaved_trace_lines():
 
 
 def test_broadcast_trace_lines_use_star_and_loss_marks_flow():
-    led = MetricsLedger()
+    led = MetricsLedger(sinks={2})
     f = Frame("RREQ", 1, -1, 64)
     led.on_send(f, 1.0)
     led.on_loss(f, "no-neighbors", 1.0)
@@ -414,9 +432,9 @@ def test_broadcast_trace_lines_use_star_and_loss_marks_flow():
     assert lines[1] == "l 1.0000000 RREQ 0 1 * 64"
     assert lines[3] == "l 1.1000000 DATA 1 1 2 512"
     # the radio's loss only traces the frame; the dropping agent counts it
-    assert led.flow_summary("f1", 1.0)["lost"] == 0
+    assert summarize(led, "f1", sink=2, duration=1.0).lost == 0
     led.on_flow_drop("f1", 12, 1.1, "out-of-range")
-    assert led.flow_summary("f1", 1.0)["lost"] == 1
+    assert summarize(led, "f1", sink=2, duration=1.0).lost == 1
     assert led.drops_by_reason("f1") == {"out-of-range": 1}
 
 
@@ -552,6 +570,15 @@ def test_ledger_memory_per_record_stays_small():
     # with a reception log for every node the ledger held about 71 bytes
     # per trace line; keeping logs for the flows' sinks alone, about 60
     assert held / lines < 65
+
+
+def test_simulation_run_packs_its_trace_tail():
+    """A run leaves no raw record tuples behind, wherever it stops."""
+    config = dataclasses.replace(builtin_scenario("long-distance", "AODV"),
+                                 duration=60.0)
+    trace_lines = build_simulation(config).run(60.0).ledger.trace_lines
+    assert len(trace_lines) > TRACE_BLOCK_LINES
+    assert trace_lines.pending == []
 
 
 def test_streaming_ledger_has_no_trace_text():

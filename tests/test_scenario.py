@@ -11,7 +11,7 @@ import pytest
 from vanetsim import scenario
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
-from vanetsim.metrics import TRACE_BLOCK_LINES, parse_mobility_trace
+from vanetsim.metrics import TRACE_BLOCK_LINES, FlowStats, parse_mobility_trace
 from vanetsim.mobility import FieldConfig
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
@@ -347,7 +347,11 @@ def test_document_must_be_json_object():
 # -- running and artifacts -------------------------------------------------
 
 def test_run_writes_complete_artifact_set(tmp_path):
-    config = mini_config()
+    # f1's sink stands out of everyone's range, so f1 delivers nothing
+    config = mini_config(
+        placements=MINI_DOC["placements"] + [[3, [900, 300]]],
+        flows=MINI_DOC["flows"] + [{"flow": "f1", "src": 0, "sink": 3,
+                                    "start_t": 0.5, "max_packets": 2}])
     out = tmp_path / "out"
     report = run(config, out_dir=str(out))
 
@@ -359,19 +363,33 @@ def test_run_writes_complete_artifact_set(tmp_path):
     assert per_flow <= {rel.replace("\\", "/") for rel in report.manifest}
 
     stats = report.flows[0]
-    assert stats["delivered"] == 5
-    assert stats["lost"] == 0
+    assert stats.delivered == 5
+    assert stats.lost == 0
+    assert report.flows[1].first_delivery is None
     assert report.paths["f0"][0][1] == (0, 1, 2)
 
     records, _ = parse_mobility_trace((out / "trace.txt").read_text())
-    assert {node for _, node, _, _, _ in records} == {0, 1, 2}
+    assert {node for _, node, _, _, _ in records} == {0, 1, 2, 3}
 
     with open(out / "summary.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
+        header, *cells = csv.reader(fh)
+    assert header == [f.name for f in dataclasses.fields(FlowStats)][:8]
+    assert len(cells) == 2
+    for stats, row in zip(report.flows, cells):
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            value = getattr(stats, name)
+            if value is None:
+                assert cell == "", name
+            elif isinstance(value, float):
+                assert cell == repr(value), name
+            else:
+                assert cell == str(value), name
+    rows = [dict(zip(header, row)) for row in cells]
     assert rows[0]["flow"] == "f0"
     assert int(rows[0]["delivered"]) == 5
     assert float(rows[0]["sink_bandwidth_bits"]) > 0
+    assert rows[1]["first_delivery"] == ""
 
     text = format_report(report)
     assert "scenario: mini" in text
@@ -390,10 +408,15 @@ def test_run_summary_rows_equal_flow_summary():
     report = run(config, window=window)
     # same scenario and seed, so a second simulation holds the same ledger
     ledger = build_simulation(config).run(config.duration).ledger
-    assert any(stats["max_jitter"] > 0 for stats in report.flows)
+    assert any(stats.max_jitter > 0 for stats in report.flows)
+    duration = config.duration
     for fc, stats in zip(config.flows, report.flows):
-        expected = ledger.flow_summary(fc.flow, config.duration, window)
-        assert {key: stats[key] for key in expected} == expected
+        expected = ledger.flow_summary(
+            fc.flow, fc.sink, duration,
+            ledger.throughput_series(fc.flow, duration, window),
+            ledger.jitter_series(fc.flow, duration, window),
+            ledger.bandwidth_series(fc.sink, duration, window))
+        assert stats == expected
 
 
 def test_run_rejects_a_window_with_too_many_bins_before_simulating(tmp_path):
@@ -467,7 +490,7 @@ def test_run_that_raises_leaves_no_trace(tmp_path, monkeypatch):
 def test_run_without_out_dir_returns_stats_only():
     report = run(mini_config())
     assert report.manifest == []
-    assert report.flows[0]["delivered"] == 5
+    assert report.flows[0].delivered == 5
 
 
 # -- comparison ------------------------------------------------------------
@@ -505,3 +528,14 @@ def test_compare_rejects_different_scenarios():
     other = run(mini_config(name="other"))
     with pytest.raises(ValueError):
         compare(aodv, other)
+
+
+def test_compare_rejects_reports_whose_flows_differ():
+    one_flow = run(mini_config())
+    two_flows = run(mini_config(
+        protocol="DSDV",
+        flows=MINI_DOC["flows"] + [{"flow": "f1", "src": 2, "sink": 0,
+                                    "start_t": 0.5, "max_packets": 5}]))
+    for pair in ((one_flow, two_flows), (two_flows, one_flow)):
+        with pytest.raises(ValueError, match=r"\['f0'\].*\['f0', 'f1'\]"):
+            compare(*pair)

@@ -1,9 +1,12 @@
 """Full-stack assembly: flows over routed chains, motion lines, determinism."""
 
+import dataclasses
+
 import pytest
 
 from vanetsim.metrics import parse_mobility_trace
-from vanetsim.scenario import BUILTIN_SCENARIOS, build_simulation, builtin_scenario
+from vanetsim.scenario import (BUILTIN_SCENARIOS, build_simulation,
+                               builtin_scenario, run)
 from vanetsim.simulation import PROTOCOLS, Motion, Simulation
 from vanetsim.transport import FlowConfig
 
@@ -97,14 +100,17 @@ ROUTING_DROPS = {"no-route", "discovery-exhausted", "no-route-after-reply"}
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
 def test_drops_by_reason_add_up_to_lost(name, protocol):
-    config = builtin_scenario(name, protocol)
+    config = dataclasses.replace(builtin_scenario(name, protocol),
+                                 duration=60.0)
+    # the lost counts scenario.run reports, against a second simulation's
+    # ledger
+    lost = {stats.flow: stats.lost for stats in run(config).flows}
     ledger = build_simulation(config).run(60.0).ledger
     radio_losses = 0
     for flow in config.flows:
         reasons = ledger.drops_by_reason(flow.flow)
         assert set(reasons) <= RADIO_LOSSES | ROUTING_DROPS
-        assert (sum(reasons.values())
-                == ledger.flow_summary(flow.flow, 60.0)["lost"])
+        assert sum(reasons.values()) == lost[flow.flow]
         radio_losses += sum(n for r, n in reasons.items() if r in RADIO_LOSSES)
     # the radio's share is every DATA loss record in the trace
     records = [line.split() for line in ledger.trace_text().splitlines()]
