@@ -197,24 +197,24 @@ class DsdvAgent(RoutingAgent):
         auditor = self.auditor
         sender = update.sender
         for dest, metric, seq in update.rows:
-            if dest == me:
-                if seq <= self.own_seq:
-                    continue
-                # someone is spreading stale or bad news about us; mint a
-                # fresh even number above it
-                self.own_seq = seq + 1 if seq % 2 else seq + 2
-                self.table[me].seq = self.own_seq
+            e = get(dest)
+            if e is None:
+                e = self.table[dest] = DsdvEntry(
+                    dest, sender, INFINITE if seq % 2 else metric + 1, seq)
+                insort(self._entries, e, key=attrgetter("dest"))
             else:
-                e = get(dest)
-                if e is None:
-                    e = self.table[dest] = DsdvEntry(
-                        dest, sender, INFINITE if seq % 2 else metric + 1, seq)
-                    insort(self._entries, e, key=attrgetter("dest"))
+                # the node's own row carries own_seq and metric 0, so this
+                # test rejects any news about it at or below own_seq
+                old_seq = e.seq
+                if seq < old_seq or (seq == old_seq and (
+                        metric + 1 >= e.metric or seq % 2)):
+                    continue
+                if dest == me:
+                    # someone is spreading stale or bad news about us;
+                    # mint a fresh even number above it
+                    self.own_seq = seq + 1 if seq % 2 else seq + 2
+                    e.seq = self.own_seq
                 else:
-                    old_seq = e.seq
-                    if seq < old_seq or (seq == old_seq and (
-                            metric + 1 >= e.metric or seq % 2)):
-                        continue
                     cand_metric = INFINITE if seq % 2 else metric + 1
                     # a worse metric replacing a live route is damped
                     # (a finite metric always carries an even number)

@@ -2,17 +2,11 @@
 
 A scenario bundles everything a run needs: the field, node placements,
 scripted motions, background mobility, flows, radio constants, per
-protocol parameters, and the seed. Scenario documents are JSON; the two
-builtin scenarios are constructed in code so their geometry is exact.
-
-Builtin geometry. 100 nodes stand in 15 columns (ids stride 15 per row:
-node = column + 15 * row). Columns 0-9 hold 7 nodes, columns 10-14 hold
-6. In the long-distance scenario node 15 drives east out of everyone's
-range while node 0 takes node 15's old spot; in the short-distance
-scenario node 1 dives to an isolated corridor at the field's south edge,
-marches east and back, and returns to its starting point around t=153 s.
-Background nodes stay parked, so each mover's departure and return
-times, and every link-break instant, are closed-form reproducible.
+protocol parameters, and the seed. Scenario documents are JSON, and the
+two builtin scenarios are documents shipped beside this module
+(``long-distance.json``, ``short-distance.json``), so every scenario
+reaches a run through ``load_config``. The README's "Builtin scenarios"
+explains their geometry.
 """
 
 import csv
@@ -23,8 +17,6 @@ import os
 import random
 from dataclasses import dataclass
 
-from .aodv import AodvConfig
-from .dsdv import DsdvConfig
 from .metrics import FlowStats, write_plot_series
 from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
@@ -32,36 +24,10 @@ from .simulation import PROTOCOLS, Motion, Simulation
 from .transport import FlowConfig
 
 BUILTIN_SCENARIOS = ("long-distance", "short-distance")
-# Default seed for the shipped scenarios. The short-distance timeline is
-# sensitive to the table-broadcast phase of the mover's first relay: this
-# seed staggers node 2 to 3.82 s, so its eleventh periodic update (153.82 s)
-# falls between the mover re-entering its radio disk (~152.5 s) and the
-# mover's next send attempt (157.0 s).
-BUILTIN_SEED = 1
+# a document's default duration, and the builtins'
 BUILTIN_DURATION = 600.0
 # protocol of a scenario document that names none
 DEFAULT_PROTOCOL = "AODV"
-
-GRID_COLUMN_X = (
-    140.0, 345.0, 550.0, 755.0, 960.0, 1150.0, 1340.0, 1530.0,
-    1720.0, 1910.0, 2100.0, 2290.0, 2480.0, 2670.0, 2860.0,
-)
-# (first row y, row step) per column; column 1's first node sits apart
-# from its ladder, at (345, 270)
-GRID_COLUMN_LADDER = (
-    (300.0, 150.0), (695.0, 160.0), (290.0, 140.0), (360.0, 160.0),
-    (320.0, 170.0), (320.0, 120.0), (690.0, 150.0), (690.0, 150.0),
-    (690.0, 150.0), (690.0, 150.0), (690.0, 150.0), (690.0, 150.0),
-    (710.0, 140.0), (710.0, 140.0), (710.0, 140.0),
-)
-
-# short-distance mover: a dive to the isolated south corridor, an
-# east-and-back march along it, then the dive retraced; leg lengths are
-# chosen so the mover re-enters its first relay's disk at t=152.5 s
-SHORT_MOVER_SPEED = 12.66
-SHORT_DIVE_START = (345.0, 270.0)
-SHORT_DIVE_PARK = (418.73, 5.0)
-SHORT_EAST_TURN = (1136.58, 5.0)
 
 
 class ConfigError(ValueError):
@@ -78,86 +44,29 @@ class ScenarioConfig:
     placements: dict  # {node: (x, y)}
     motions: list  # [Motion]
     flows: list  # [FlowConfig]
+    primary_flow: str  # the flow a comparison's verdicts judge
     background_mobility: "RandomWaypoint | None"  # None: parked nodes
     radio: RadioConfig
     protocol_params: dict  # lower-case protocol name -> its config
 
-
-def grid_positions() -> dict:
-    nodes = {}
-    for col, x in enumerate(GRID_COLUMN_X):
-        rows = 7 if col <= 9 else 6
-        base, step = GRID_COLUMN_LADDER[col]
-        for row in range(rows):
-            if col == 1 and row == 0:
-                y = 270.0
-            elif col == 1:
-                y = base + step * (row - 1)
-            else:
-                y = base + step * row
-            nodes[col + 15 * row] = (x, y)
-    return nodes
-
-
-def _long_motions() -> list:
-    return [
-        Motion(0, 10.0, (140.0, 450.0), 75.0),
-        Motion(15, 10.0, (2788.0, 450.0), 12.97),
-    ]
-
-
-def _short_motions() -> list:
-    legs = (SHORT_DIVE_PARK, SHORT_EAST_TURN, SHORT_DIVE_PARK, SHORT_DIVE_START)
-    motions = []
-    t = 10.0
-    origin = SHORT_DIVE_START
-    for dest in legs:
-        motions.append(Motion(1, t, dest, SHORT_MOVER_SPEED))
-        t += math.dist(origin, dest) / SHORT_MOVER_SPEED
-        origin = dest
-    return motions
-
-
-def _builtin_flows() -> list:
-    return [
-        FlowConfig("f0", 0, 15, 0.0, 0.29),
-        FlowConfig("f1", 1, 25, 30.0, 0.29),
-        FlowConfig("f2", 32, 34, 0.5, 0.31),
-        FlowConfig("f3", 47, 77, 1.0, 0.33),
-        FlowConfig("f4", 93, 94, 1.5, 0.37),
-    ]
+    def __post_init__(self):
+        # checked on every construction, so that a config given other
+        # flows by dataclasses.replace cannot keep a flow it lacks
+        if self.primary_flow not in [f.flow for f in self.flows]:
+            raise _field_error("primary_flow",
+                               f"unknown flow {self.primary_flow!r}")
 
 
 def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
-    """The two shipped 100-node scenarios; same world for both protocols.
-
-    The proactive update period differs per scenario (documented in the
-    README): the long-distance run broadcasts tables every 40 s, the
-    short-distance run every 15 s. Both protocol parameter sets ride in
-    every config, so an AODV/DSDV pair differs only in the protocol
-    field.
-    """
+    """A shipped 100-node scenario, loaded from its document beside this
+    module, with the protocol replaced; same world for both protocols."""
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown builtin scenario {name!r}")
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
-    long_haul = name == "long-distance"
-    return ScenarioConfig(
-        name=name,
-        protocol=protocol,
-        duration=BUILTIN_DURATION,
-        seed=BUILTIN_SEED,
-        field=FieldConfig(),
-        placements=dict(sorted(grid_positions().items())),
-        motions=_long_motions() if long_haul else _short_motions(),
-        flows=_builtin_flows(),
-        background_mobility=None,
-        radio=RadioConfig(),
-        protocol_params={
-            "aodv": AodvConfig(),
-            "dsdv": DsdvConfig(update_interval=40.0 if long_haul else 15.0),
-        },
-    )
+    path = os.path.join(os.path.dirname(__file__), f"{name}.json")
+    with open(path) as fh:
+        return dataclasses.replace(load_config(fh.read()), protocol=protocol)
 
 
 # Random-waypoint methodology of Broch et al. (MobiCom 1998), with a
@@ -206,15 +115,6 @@ def random_waypoint_document(seed: int, nodes: int, flows: int,
         },
     }
     return json.dumps(doc, indent=1) + "\n"
-
-
-def primary_flow(config: ScenarioConfig) -> str:
-    """The flow whose endpoints the scenario's motion script separates: a
-    builtin's named flow if the config has it, else the first flow."""
-    flow = {"long-distance": "f0", "short-distance": "f1"}.get(config.name)
-    if any(f.flow == flow for f in config.flows):
-        return flow
-    return config.flows[0].flow
 
 
 # -- scenario documents ----------------------------------------------------
@@ -455,6 +355,7 @@ def load_config(text: str) -> ScenarioConfig:
     config = ScenarioConfig(
         name=name, protocol=protocol, duration=duration, seed=seed,
         field=field, placements=placements, motions=motions, flows=flows,
+        primary_flow=doc.get("primary_flow", flows[0].flow),
         background_mobility=waypoint, radio=radio, protocol_params=params,
     )
     check_run_length(config)
@@ -508,6 +409,7 @@ def serialize_config(config: ScenarioConfig) -> str:
         "motions": [[m.node, m.start_t, [m.dest[0], m.dest[1]], m.speed]
                     for m in config.motions],
         "flows": [_doc_object(f) for f in config.flows],
+        "primary_flow": config.primary_flow,
         "background_mobility": (
             {"kind": "stationary"} if waypoint is None
             else {"kind": "random-waypoint", **_doc_object(waypoint)}),
@@ -521,11 +423,7 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 @dataclass
 class RunReport:
-    scenario: str
-    protocol: str
-    seed: int
-    duration: float
-    primary_flow: str
+    config: ScenarioConfig  # the scenario run
     flows: list  # one FlowStats per flow, config order
     paths: dict  # flow -> [(t, chain)]
     manifest: list  # files written, relative to the output directory
@@ -600,11 +498,7 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
                     "\n".join(path_lines) + "\n" if path_lines else "")
 
     report = RunReport(
-        scenario=config.name,
-        protocol=config.protocol,
-        seed=config.seed,
-        duration=duration,
-        primary_flow=primary_flow(config),
+        config=config,
         flows=flow_stats,
         paths=ledger.paths_taken(),
         manifest=manifest,
@@ -640,12 +534,13 @@ def _write_summary_csv(out_dir, flow_stats):
 
 
 def format_report(report: RunReport) -> str:
+    config = report.config
     lines = [
-        f"scenario: {report.scenario}",
-        f"protocol: {report.protocol}",
-        f"seed: {report.seed}",
-        f"duration: {report.duration:g}",
-        f"primary flow: {report.primary_flow}",
+        f"scenario: {config.name}",
+        f"protocol: {config.protocol}",
+        f"seed: {config.seed}",
+        f"duration: {config.duration:g}",
+        f"primary flow: {config.primary_flow}",
         "",
     ]
     for stats in report.flows:
@@ -700,45 +595,45 @@ def verdicts(reactive: FlowStats, proactive: FlowStats) -> dict[str, bool]:
 def compare(report_a: RunReport, report_b: RunReport) -> dict:
     """Side-by-side stats for two runs of one scenario, with verdicts.
 
-    Verdicts name the protocols by their nature: reactive (on-demand
-    discovery) and proactive (standing tables). They are computed on the
-    scenario's primary flow.
+    The runs' configs must be equal apart from ``protocol``, and one
+    protocol must be reactive (on-demand discovery) and the other
+    proactive (standing tables); the verdicts name them by that nature
+    and are computed on the scenario's primary flow. Either order is
+    accepted.
     """
-    if report_a.scenario != report_b.scenario:
-        raise ValueError(
-            f"cannot compare different scenarios "
-            f"({report_a.scenario!r} vs {report_b.scenario!r})")
-    # a stable sort puts a reactive run first and keeps the given order
-    # when both runs are of one nature
+    a, b = report_a.config, report_b.config
+    differ = [f.name for f in dataclasses.fields(ScenarioConfig)
+              if f.name != "protocol"
+              and getattr(a, f.name) != getattr(b, f.name)]
+    if differ:
+        raise ValueError(f"cannot compare runs of different scenarios "
+                         f"(they differ in {', '.join(differ)})")
+    if {PROTOCOLS[c.protocol].proactive for c in (a, b)} != {False, True}:
+        raise ValueError(f"cannot compare {a.protocol} with {b.protocol}: "
+                         f"need one reactive and one proactive run")
     reactive, proactive = sorted(
         (report_a, report_b),
-        key=lambda report: PROTOCOLS[report.protocol].proactive)
+        key=lambda report: PROTOCOLS[report.config.protocol].proactive)
 
-    r_stats, p_stats = ({stats.flow: stats for stats in report.flows}
-                        for report in (reactive, proactive))
-    if r_stats.keys() != p_stats.keys():
-        raise ValueError(f"cannot compare runs of different flows "
-                         f"({sorted(r_stats)} vs {sorted(p_stats)})")
+    pairs = {r.flow: (r, p) for r, p in zip(reactive.flows, proactive.flows)}
     table = []
-    for flow, stats in r_stats.items():
-        other = p_stats[flow]
+    for flow, (r, p) in pairs.items():
         for metric in _COMPARE_METRICS:
             table.append({
                 "flow": flow,
                 "metric": metric,
-                "reactive": getattr(stats, metric),
-                "proactive": getattr(other, metric),
-                "delta": getattr(other, metric) - getattr(stats, metric),
+                "reactive": getattr(r, metric),
+                "proactive": getattr(p, metric),
+                "delta": getattr(p, metric) - getattr(r, metric),
             })
 
-    primary = reactive.primary_flow
     return {
-        "scenario": reactive.scenario,
-        "primary_flow": primary,
-        "reactive_protocol": reactive.protocol,
-        "proactive_protocol": proactive.protocol,
+        "scenario": a.name,
+        "primary_flow": a.primary_flow,
+        "reactive_protocol": reactive.config.protocol,
+        "proactive_protocol": proactive.config.protocol,
         "table": table,
-        "verdicts": verdicts(r_stats[primary], p_stats[primary]),
+        "verdicts": verdicts(*pairs[a.primary_flow]),
     }
 
 

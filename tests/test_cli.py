@@ -1,6 +1,7 @@
 """End-to-end checks of the vanetsim console entry point."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -55,6 +56,17 @@ def test_builtin_run_requires_protocol(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "--protocol" in capsys.readouterr().err
+
+
+def test_builtin_and_its_document_write_equal_bytes(tmp_path, capsys):
+    document = resources.files("vanetsim").joinpath("long-distance.json")
+    for scenario, out in (("long-distance", "builtin"),
+                          (str(document), "document")):
+        assert main(["run", "--scenario", scenario, "--protocol", "aodv",
+                     "--duration", "5", "--out", str(tmp_path / out)]) == 0
+    for rel in ("trace.txt", "summary.csv", "report.txt"):
+        assert ((tmp_path / "builtin" / rel).read_bytes()
+                == (tmp_path / "document" / rel).read_bytes()), rel
 
 
 def test_unknown_scenario_is_a_validation_error(tmp_path, capsys):
@@ -132,6 +144,7 @@ def test_malformed_protocol_params_are_validation_errors(
                  "send_interval": 1e-20}]}, "flows[0].send_interval"),
     ({"background_mobility": {"kind": "random-waypoint", "v_min": 1e300,
                               "v_max": 1e300}}, "background_mobility.v_max"),
+    ({"primary_flow": "x"}, "primary_flow"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):

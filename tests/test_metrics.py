@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 import statistics
@@ -555,6 +556,9 @@ def test_ledger_memory_per_record_stays_small():
     tracemalloc.start()
     try:
         ledger = build_simulation(config).run(config.duration).ledger
+        # a full collection clears CPython's free lists, whose cached
+        # tuples are not records the ledger holds
+        gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -565,11 +569,11 @@ def test_ledger_memory_per_record_stays_small():
     records = lines + receptions
     assert lines > 15000
     # one list entry, one string and a boxed (t, bits) tuple per record
-    # held about 108 bytes each; packed text and float arrays hold about 50
-    assert held / records < 60
+    # held about 108 bytes each; packed text and float arrays hold about 41
+    assert held / records < 48
     # with a reception log for every node the ledger held about 71 bytes
-    # per trace line; keeping logs for the flows' sinks alone, about 60
-    assert held / lines < 65
+    # per trace line; keeping logs for the flows' sinks alone, about 44
+    assert held / lines < 52
 
 
 def test_simulation_run_packs_its_trace_tail():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,7 @@ from vanetsim.scenario import (
     compare,
     format_comparison,
     format_report,
-    grid_positions,
     load_config,
-    primary_flow,
     random_waypoint_document,
     run,
     serialize_config,
@@ -51,7 +50,7 @@ def mini_config(**overrides):
 # -- builtin scenarios -----------------------------------------------------
 
 def test_grid_has_hundred_nodes_on_known_columns():
-    nodes = grid_positions()
+    nodes = builtin_scenario("long-distance", "AODV").placements
     assert set(nodes) == set(range(100))
     assert nodes[0] == (140.0, 300.0)
     assert nodes[1] == (345.0, 270.0)
@@ -62,6 +61,27 @@ def test_grid_has_hundred_nodes_on_known_columns():
     # columns 0-9 carry seven rows, columns 10-14 six
     assert 14 + 15 * 6 not in nodes
     assert 9 + 15 * 6 in nodes
+
+
+def test_builtins_are_their_packaged_documents():
+    """A builtin is its shipped document, loaded like any other, with the
+    protocol replaced; the two differ only in their motions, primary flow
+    and DSDV update interval."""
+    package = resources.files("vanetsim")
+    loaded = {}
+    for name in BUILTIN_SCENARIOS:
+        loaded[name] = load_config(package.joinpath(f"{name}.json").read_text())
+        assert loaded[name].name == name
+        for protocol in ("AODV", "DSDV"):
+            assert builtin_scenario(name, protocol) == dataclasses.replace(
+                loaded[name], protocol=protocol)
+    long_haul, short = loaded["long-distance"], loaded["short-distance"]
+    assert dataclasses.replace(
+        short, name=long_haul.name, motions=long_haul.motions,
+        primary_flow=long_haul.primary_flow,
+        protocol_params=long_haul.protocol_params) == long_haul
+    assert [c.protocol_params["dsdv"].update_interval
+            for c in (long_haul, short)] == [40.0, 15.0]
 
 
 def test_builtin_pair_differs_only_in_protocol():
@@ -92,18 +112,36 @@ def test_builtin_flows_and_primary():
         config = builtin_scenario(name, "AODV")
         assert [f.flow for f in config.flows] == ["f0", "f1", "f2", "f3", "f4"]
         assert all(f.data_packet_size == 512 for f in config.flows)
-    assert primary_flow(builtin_scenario("long-distance", "AODV")) == "f0"
-    assert primary_flow(builtin_scenario("short-distance", "AODV")) == "f1"
+    assert builtin_scenario("long-distance", "AODV").primary_flow == "f0"
+    assert builtin_scenario("short-distance", "AODV").primary_flow == "f1"
 
 
 def test_primary_flow_is_a_builtin_name_only_if_the_config_has_that_flow():
+    """A document's name chooses nothing: one named like a builtin, without
+    a primary_flow key, takes its first flow."""
     custom = mini_config(name="long-distance",
                          flows=[dict(MINI_DOC["flows"][0], flow="x")])
-    assert primary_flow(custom) == "x"
+    assert custom.primary_flow == "x"
     aodv = run(custom)
     dsdv = run(dataclasses.replace(custom, protocol="DSDV"))
-    assert aodv.primary_flow == "x"
+    assert aodv.config.primary_flow == "x"
     assert compare(aodv, dsdv)["primary_flow"] == "x"
+
+
+def test_primary_flow_names_a_flow_of_the_document():
+    flows = MINI_DOC["flows"] + [{"flow": "f1", "src": 2, "sink": 0,
+                                  "max_packets": 5}]
+    assert mini_config(flows=flows).primary_flow == "f0"
+    config = mini_config(flows=flows, primary_flow="f1")
+    assert config.primary_flow == "f1"
+    assert json.loads(serialize_config(config))["primary_flow"] == "f1"
+    assert run(config).config is config
+    for bad in ("x", 1, None, ["f1"]):
+        with pytest.raises(ConfigError) as e:
+            mini_config(flows=flows, primary_flow=bad)
+        assert str(e.value) == f"primary_flow: unknown flow {bad!r}"
+    with pytest.raises(ConfigError, match="primary_flow: unknown flow 'f1'"):
+        dataclasses.replace(config, flows=config.flows[:1])
 
 
 def test_builtin_rejects_unknown_names():
@@ -503,10 +541,11 @@ def two_protocol_reports():
     return aodv, dsdv
 
 
-def test_compare_self_yields_zero_deltas():
-    aodv, _ = two_protocol_reports()
-    result = compare(aodv, aodv)
-    assert all(row["delta"] == 0 for row in result["table"])
+def test_compare_needs_one_reactive_and_one_proactive_run():
+    aodv, dsdv = two_protocol_reports()
+    for report in (aodv, dsdv):
+        with pytest.raises(ValueError, match="one reactive and one proactive"):
+            compare(report, report)
 
 
 def test_compare_orients_by_protocol_nature():
@@ -530,6 +569,21 @@ def test_compare_rejects_different_scenarios():
         compare(aodv, other)
 
 
+def test_compare_rejects_unnamed_documents_that_differ():
+    """Two documents without a name are both "custom"; their configs, not
+    their names, decide whether they are one scenario."""
+    def unnamed(sink_x, protocol):
+        return run(load_config(json.dumps({
+            "protocol": protocol, "duration": 20,
+            "placements": [[0, [100, 300]], [1, [100 + sink_x, 300]]],
+            "flows": [{"flow": "f0", "src": 0, "sink": 1,
+                       "max_packets": 50}]})))
+    near, far = unnamed(300, "AODV"), unnamed(900, "DSDV")
+    assert near.config.name == far.config.name == "custom"
+    with pytest.raises(ValueError, match=r"differ in placements\)"):
+        compare(near, far)
+
+
 def test_compare_rejects_reports_whose_flows_differ():
     one_flow = run(mini_config())
     two_flows = run(mini_config(
@@ -537,5 +591,5 @@ def test_compare_rejects_reports_whose_flows_differ():
         flows=MINI_DOC["flows"] + [{"flow": "f1", "src": 2, "sink": 0,
                                     "start_t": 0.5, "max_packets": 5}]))
     for pair in ((one_flow, two_flows), (two_flows, one_flow)):
-        with pytest.raises(ValueError, match=r"\['f0'\].*\['f0', 'f1'\]"):
+        with pytest.raises(ValueError, match=r"differ in flows\)"):
             compare(*pair)
