@@ -67,18 +67,6 @@ def build_parser():
     return parser
 
 
-def _check_flags(args):
-    """Reject numeric overrides a run cannot use, naming the flag; a seed
-    is checked by the document's rule, since random.Random(-s) draws what
-    random.Random(s) draws."""
-    for flag, value, positive, integer in (
-            ("--seed", args.seed, False, True),
-            ("--duration", args.duration, True, False),
-            ("--range", args.radio_range, False, False)):
-        if value is not None:
-            check_number(value, flag, positive, integer)
-
-
 def _resolve_config(args, protocol):
     if args.scenario in BUILTIN_SCENARIOS:
         if protocol is None:
@@ -94,22 +82,24 @@ def _resolve_config(args, protocol):
             config = load_config(fh.read())
         if protocol is not None:
             config = dataclasses.replace(config, protocol=protocol)
+    # each override meets its document field's rule, naming the flag; a
+    # negative seed would draw what random.Random(abs(seed)) draws
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = dataclasses.replace(
+            config, seed=check_number(args.seed, "--seed", integer=True))
     if args.duration is not None:
-        config = dataclasses.replace(config, duration=args.duration)
+        config = dataclasses.replace(config, duration=check_number(
+            args.duration, "--duration", positive=True))
         check_run_length(config)
     if args.radio_range is not None:
-        config = dataclasses.replace(
-            config,
-            radio=dataclasses.replace(config.radio,
-                                      radio_range=args.radio_range))
+        config = dataclasses.replace(config, radio=dataclasses.replace(
+            config.radio,
+            radio_range=check_number(args.radio_range, "--range")))
     check_window(args.window, config.duration, "--window")
     return config
 
 
 def _cmd_run(args) -> int:
-    _check_flags(args)
     protocol = args.protocol.upper() if args.protocol else None
     config = _resolve_config(args, protocol)
     report = run(config, out_dir=args.out, window=args.window)
@@ -118,7 +108,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_flags(args)
     # one resolved scenario; the two runs differ only in protocol
     config = _resolve_config(args, next(iter(PROTOCOLS)))
     reports = []

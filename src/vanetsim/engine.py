@@ -72,8 +72,12 @@ class Scheduler:
         """Dispatch every event with fire_at <= t_end, in order.
 
         Afterwards the clock reads exactly t_end even if the last event
-        fired earlier.  Returns the number of callbacks dispatched.
+        fired earlier.  Returns the number of callbacks dispatched.  A
+        t_end before now, or NaN, is refused: the clock never runs back.
         """
+        if not t_end >= self.now:
+            raise SchedulerMisuseError(
+                f"cannot run until {t_end} before now={self.now}")
         dispatched = 0
         heap = self._heap
         pop = heapq.heappop

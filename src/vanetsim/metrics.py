@@ -434,14 +434,11 @@ def parse_mobility_trace(text):
 
 # -- plot series files ----------------------------------------------------
 
-def write_plot_series(series, path, unit=None) -> None:
-    points = series.points if isinstance(series, MetricSeries) else series
-    if unit is None and isinstance(series, MetricSeries):
-        unit = series.unit
+def write_plot_series(series: MetricSeries, path) -> None:
     with open(path, "w") as fh:
-        if unit is not None and points:
-            fh.write(f"# {unit}\n")
-        for t, v in points:
+        if series.points:
+            fh.write(f"# {series.unit}\n")
+        for t, v in series.points:
             fh.write(f"{t!r} {v!r}\n")
 
 

@@ -162,31 +162,28 @@ class RadioMedium:
         now = self.sched.now
         tap = self.tap
         tap.on_send(frame, now)
-        deliver_at = now + airtime + self.config.per_hop_overhead
         dst = frame.dst
-        if dst != BROADCAST:
-            if dst in self._receivers and self.in_range(frame.src, dst, now):
-                def deliver():
-                    tap.on_delivery(frame, dst, deliver_at)
-                    self._receivers[dst](frame)
-
-                self.sched.schedule(deliver_at, "rx", dst, deliver)
+        if dst == BROADCAST:
+            targets = self.neighbors(frame.src, now)
+            if not targets:
+                tap.on_loss(frame, "no-neighbors", now)
                 return
+        elif dst in self._receivers and self.in_range(frame.src, dst, now):
+            targets = (dst,)
+        else:
             tap.on_loss(frame, "out-of-range", now)
             if on_fail is not None:
                 on_fail(frame)
             return
-        targets = self.neighbors(frame.src, now)
-        if not targets:
-            tap.on_loss(frame, "no-neighbors", now)
-            return
+        deliver_at = now + airtime + self.config.per_hop_overhead
+        receivers = self._receivers
 
-        def deliver_all():
+        def deliver():
             for target in targets:
                 tap.on_delivery(frame, target, deliver_at)
-                self._receivers[target](frame)
+                receivers[target](frame)
 
-        self.sched.schedule(deliver_at, "rx", dst, deliver_all)
+        self.sched.schedule(deliver_at, "rx", dst, deliver)
 
     def link_break_time(self, a: int, b: int, from_t: float) -> float:
         """Earliest time >= from_t at which a and b are out of range.
@@ -222,7 +219,9 @@ class RadioMedium:
         vx, vy = va[0] - vb[0], va[1] - vb[1]
         qa = vx * vx + vy * vy
         qb = 2 * (dx * vx + dy * vy)
-        qc = dx * dx + dy * dy - self.config.radio_range**2
+        r = self.config.radio_range
+        # r * r overflows to inf, where ** raises: the link never breaks
+        qc = dx * dx + dy * dy - r * r
         if _together(va, vb):
             return None  # the distance in_range reads holds all span
         # a pair on the edge may square to just outside it, which can sink

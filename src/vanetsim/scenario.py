@@ -123,10 +123,10 @@ def random_waypoint_document(seed: int, nodes: int, flows: int,
 _MAX_FRAME_BYTES = 2**50
 _UPPER_BOUNDS = {"data_packet_size": _MAX_FRAME_BYTES,
                  "ack_size": _MAX_FRAME_BYTES}
-# times a flow may tick, or a random-waypoint node start a leg, before the
-# run ends (the builtins tick at most 2,069 times); an interval too small
-# to advance the clock re-fires at one instant and stalls a run. It also
-# caps the windows of one metric series.
+# times a flow may tick, a random-waypoint node start a leg, or a DSDV node
+# update, before the run ends (the builtins tick at most 2,069 times); an
+# interval too small to advance the clock re-fires at one instant and
+# stalls a run. It also caps the windows of one metric series.
 MAX_FLOW_TICKS = 10**6
 # the document keys whose number must be positive; any other may be 0
 _POSITIVE_KEYS = {"duration", "bandwidth", "send_interval", "data_packet_size",
@@ -363,8 +363,9 @@ def load_config(text: str) -> ScenarioConfig:
 
 
 def check_run_length(config: ScenarioConfig) -> None:
-    """Reject a flow that would tick, or a random-waypoint background that
-    would start legs, more than MAX_FLOW_TICKS times before the run ends."""
+    """Reject a flow that would tick, a random-waypoint background that
+    would start legs, or DSDV that would send periodic updates, more than
+    MAX_FLOW_TICKS times before the run ends."""
     # tick k fires at start_t + k * send_interval, the sum the source uses
     for i, flow in enumerate(config.flows):
         if (flow.start_t + MAX_FLOW_TICKS * flow.send_interval
@@ -384,6 +385,13 @@ def check_run_length(config: ScenarioConfig) -> None:
                 f"{v_max!r} with pause {pause!r} would start more than "
                 f"{MAX_FLOW_TICKS} legs per node before duration "
                 f"{config.duration!r}")
+    # checked whatever the protocol: compare runs both on one document
+    interval = config.protocol_params["dsdv"].update_interval
+    if MAX_FLOW_TICKS * interval <= config.duration:
+        raise _field_error(
+            "protocol_params.dsdv.update_interval",
+            f"{interval!r} would update more than {MAX_FLOW_TICKS} times "
+            f"before duration {config.duration!r}")
 
 
 def check_window(window, duration, path="window") -> None:
@@ -430,18 +438,9 @@ class RunReport:
 
 
 def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
-    return Simulation(
-        positions=config.placements,
-        protocol=config.protocol,
-        flows=config.flows,
-        motions=config.motions,
-        seed=config.seed,
-        field=config.field,
-        radio_config=config.radio,
-        protocol_config=config.protocol_params[config.protocol.lower()],
-        waypoint=config.background_mobility,
-        auditing=auditing,
-    )
+    """The run of config; ``run`` builds through this name, so tools that
+    time or patch a run's setup wrap it."""
+    return Simulation(config, auditing=auditing)
 
 
 def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:

@@ -41,39 +41,39 @@ class Motion:
 
 
 class Simulation:
-    def __init__(self, *, positions, protocol, flows=(), motions=(), seed=1,
-                 field=None, radio_config=None, protocol_config=None,
-                 waypoint=None, auditing=False):
-        if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        agent_class = PROTOCOLS[protocol]
-        self.protocol = protocol
-        self.seed = seed
-        self.ledger = MetricsLedger({cfg.sink for cfg in flows})
+    """One run of a ScenarioConfig; ``auditing`` adds the auditors."""
+
+    def __init__(self, config, *, auditing=False):
+        if config.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {config.protocol!r}")
+        agent_class = PROTOCOLS[config.protocol]
+        protocol_config = config.protocol_params[config.protocol.lower()]
+        self.config = config
+        self.ledger = MetricsLedger({cfg.sink for cfg in config.flows})
         self.sched = Scheduler()
-        self.mobility = MobilityModel(field)
+        self.mobility = MobilityModel(config.field)
         self.radio = RadioMedium(self.sched, self.mobility, self.ledger,
-                                 radio_config)
+                                 config.radio)
         self.agents = {}
         self.route_auditor = RouteAuditor(
             self.agents, check_parity=agent_class.proactive) if auditing else None
         self.transport_auditor = TransportAuditor() if auditing else None
 
-        for node in sorted(positions):
-            x, y = positions[node]
+        for node in sorted(config.placements):
+            x, y = config.placements[node]
             self.mobility.add_node(node, x, y)
             self.agents[node] = agent_class(
                 self.sched, self.radio, node, config=protocol_config,
                 deliver_up=self._deliver, auditor=self.route_auditor)
 
-        self.rng = seeded_rng(seed)
+        self.rng = seeded_rng(config.seed)
         if agent_class.proactive:
             for node in sorted(self.agents):
                 self.agents[node].start(self.rng.uniform(0.0, START_STAGGER_MAX))
 
         self.sources = {}
         self.sinks = {}
-        for cfg in flows:
+        for cfg in config.flows:
             self.sources[cfg.flow] = TcpSource(
                 self.sched, cfg, self.agents[cfg.src].send_packet,
                 self.ledger, auditor=self.transport_auditor)
@@ -81,22 +81,22 @@ class Simulation:
                 self.sched, cfg, self.agents[cfg.sink].send_packet, self.ledger)
             self.sources[cfg.flow].start()
 
-        self.motions = tuple(motions)
-        for motion in self.motions:
-            self.sched.schedule(motion.start_t, "motion", motion.node,
-                                lambda m=motion: self._apply_motion(m))
+        for motion in config.motions:
+            self.sched.schedule(
+                motion.start_t, "motion", motion.node,
+                lambda m=motion: self._move(m.node, m.dest, m.speed))
 
         # nodes without a script roam waypoint-to-waypoint when asked
-        self.waypoint = waypoint
+        waypoint = config.background_mobility
         if waypoint is not None:
-            scripted = {m.node for m in self.motions}
-            for node in sorted(set(positions) - scripted):
+            scripted = {m.node for m in config.motions}
+            for node in sorted(set(config.placements) - scripted):
                 self.sched.schedule(waypoint.pause, "waypoint", node,
                                     lambda n=node: self._next_waypoint(n))
 
         # initial state line for every node, in id order; a parked node
         # reports its own position as its destination
-        for node in sorted(positions):
+        for node in sorted(config.placements):
             pos = self.mobility.position_at(node, 0.0)
             self.ledger.on_motion_state(0.0, node, pos, pos, 0.0)
 
@@ -107,21 +107,19 @@ class Simulation:
         else:
             self.sources[packet.flow].on_ack(packet.seq, now)
 
-    def _apply_motion(self, motion: Motion) -> None:
+    def _move(self, node: int, dest: tuple, speed: float) -> float:
+        """Start node's leg to dest now and log it; returns the arrival."""
         now = self.sched.now
-        self.mobility.set_motion(motion.node, motion.dest, motion.speed, now)
-        pos = self.mobility.position_at(motion.node, now)
-        self.ledger.on_motion_state(now, motion.node, pos,
-                                    motion.dest, motion.speed)
-
-    def _next_waypoint(self, node: int) -> None:
-        now = self.sched.now
-        waypoint = self.waypoint
-        dest, speed = self.mobility.random_waypoint_next(
-            self.rng, waypoint.v_min, waypoint.v_max)
         arrival = self.mobility.set_motion(node, dest, speed, now)
         pos = self.mobility.position_at(node, now)
         self.ledger.on_motion_state(now, node, pos, dest, speed)
+        return arrival
+
+    def _next_waypoint(self, node: int) -> None:
+        waypoint = self.config.background_mobility
+        dest, speed = self.mobility.random_waypoint_next(
+            self.rng, waypoint.v_min, waypoint.v_max)
+        arrival = self._move(node, dest, speed)
         self.sched.schedule(arrival + waypoint.pause, "waypoint", node,
                             lambda: self._next_waypoint(node))
 

@@ -1,6 +1,7 @@
 """On-demand routing tests: discovery, replies, retries, failure handling."""
 
 import dataclasses
+import json
 import math
 import random
 from collections import Counter, deque
@@ -11,8 +12,9 @@ from vanetsim.aodv import AodvAgent, AodvConfig, Rerr, RouteEntry, Rrep, Rreq
 from vanetsim.engine import Scheduler
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import BROADCAST, Frame, RadioMedium, RoutedPacket
+from vanetsim.scenario import load_config
 from vanetsim.simulation import Simulation
-from vanetsim.transport import DataPacket, FlowConfig
+from vanetsim.transport import DataPacket
 
 
 class FrameLog:
@@ -369,8 +371,9 @@ def test_parked_neighbours_one_rounding_step_inside_range_discover_once():
     # so each packet rediscovered it and reported the break
     pa = (867.9155032407795, 1538.3647823201336)
     pb = (625.4692513363111, 1477.3744967209082)
-    sim = Simulation(positions={0: pa, 1: pb}, protocol="AODV",
-                     flows=[FlowConfig("f0", 0, 1, 0.0, 0.1, max_packets=100)])
+    sim = Simulation(load_config(json.dumps({
+        "placements": [[0, pa], [1, pb]],
+        "flows": [{"flow": "f0", "src": 0, "sink": 1, "max_packets": 100}]})))
     sim.run(10.0)
     sends = Counter(line.split()[2] for line in sim.ledger.trace_text().splitlines()
                     if line.startswith("s "))

@@ -145,6 +145,8 @@ def test_malformed_protocol_params_are_validation_errors(
     ({"background_mobility": {"kind": "random-waypoint", "v_min": 1e300,
                               "v_max": 1e300}}, "background_mobility.v_max"),
     ({"primary_flow": "x"}, "primary_flow"),
+    ({"protocol_params": {"dsdv": {"update_interval": 1e-300}}},
+     "protocol_params.dsdv.update_interval"),
 ])
 def test_malformed_documents_fail_before_running(
         tmp_path, capsys, overrides, field):
@@ -197,6 +199,17 @@ def test_zero_range_is_accepted(scenario_file, tmp_path, capsys):
     code = main(["run", "--scenario", str(scenario_file), "--range", "0",
                  "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_huge_range_with_a_mover_runs(tmp_path, capsys, command):
+    # the range squared overflows a float; the link watch used to raise
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(dict(MINI_DOC, radio={"range": 1e200},
+                                   motions=[[1, 1.0, [400, 300], 5.0]])))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(doc), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unwritable_out_dir_is_an_io_error(scenario_file, tmp_path, capsys):

@@ -152,6 +152,22 @@ def test_interleaved_run_until_calls_resume_cleanly():
     assert order == [1.0, 2.0, 3.0, 4.0]
 
 
+@pytest.mark.parametrize("t_end", [3.0, math.nan])
+def test_run_until_refuses_to_run_the_clock_back(t_end):
+    # run back to 3.0, an event due at 3.5 would dispatch after one that
+    # fired at 4.0; a NaN clock would refuse every later schedule
+    sched = Scheduler()
+    order = []
+    sched.schedule(4.0, "a", "x", lambda: order.append(4.0))
+    sched.run_until(5.0)
+    with pytest.raises(SchedulerMisuseError):
+        sched.run_until(t_end)
+    assert sched.now == 5.0
+    sched.schedule(5.5, "b", "x", lambda: order.append(5.5))
+    sched.run_until(6.0)
+    assert order == [4.0, 5.5]
+
+
 def test_dispatch_order_is_reproducible_under_load():
     def trial():
         rng = random.Random(42)

@@ -642,5 +642,5 @@ def test_plot_series_empty_writes_empty_file(tmp_path):
 
 def test_plot_series_plain_values(tmp_path):
     path = tmp_path / "simple.dat"
-    write_plot_series([(1, 2.5)], path)
-    assert path.read_text() == "1 2.5\n"
+    write_plot_series(MetricSeries([(1, 2.5)], "packets"), path)
+    assert path.read_text() == "# packets\n1 2.5\n"

@@ -28,11 +28,11 @@ class TapRecorder:
         self.losses.append((frame, reason, t))
 
 
-def build(positions):
+def build(positions, config=None):
     sched = Scheduler()
     mob = MobilityModel()
     tap = TapRecorder()
-    radio = RadioMedium(sched, mob, tap)
+    radio = RadioMedium(sched, mob, tap, config)
     inbox = {}
     for node_id, (x, y) in positions.items():
         mob.add_node(node_id, x, y)
@@ -254,6 +254,14 @@ def test_link_break_single_leg_crossing():
     # distance 100*t crosses 250 at t = 2.5
     assert radio.link_break_time(0, 1, 0.0) == pytest.approx(2.5, abs=1e-12)
     assert radio.link_break_time(0, 1, 3.0) == 3.0
+
+
+def test_link_break_never_for_a_moving_pair_under_a_huge_range():
+    # the range squared overflows a float; the link must never break
+    sched, mob, radio, inbox, tap = build({0: (0, 0), 1: (100, 0)},
+                                          RadioConfig(radio_range=1e200))
+    mob.set_motion(1, (600, 0), 50.0, 0.0)
+    assert radio.link_break_time(0, 1, 0.0) == math.inf
 
 
 def test_link_break_approaching_node_never_breaks():

@@ -178,12 +178,12 @@ def test_round_trip_preserves_config():
 
 def test_build_simulation_hands_over_the_configs_own_objects():
     """Nothing is rebuilt between the document and the run: the simulation
-    and every agent hold the config's own waypoint and protocol config."""
+    holds the config itself, and every agent the config's protocol config."""
     doc = random_waypoint_document(5, 6, 2, 20.0, pause=2.0)
     for protocol in ("AODV", "DSDV"):
         config = dataclasses.replace(load_config(doc), protocol=protocol)
         sim = build_simulation(config)
-        assert sim.waypoint is config.background_mobility
+        assert sim.config is config
         params = config.protocol_params[protocol.lower()]
         assert all(agent.config is params for agent in sim.agents.values())
 
@@ -353,6 +353,10 @@ def test_out_of_field_errors_print_the_field_as_width_and_height():
     ({"background_mobility": {"kind": "stationary", "speed": 3}},
      "background_mobility.speed: unknown parameter"),
     ({"durration": 5}, "durration: unknown parameter"),
+    # updates shorter than the clock's resolution re-fired at one instant
+    ({"protocol_params": {"dsdv": {"update_interval": 1e-300}}},
+     "protocol_params.dsdv.update_interval: 1e-300 would update more than "
+     "1000000 times before duration 6.0"),
 ])
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:

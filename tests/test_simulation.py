@@ -1,29 +1,36 @@
 """Full-stack assembly: flows over routed chains, motion lines, determinism."""
 
 import dataclasses
+import json
 
 import pytest
 
 from vanetsim.metrics import parse_mobility_trace
 from vanetsim.scenario import (BUILTIN_SCENARIOS, build_simulation,
-                               builtin_scenario, run)
-from vanetsim.simulation import PROTOCOLS, Motion, Simulation
-from vanetsim.transport import FlowConfig
+                               builtin_scenario, load_config, run)
+from vanetsim.simulation import PROTOCOLS, Simulation
 
-CHAIN = {0: (100.0, 400.0), 1: (300.0, 400.0), 2: (500.0, 400.0)}
+CHAIN = [[0, [100.0, 400.0]], [1, [300.0, 400.0]], [2, [500.0, 400.0]]]
 
 
-def chain_sim(protocol, *, flow_start, seed=7, auditing=False, motions=()):
-    cfg = FlowConfig("f0", 0, 2, flow_start, 0.2, max_packets=5)
-    return Simulation(
-        positions=CHAIN, protocol=protocol, flows=[cfg], motions=motions,
-        seed=seed, auditing=auditing,
-    )
+def chain_config(protocol="AODV", *, flow, motions=(), seed=1):
+    """The three-node chain as a scenario document: one flow 0 -> 2."""
+    return load_config(json.dumps({
+        "protocol": protocol, "seed": seed, "placements": CHAIN,
+        "motions": list(motions),
+        "flows": [{"flow": "f0", "src": 0, "sink": 2, **flow}]}))
+
+
+def chain_sim(protocol, *, flow_start, seed=7, auditing=False):
+    flow = {"start_t": flow_start, "send_interval": 0.2, "max_packets": 5}
+    return Simulation(chain_config(protocol, flow=flow, seed=seed),
+                      auditing=auditing)
 
 
 def test_rejects_unknown_protocol():
+    config = chain_config(flow={})
     with pytest.raises(ValueError):
-        Simulation(positions=CHAIN, protocol="OLSR")
+        Simulation(dataclasses.replace(config, protocol="OLSR"))
 
 
 def test_aodv_flow_completes_over_discovered_route():
@@ -46,10 +53,10 @@ def test_dsdv_flow_completes_over_converged_table():
 
 
 def test_motion_emits_state_lines():
-    sim = Simulation(
-        positions=CHAIN, protocol="AODV",
-        motions=[Motion(1, 2.0, (300.0, 900.0), 10.0)],
-    ).run(5.0)
+    # the flow starts after the run ends, so no frame is sent
+    sim = Simulation(chain_config(
+        flow={"start_t": 10.0}, motions=[[1, 2.0, [300.0, 900.0], 10.0]],
+    )).run(5.0)
     records, skipped = parse_mobility_trace(sim.ledger.trace_text())
     assert skipped == 0
     assert [(r[0], r[1]) for r in records] == [
@@ -83,12 +90,10 @@ def test_auditors_observe_clean_run():
 
 def test_auditors_stay_clean_through_link_break():
     # the relay drives away mid-flow, the source must rediscover via nobody
-    sim = Simulation(
-        positions=CHAIN, protocol="AODV",
-        flows=[FlowConfig("f0", 0, 2, 0.1, 0.2, max_packets=40)],
-        motions=[Motion(1, 3.0, (300.0, 1400.0), 100.0)],
-        auditing=True,
-    ).run(30.0)
+    sim = Simulation(chain_config(
+        flow={"start_t": 0.1, "send_interval": 0.2, "max_packets": 40},
+        motions=[[1, 3.0, [300.0, 1400.0], 100.0]],
+    ), auditing=True).run(30.0)
     assert sim.route_auditor.loop_violations == []
     assert sim.transport_auditor.violations == []
     assert not sim.sources["f0"].complete
