@@ -186,12 +186,12 @@ class AodvAgent(RoutingAgent):
 
     def _handle_rreq(self, rreq: Rreq, prev_hop: int, now: float) -> None:
         key = (rreq.origin, rreq.rreq_id)
-        expiry = self.seen.get(key)
-        if expiry is not None and expiry > now:
+        if key in self.seen:
             return
         self.seen[key] = now + self.config.seen_expiry
-        # expired ids count as absent, so pruning is only for memory; a
-        # prune per doubling keeps its amortised cost constant per id
+        # ids are never reused, so a remembered id is always a duplicate;
+        # the expiry only says which ids a prune may forget, and a prune
+        # per doubling keeps its amortised cost constant per id
         if len(self.seen) > self._seen_cap:
             self.seen = {k: e for k, e in self.seen.items() if e > now}
             self._seen_cap = max(512, 2 * len(self.seen))

@@ -17,7 +17,6 @@ from .scenario import (
     ConfigError,
     builtin_scenario,
     check_number,
-    check_run_length,
     check_window,
     compare,
     format_comparison,
@@ -82,15 +81,15 @@ def _resolve_config(args, protocol):
             config = load_config(fh.read())
         if protocol is not None:
             config = dataclasses.replace(config, protocol=protocol)
-    # each override meets its document field's rule, naming the flag; a
-    # negative seed would draw what random.Random(abs(seed)) draws
+    # each override meets its document field's rule, naming the flag, and
+    # each replace meets the config's rules spanning fields; a negative
+    # seed would draw what random.Random(abs(seed)) draws
     if args.seed is not None:
         config = dataclasses.replace(
             config, seed=check_number(args.seed, "--seed", integer=True))
     if args.duration is not None:
         config = dataclasses.replace(config, duration=check_number(
             args.duration, "--duration", positive=True))
-        check_run_length(config)
     if args.radio_range is not None:
         config = dataclasses.replace(config, radio=dataclasses.replace(
             config.radio,

@@ -34,8 +34,12 @@ class ConfigError(ValueError):
     """A scenario document failed validation; message names the field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario that can run. Its rules spanning fields are checked on
+    every construction, ``dataclasses.replace`` included, so a config
+    changed after loading is held to what its document would be."""
+
     name: str
     protocol: str
     duration: float
@@ -50,11 +54,74 @@ class ScenarioConfig:
     protocol_params: dict  # lower-case protocol name -> its config
 
     def __post_init__(self):
-        # checked on every construction, so that a config given other
-        # flows by dataclasses.replace cannot keep a flow it lacks
-        if self.primary_flow not in [f.flow for f in self.flows]:
+        if self.protocol not in PROTOCOLS:
+            raise _field_error("protocol", f"unknown protocol {self.protocol!r}")
+        extent = (self.field.width, self.field.height)
+        for i, pos in enumerate(self.placements.values()):
+            if not self.field.contains(pos):
+                raise _field_error(f"placements[{i}]",
+                                   f"position {pos} outside field {extent}")
+        for i, m in enumerate(self.motions):
+            if m.node not in self.placements:
+                raise _field_error(f"motions[{i}]",
+                                   f"motion references unknown node {m.node!r}")
+            if not self.field.contains(m.dest):
+                raise _field_error(f"motions[{i}][2]", f"destination "
+                                   f"{m.dest} outside field {extent}")
+        # replay the legs in the order the scheduler applies them (start
+        # time, then list order) so an overlap is found before the run; a
+        # leg touches only its own node's plan
+        replay = MobilityModel(self.field)
+        for node in {m.node for m in self.motions}:
+            replay.add_node(node, *self.placements[node])
+        for i in sorted(range(len(self.motions)),
+                        key=lambda i: self.motions[i].start_t):
+            m = self.motions[i]
+            try:
+                replay.set_motion(m.node, m.dest, m.speed, m.start_t)
+            except MobilityError as e:
+                raise _field_error(f"motions[{i}]", str(e)) from None
+        # the run-length rules: no flow may tick, random-waypoint node start
+        # a leg, or DSDV node update more than MAX_FLOW_TICKS times in a run
+        duration = self.duration
+        names = []  # a list, since primary_flow may be any value
+        for i, flow in enumerate(self.flows):
+            if flow.flow in names:
+                raise _field_error(f"flows[{i}]",
+                                   f"duplicate flow name {flow.flow!r}")
+            names.append(flow.flow)
+            for label, node in (("src", flow.src), ("sink", flow.sink)):
+                if node not in self.placements:
+                    raise _field_error(f"flows[{i}].{label}", f"flow {flow.flow!r} "
+                                       f"references unknown node {node!r}")
+            # tick k fires at start_t + k * send_interval, the sum the source uses
+            if flow.start_t + MAX_FLOW_TICKS * flow.send_interval <= duration:
+                raise _field_error(
+                    f"flows[{i}].send_interval",
+                    f"{flow.send_interval!r} would tick more than "
+                    f"{MAX_FLOW_TICKS} times before duration {duration!r}")
+        if self.primary_flow not in names:
             raise _field_error("primary_flow",
                                f"unknown flow {self.primary_flow!r}")
+        waypoint = self.background_mobility
+        if waypoint is not None:
+            v_max, pause = waypoint.v_max, waypoint.pause
+            if v_max < waypoint.v_min:
+                raise _field_error("background_mobility.v_max", f"expected at "
+                                   f"least v_min {waypoint.v_min!r}, got {v_max!r}")
+            # a leg takes about the field's shorter side over v_max, plus the pause
+            if MAX_FLOW_TICKS * (pause + min(extent) / v_max) <= duration:
+                raise _field_error(
+                    "background_mobility.v_max",
+                    f"{v_max!r} with pause {pause!r} would start more than "
+                    f"{MAX_FLOW_TICKS} legs per node before duration {duration!r}")
+        # checked whatever the protocol: compare runs both on one document
+        interval = self.protocol_params["dsdv"].update_interval
+        if MAX_FLOW_TICKS * interval <= duration:
+            raise _field_error(
+                "protocol_params.dsdv.update_interval",
+                f"{interval!r} would update more than {MAX_FLOW_TICKS} times "
+                f"before duration {duration!r}")
 
 
 def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
@@ -62,8 +129,6 @@ def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
     module, with the protocol replaced; same world for both protocols."""
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown builtin scenario {name!r}")
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}")
     path = os.path.join(os.path.dirname(__file__), f"{name}.json")
     with open(path) as fh:
         return dataclasses.replace(load_config(fh.read()), protocol=protocol)
@@ -129,8 +194,8 @@ _UPPER_BOUNDS = {"data_packet_size": _MAX_FRAME_BYTES,
 # stalls a run. It also caps the windows of one metric series.
 MAX_FLOW_TICKS = 10**6
 # the document keys whose number must be positive; any other may be 0
-_POSITIVE_KEYS = {"duration", "bandwidth", "send_interval", "data_packet_size",
-                  "ack_size", "max_packets", "v_min", "v_max"}
+_POSITIVE_KEYS = {"bandwidth", "send_interval", "data_packet_size", "ack_size",
+                  "max_packets", "v_min", "v_max", "ttl", "node_traversal"}
 # config fields whose document key is not the field name
 _DOC_KEYS = {"radio_range": "range"}
 
@@ -226,7 +291,8 @@ def _doc_object(config) -> dict:
 
 
 def load_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario document, filling defaults."""
+    """Parse a JSON scenario document, checking its shape and types and
+    filling defaults; the config checks the rules spanning its fields."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -240,9 +306,8 @@ def load_config(text: str) -> ScenarioConfig:
     if not isinstance(name, str):
         raise _field_error("name", f"expected a string, got {name!r}")
     protocol = doc.get("protocol", DEFAULT_PROTOCOL)
-    if not isinstance(protocol, str) or protocol.upper() not in PROTOCOLS:
+    if not isinstance(protocol, str):
         raise _field_error("protocol", f"unknown protocol {protocol!r}")
-    protocol = protocol.upper()
     duration = check_number(doc.get("duration", BUILTIN_DURATION), "duration",
                             positive=True)
     seed = check_number(doc.get("seed", 1), "seed", integer=True)
@@ -252,8 +317,7 @@ def load_config(text: str) -> ScenarioConfig:
         raise _field_error("field", "expected [width, height]")
     # a field needs an extent: in a 0 x 0 field every random waypoint is
     # the node's own position and re-fires at one instant forever
-    extent = _point(raw_field, "field", positive=True)
-    field = FieldConfig(*extent)
+    field = FieldConfig(*_point(raw_field, "field", positive=True))
     radio = _read(doc.get("radio", {}), RadioConfig, "radio")
 
     raw_placements = doc.get("placements")
@@ -269,10 +333,7 @@ def load_config(text: str) -> ScenarioConfig:
         node = check_number(item[0], f"{path}[0]", integer=True)
         if node in placements:
             raise _field_error(path, f"duplicate node id {node}")
-        pos = _point(item[1], f"{path}[1]")
-        if not field.contains(pos):
-            raise _field_error(path, f"position {pos} outside field {extent}")
-        placements[node] = pos
+        placements[node] = _point(item[1], f"{path}[1]")
     if "nodes" in doc and doc["nodes"] != len(placements):
         raise _field_error(
             "nodes", f"declares {doc['nodes']} nodes but "
@@ -287,44 +348,16 @@ def load_config(text: str) -> ScenarioConfig:
         if not (isinstance(item, list) and len(item) == 4
                 and isinstance(item[2], list) and len(item[2]) == 2):
             raise _field_error(path, "expected [node, start_t, [x, y], speed]")
-        node = check_number(item[0], f"{path}[0]", integer=True)
-        if node not in placements:
-            raise _field_error(path, f"motion references unknown node {node!r}")
-        start_t = check_number(item[1], f"{path}[1]")
-        dest = _point(item[2], f"{path}[2]")
-        if not field.contains(dest):
-            raise _field_error(f"{path}[2]",
-                               f"destination {dest} outside field {extent}")
-        speed = check_number(item[3], f"{path}[3]", positive=True)
-        motions.append(Motion(node, start_t, dest, speed))
-    # replay the legs in the order the scheduler applies them (start time,
-    # then document order) so an overlap is found before the run
-    replay = MobilityModel(field)
-    for node, (x, y) in placements.items():
-        replay.add_node(node, x, y)
-    for i in sorted(range(len(motions)), key=lambda i: motions[i].start_t):
-        m = motions[i]
-        try:
-            replay.set_motion(m.node, m.dest, m.speed, m.start_t)
-        except MobilityError as e:
-            raise _field_error(f"motions[{i}]", str(e)) from None
+        motions.append(Motion(check_number(item[0], f"{path}[0]", integer=True),
+                              check_number(item[1], f"{path}[1]"),
+                              _point(item[2], f"{path}[2]"),
+                              check_number(item[3], f"{path}[3]", positive=True)))
 
     raw_flows = doc.get("flows")
     if not isinstance(raw_flows, list) or not raw_flows:
         raise _field_error("flows", "expected a non-empty list")
-    flows = []
-    flow_names = set()
-    for i, item in enumerate(raw_flows):
-        path = f"flows[{i}]"
-        flow = _read(item, FlowConfig, path)
-        if flow.flow in flow_names:
-            raise _field_error(path, f"duplicate flow name {flow.flow!r}")
-        flow_names.add(flow.flow)
-        for label, node in (("src", flow.src), ("sink", flow.sink)):
-            if node not in placements:
-                raise _field_error(f"{path}.{label}", f"flow {flow.flow!r} "
-                                   f"references unknown node {node!r}")
-        flows.append(flow)
+    flows = [_read(item, FlowConfig, f"flows[{i}]")
+             for i, item in enumerate(raw_flows)]
 
     background = doc.get("background_mobility", {"kind": "stationary"})
     path = "background_mobility"
@@ -332,9 +365,6 @@ def load_config(text: str) -> ScenarioConfig:
         raise _field_error(path, "expected an object with a kind")
     if background["kind"] == "random-waypoint":
         waypoint = _read(background, RandomWaypoint, path, skip=("kind",))
-        if waypoint.v_max < waypoint.v_min:
-            raise _field_error(f"{path}.v_max", f"expected at least v_min "
-                               f"{waypoint.v_min!r}, got {waypoint.v_max!r}")
     elif background["kind"] == "stationary":
         _check_keys(background, {"kind"}, path)
         waypoint = None
@@ -352,46 +382,12 @@ def load_config(text: str) -> ScenarioConfig:
                          f"protocol_params.{key}")
               for key, config_class in config_classes.items()}
 
-    config = ScenarioConfig(
-        name=name, protocol=protocol, duration=duration, seed=seed,
+    return ScenarioConfig(
+        name=name, protocol=protocol.upper(), duration=duration, seed=seed,
         field=field, placements=placements, motions=motions, flows=flows,
         primary_flow=doc.get("primary_flow", flows[0].flow),
         background_mobility=waypoint, radio=radio, protocol_params=params,
     )
-    check_run_length(config)
-    return config
-
-
-def check_run_length(config: ScenarioConfig) -> None:
-    """Reject a flow that would tick, a random-waypoint background that
-    would start legs, or DSDV that would send periodic updates, more than
-    MAX_FLOW_TICKS times before the run ends."""
-    # tick k fires at start_t + k * send_interval, the sum the source uses
-    for i, flow in enumerate(config.flows):
-        if (flow.start_t + MAX_FLOW_TICKS * flow.send_interval
-                <= config.duration):
-            raise _field_error(
-                f"flows[{i}].send_interval",
-                f"{flow.send_interval!r} would tick more than "
-                f"{MAX_FLOW_TICKS} times before duration {config.duration!r}")
-    # a leg takes about the field's shorter side over v_max, plus the pause
-    waypoint = config.background_mobility
-    if waypoint is not None:
-        v_max, pause = waypoint.v_max, waypoint.pause
-        side = min(config.field.width, config.field.height)
-        if MAX_FLOW_TICKS * (pause + side / v_max) <= config.duration:
-            raise _field_error(
-                "background_mobility.v_max",
-                f"{v_max!r} with pause {pause!r} would start more than "
-                f"{MAX_FLOW_TICKS} legs per node before duration "
-                f"{config.duration!r}")
-    # checked whatever the protocol: compare runs both on one document
-    interval = config.protocol_params["dsdv"].update_interval
-    if MAX_FLOW_TICKS * interval <= config.duration:
-        raise _field_error(
-            "protocol_params.dsdv.update_interval",
-            f"{interval!r} would update more than {MAX_FLOW_TICKS} times "
-            f"before duration {config.duration!r}")
 
 
 def check_window(window, duration, path="window") -> None:

@@ -41,11 +41,10 @@ class Motion:
 
 
 class Simulation:
-    """One run of a ScenarioConfig; ``auditing`` adds the auditors."""
+    """One run of a ScenarioConfig, which is valid by construction;
+    ``auditing`` adds the auditors."""
 
     def __init__(self, config, *, auditing=False):
-        if config.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {config.protocol!r}")
         agent_class = PROTOCOLS[config.protocol]
         protocol_config = config.protocol_params[config.protocol.lower()]
         self.config = config

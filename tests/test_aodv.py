@@ -358,11 +358,31 @@ def test_seen_table_is_rebuilt_only_when_it_has_doubled():
     assert len(agent.seen) == 600
     # a rebuild per new id past 512 would be 88
     assert rebuilds <= math.log2(600)
-    # a duplicate leaves its expiry alone; an expired id is admitted again
+    # a duplicate leaves its expiry alone, and stays one past its expiry
     flood(599, 5.0)
     assert agent.seen[(1, 599)] == 10.0
     flood(0, 10.0)
-    assert agent.seen[(1, 0)] == 20.0
+    assert agent.seen[(1, 0)] == 10.0
+
+
+def test_zero_seen_expiry_floods_once_per_node_and_runs_to_its_end():
+    # a six-node chain and a sink out of reach: every discovery floods to
+    # the full TTL, and with seen_expiry 0 each copy a node heard again
+    # used to be re-admitted, so the copies doubled hop by hop
+    config = load_config(json.dumps({
+        "duration": 30,
+        "placements": [[n, [100 + 200 * n, 300]] for n in range(6)]
+                      + [[6, [2500, 300]]],
+        "flows": [{"flow": "f0", "src": 0, "sink": 6}],
+        "protocol_params": {"aodv": {"seen_expiry": 0}}}))
+    sim = Simulation(config).run(config.duration)
+    assert sim.sched.now == config.duration
+    floods = sum(agent.next_rreq_id for agent in sim.agents.values())
+    rreqs = sum(line.split()[2] == "RREQ"
+                for line in sim.ledger.trace_text().splitlines()
+                if line.startswith("s "))
+    assert floods > 0
+    assert rreqs == 6 * floods
 
 
 def test_parked_neighbours_one_rounding_step_inside_range_discover_once():

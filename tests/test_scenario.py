@@ -17,6 +17,7 @@ from vanetsim.mobility import FieldConfig
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
+    RandomWaypoint,
     build_simulation,
     builtin_scenario,
     compare,
@@ -28,6 +29,7 @@ from vanetsim.scenario import (
     serialize_config,
 )
 from vanetsim.simulation import Motion
+from vanetsim.transport import FlowConfig
 
 MINI_DOC = {
     "name": "mini",
@@ -207,20 +209,29 @@ def test_out_of_field_errors_print_the_field_as_width_and_height():
                                 "outside field (1000.0, 600.0)")
 
 
-@pytest.mark.parametrize("overrides, needle", [
-    ({"protocol": "OSPF"}, "protocol"),
+# rows of DOCUMENT_ERRORS whose rule spans config fields
+CROSS_FIELD_ERRORS = []
+
+
+def cross_field(overrides, needle):
+    CROSS_FIELD_ERRORS.append((overrides, needle))
+    return overrides, needle
+
+
+DOCUMENT_ERRORS = [
+    cross_field({"protocol": "OSPF"}, "protocol"),
     ({"seed": "one"}, "seed"),
     ({"field": [100]}, "field"),
     ({"placements": []}, "placements"),
     ({"placements": [[0, [100, 300]], [0, [101, 300]],
                      [2, [500, 300]]]}, "placements[1]"),
-    ({"placements": [[0, [100, 300]], [1, [2000, 300]],
-                     [2, [500, 300]]]}, "placements[1]"),
+    cross_field({"placements": [[0, [100, 300]], [1, [2000, 300]],
+                                [2, [500, 300]]]}, "placements[1]"),
     ({"nodes": 4}, "nodes"),
-    ({"motions": [[9, 1.0, [100, 100], 2.0]]}, "motions[0]"),
+    cross_field({"motions": [[9, 1.0, [100, 100], 2.0]]}, "motions[0]"),
     ({"flows": []}, "flows"),
     ({"flows": [{"flow": "f0", "src": 0}]}, "sink"),
-    ({"flows": [{"flow": "f0", "src": 0, "sink": 9}]}, "f0"),
+    cross_field({"flows": [{"flow": "f0", "src": 0, "sink": 9}]}, "f0"),
     ({"flows": [{"flow": "f0", "src": 0, "sink": 2,
                  "send_interval": 0}]}, "flows[0]"),
     ({"background_mobility": {"kind": "brownian"}}, "kind"),
@@ -248,8 +259,8 @@ def test_out_of_field_errors_print_the_field_as_width_and_height():
     ({"motions": [[1, 2.0, [400, 300], 0]]},
      "motions[0][3]: expected a positive number, got 0"),
     ({"motions": [[1, 2.0, [400, 300], "fast"]]}, "motions[0][3]:"),
-    ({"motions": [[1, 2.0, [400, 300], 5.0], [2, 1.0, [5000, 300], 5.0]]},
-     "motions[1][2]: destination"),
+    cross_field({"motions": [[1, 2.0, [400, 300], 5.0], [2, 1.0, [5000, 300], 5.0]]},
+                "motions[1][2]: destination"),
     ({"motions": [[[1], 2.0, [400, 300], 5.0]]},
      "motions[0][0]: expected a non-negative int, got [1]"),
     ({"flows": [{"flow": "f0", "src": [0], "sink": 2}]}, "flows[0].src:"),
@@ -270,20 +281,20 @@ def test_out_of_field_errors_print_the_field_as_width_and_height():
     ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
                               "v_max": float("inf")}},
      "background_mobility.v_max:"),
-    ({"background_mobility": {"kind": "random-waypoint", "v_min": 3,
-                              "v_max": 2}},
-     "background_mobility.v_max: expected at least v_min"),
+    cross_field({"background_mobility": {"kind": "random-waypoint", "v_min": 3,
+                                         "v_max": 2}},
+                "background_mobility.v_max: expected at least v_min"),
     ({"background_mobility": {"kind": "random-waypoint", "v_min": 1,
                               "v_max": 2, "pause": -1}},
      "background_mobility.pause:"),
     # node 1 reaches (900, 300) at 61 s, so a leg at 2 s overlaps it; the
     # legs are replayed by start time, whatever their document order
-    ({"motions": [[1, 1.0, [900, 300], 10.0], [1, 2.0, [300, 300], 10.0]]},
-     "motions[1]: node 1: leg at 2.0 overlaps"),
-    ({"motions": [[1, 2.0, [300, 300], 10.0], [1, 1.0, [900, 300], 10.0]]},
-     "motions[0]: node 1: leg at 2.0 overlaps"),
-    ({"motions": [[1, 1.0, [900, 300], 10.0], [2, 1.0, [900, 500], 10.0],
-                  [2, 5.0, [100, 100], 10.0]]}, "motions[2]: node 2"),
+    cross_field({"motions": [[1, 1.0, [900, 300], 10.0], [1, 2.0, [300, 300], 10.0]]},
+                "motions[1]: node 1: leg at 2.0 overlaps"),
+    cross_field({"motions": [[1, 2.0, [300, 300], 10.0], [1, 1.0, [900, 300], 10.0]]},
+                "motions[0]: node 1: leg at 2.0 overlaps"),
+    cross_field({"motions": [[1, 1.0, [900, 300], 10.0], [2, 1.0, [900, 500], 10.0],
+                             [2, 5.0, [100, 100], 10.0]]}, "motions[2]: node 2"),
     # a bool passes isinstance(int), and -1 is the broadcast address
     ({"placements": [[0, [100, 300]], [True, [300, 300]],
                      [2, [500, 300]]]},
@@ -329,19 +340,19 @@ def test_out_of_field_errors_print_the_field_as_width_and_height():
     ({"duration": 10**400}, "duration: expected a number, got an int too"),
     ({"radio": {"range": -(10**400)}}, "radio.range: expected a number"),
     # 1.0 + k * 1e-20 stays 1.0, so the ticks never advanced the clock
-    ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": 1.0,
-                 "send_interval": 1e-20}]},
-     "flows[0].send_interval: 1e-20 would tick more than"),
+    cross_field({"flows": [{"flow": "f0", "src": 0, "sink": 2, "start_t": 1.0,
+                            "send_interval": 1e-20}]},
+                "flows[0].send_interval: 1e-20 would tick more than"),
     # a motions value that is not a list ended in a TypeError
     ({"motions": math.nan}, "motions: expected a list"),
     # a zero-area field made random waypoints re-fire at one instant
     ({"field": [0, 0]}, "field[0]: expected a positive number, got 0"),
     ({"field": [1000, math.inf]}, "field[1]:"),
     # legs shorter than the clock's resolution re-fired at one instant
-    ({"background_mobility": {"kind": "random-waypoint", "v_min": 1e300,
-                              "v_max": 1e300}},
-     "background_mobility.v_max: 1e+300 with pause 0.0 would start more "
-     "than 1000000 legs"),
+    cross_field({"background_mobility": {"kind": "random-waypoint", "v_min": 1e300,
+                                         "v_max": 1e300}},
+                "background_mobility.v_max: 1e+300 with pause 0.0 would start more "
+                "than 1000000 legs"),
     # a misspelled key used to be ignored, so the run took the default
     ({"flows": [{"flow": "f0", "src": 0, "sink": 2, "send_intervall": 5.0,
                  "max_packet": 3}]},
@@ -354,14 +365,71 @@ def test_out_of_field_errors_print_the_field_as_width_and_height():
      "background_mobility.speed: unknown parameter"),
     ({"durration": 5}, "durration: unknown parameter"),
     # updates shorter than the clock's resolution re-fired at one instant
-    ({"protocol_params": {"dsdv": {"update_interval": 1e-300}}},
-     "protocol_params.dsdv.update_interval: 1e-300 would update more than "
-     "1000000 times before duration 6.0"),
-])
+    cross_field({"protocol_params": {"dsdv": {"update_interval": 1e-300}}},
+                "protocol_params.dsdv.update_interval: 1e-300 would update more than "
+                "1000000 times before duration 6.0"),
+    # a protocol parameter whose reply wait is 0 re-flooded at one instant
+    ({"protocol_params": {"aodv": {"ttl": 0}}},
+     "protocol_params.aodv.ttl: expected a positive int, got 0"),
+    ({"protocol_params": {"aodv": {"node_traversal": 0}}},
+     "protocol_params.aodv.node_traversal: expected a positive number, got 0"),
+    cross_field({"flows": [MINI_DOC["flows"][0], MINI_DOC["flows"][0]]},
+                           "flows[1]: duplicate flow name 'f0'"),
+    cross_field({"primary_flow": "x"}, "primary_flow: unknown flow 'x'"),
+    # a smaller field, or a longer run, breaks a rule of other fields
+    cross_field({"field": [400, 600]},
+                           "placements[2]: position (500.0, 300.0) outside field"),
+    cross_field({"duration": 10**6},
+                           "flows[0].send_interval: 0.2 would tick more than 1000000 "
+                           "times before duration 1000000.0"),
+]
+
+
+@pytest.mark.parametrize("overrides, needle", DOCUMENT_ERRORS)
 def test_document_errors_name_the_field(overrides, needle):
     with pytest.raises(ConfigError) as err:
         mini_config(**overrides)
     assert needle in str(err.value)
+
+
+def config_fields(overrides):
+    """Document overrides as the ScenarioConfig field values they load to."""
+    fields = dict(overrides)
+    for key, value in overrides.items():
+        if key == "field":
+            fields[key] = FieldConfig(*map(float, value))
+        elif key == "placements":
+            fields[key] = {node: tuple(map(float, pos)) for node, pos in value}
+        elif key == "motions":
+            fields[key] = [Motion(node, float(t), tuple(map(float, dest)),
+                                  float(speed)) for node, t, dest, speed in value]
+        elif key == "flows":
+            fields[key] = [FlowConfig(**flow) for flow in value]
+        elif key == "background_mobility":
+            fields[key] = RandomWaypoint(**{k: float(v) for k, v in value.items()
+                                            if k != "kind"})
+        elif key == "protocol_params":
+            fields[key] = {"aodv": AodvConfig(),
+                           "dsdv": DsdvConfig(**value["dsdv"])}
+        elif key == "duration":
+            fields[key] = float(value)
+    return fields
+
+
+@pytest.mark.parametrize("overrides, needle", CROSS_FIELD_ERRORS)
+def test_replace_that_breaks_a_rule_raises_the_document_error(overrides, needle):
+    with pytest.raises(ConfigError) as loaded:
+        mini_config(**overrides)
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(mini_config(), **config_fields(overrides))
+    assert needle in str(loaded.value)
+    assert str(replaced.value) == str(loaded.value)
+
+
+def test_configs_are_frozen():
+    config = mini_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 8
 
 
 def test_readme_example_document_loads_and_round_trips():

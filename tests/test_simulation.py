@@ -6,7 +6,7 @@ import json
 import pytest
 
 from vanetsim.metrics import parse_mobility_trace
-from vanetsim.scenario import (BUILTIN_SCENARIOS, build_simulation,
+from vanetsim.scenario import (BUILTIN_SCENARIOS, ConfigError, build_simulation,
                                builtin_scenario, load_config, run)
 from vanetsim.simulation import PROTOCOLS, Simulation
 
@@ -28,9 +28,10 @@ def chain_sim(protocol, *, flow_start, seed=7, auditing=False):
 
 
 def test_rejects_unknown_protocol():
+    # the config refuses it, so no Simulation is ever given one
     config = chain_config(flow={})
-    with pytest.raises(ValueError):
-        Simulation(dataclasses.replace(config, protocol="OLSR"))
+    with pytest.raises(ConfigError, match="^protocol: unknown protocol 'OLSR'$"):
+        dataclasses.replace(config, protocol="OLSR")
 
 
 def test_aodv_flow_completes_over_discovered_route():
