@@ -27,19 +27,20 @@ from dataclasses import dataclass
 
 from .radio import BROADCAST, Frame, RoutedPacket
 from .routing import RoutingAgent
+from .rules import Config, rule
 
 
 @dataclass(frozen=True)
-class AodvConfig:
-    ttl: int = 35
-    node_traversal: float = 0.04
-    max_retries: int = 3
-    route_lifetime: float = 3.0
-    seen_expiry: float = 10.0
-    rreq_size: int = 64
-    rrep_size: int = 44
-    rerr_base_size: int = 12
-    rerr_per_dest: int = 8
+class AodvConfig(Config):
+    ttl: int = rule(35, integer=True, positive=True)
+    node_traversal: float = rule(0.04, positive=True)
+    max_retries: int = rule(3, integer=True)
+    route_lifetime: float = rule(3.0)
+    seen_expiry: float = rule(10.0)
+    rreq_size: int = rule(64, integer=True)
+    rrep_size: int = rule(44, integer=True)
+    rerr_base_size: int = rule(12, integer=True)
+    rerr_per_dest: int = rule(8, integer=True)
 
     @property
     def reply_wait(self) -> float:

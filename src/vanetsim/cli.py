@@ -15,8 +15,8 @@ from .metrics import TraceFormatError, parse_mobility_trace
 from .scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
+    FieldError,
     builtin_scenario,
-    check_number,
     check_window,
     compare,
     format_comparison,
@@ -66,6 +66,15 @@ def build_parser():
     return parser
 
 
+def _override(config, name, value, flag):
+    """config with field name replaced by value, a value that breaks the
+    field's own rule reported under flag."""
+    try:
+        return dataclasses.replace(config, **{name: value})
+    except FieldError as e:
+        raise FieldError(flag, e.reason) if e.path == name else e
+
+
 def _resolve_config(args, protocol):
     if args.scenario in BUILTIN_SCENARIOS:
         if protocol is None:
@@ -81,19 +90,13 @@ def _resolve_config(args, protocol):
             config = load_config(fh.read())
         if protocol is not None:
             config = dataclasses.replace(config, protocol=protocol)
-    # each override meets its document field's rule, naming the flag, and
-    # each replace meets the config's rules spanning fields; a negative
-    # seed would draw what random.Random(abs(seed)) draws
     if args.seed is not None:
-        config = dataclasses.replace(
-            config, seed=check_number(args.seed, "--seed", integer=True))
+        config = _override(config, "seed", args.seed, "--seed")
     if args.duration is not None:
-        config = dataclasses.replace(config, duration=check_number(
-            args.duration, "--duration", positive=True))
+        config = _override(config, "duration", args.duration, "--duration")
     if args.radio_range is not None:
-        config = dataclasses.replace(config, radio=dataclasses.replace(
-            config.radio,
-            radio_range=check_number(args.radio_range, "--range")))
+        config = dataclasses.replace(config, radio=_override(
+            config.radio, "radio_range", args.radio_range, "--range"))
     check_window(args.window, config.duration, "--window")
     return config
 

@@ -35,25 +35,22 @@ from typing import Optional
 
 from .radio import BROADCAST, Frame
 from .routing import RoutingAgent
+from .rules import Config, rule
 
 INFINITE = math.inf
 
 
 @dataclass(frozen=True)
-class DsdvConfig:
-    update_interval: float = 15.0
-    full_dump_interval: float = 90.0
-    settling_time: float = 6.0
-    trigger_min_gap: float = 1.0
-    full_dump_dirty_fraction: float = 0.5
-    header_size: int = 24
-    row_size: int = 12
-
-    def __post_init__(self):
-        # a zero period would reschedule the broadcast at the same instant
-        # forever, so simulated time would never advance
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
+class DsdvConfig(Config):
+    # a zero period would reschedule the broadcast at the same instant
+    # forever, so simulated time would never advance
+    update_interval: float = rule(15.0, positive=True)
+    full_dump_interval: float = rule(90.0)
+    settling_time: float = rule(6.0)
+    trigger_min_gap: float = rule(1.0)
+    full_dump_dirty_fraction: float = rule(0.5)
+    header_size: int = rule(24, integer=True)
+    row_size: int = rule(12, integer=True)
 
 
 @dataclass

@@ -388,13 +388,6 @@ def format_motion_line(t, node, pos, dest, speed) -> str:
     )
 
 
-def write_mobility_trace(records) -> str:
-    lines = [format_motion_line(*rec) for rec in records]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
 _M_LINE = re.compile(
     r"^M (\S+) (\d+) \((\S+), (\S+), (\S+)\), \((\S+), (\S+)\), (\S+)$"
 )
@@ -440,15 +433,3 @@ def write_plot_series(series: MetricSeries, path) -> None:
             fh.write(f"# {series.unit}\n")
         for t, v in series.points:
             fh.write(f"{t!r} {v!r}\n")
-
-
-def parse_plot_series(path) -> list:
-    points = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            t_txt, v_txt = line.split()
-            points.append((float(t_txt), float(v_txt)))
-    return points

@@ -14,13 +14,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .rules import Config, rule
+
 Point = tuple[float, float]
 
 
 @dataclass(frozen=True)
-class FieldConfig:
-    width: float = 3000.0
-    height: float = 1600.0
+class FieldConfig(Config):
+    # a field needs an extent: in a 0 x 0 field every random waypoint is
+    # the node's own position and re-fires at one instant forever
+    width: float = rule(3000.0, positive=True)
+    height: float = rule(1600.0, positive=True)
 
     def contains(self, p: Point) -> bool:
         return 0.0 <= p[0] <= self.width and 0.0 <= p[1] <= self.height
@@ -191,6 +195,4 @@ class MobilityModel:
             speed = v_min
         else:
             speed = rng.uniform(v_min, v_max)
-        if speed <= 0.0:
-            raise MobilityError("random waypoint speed range must be positive")
         return (x, y), speed

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 from .engine import Scheduler
 from .mobility import MobilityModel
+from .rules import Config, rule
 
 BROADCAST = -1
 # metres either side of the range edge within which position rounding
@@ -30,10 +31,10 @@ def _together(va, vb) -> bool:
 
 
 @dataclass(frozen=True)
-class RadioConfig:
-    radio_range: float = 250.0
-    bandwidth: float = 10_000_000.0
-    per_hop_overhead: float = 50e-6
+class RadioConfig(Config):
+    radio_range: float = rule(250.0)
+    bandwidth: float = rule(10_000_000.0, positive=True)
+    per_hop_overhead: float = rule(50e-6)
 
 
 @dataclass

@@ -12,7 +12,6 @@ explains their geometry.
 import csv
 import dataclasses
 import json
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 from .metrics import FlowStats, write_plot_series
 from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
+from .rules import Config, ConfigError, FieldError, check_number, check_string, rule
 from .simulation import PROTOCOLS, Motion, Simulation
 from .transport import FlowConfig
 
@@ -30,20 +30,16 @@ BUILTIN_DURATION = 600.0
 DEFAULT_PROTOCOL = "AODV"
 
 
-class ConfigError(ValueError):
-    """A scenario document failed validation; message names the field."""
-
-
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """A scenario that can run. Its rules spanning fields are checked on
-    every construction, ``dataclasses.replace`` included, so a config
-    changed after loading is held to what its document would be."""
+class ScenarioConfig(Config):
+    """A scenario that can run. Its rules are checked on every
+    construction, ``dataclasses.replace`` included, so a config changed
+    after loading is held to what its document would be."""
 
-    name: str
-    protocol: str
-    duration: float
-    seed: int
+    name: str = rule(check=check_string)
+    protocol: str  # held to PROTOCOLS' names
+    duration: float = rule(positive=True)
+    seed: int = rule(integer=True)  # Random(-3) draws what Random(3) does
     field: FieldConfig
     placements: dict  # {node: (x, y)}
     motions: list  # [Motion]
@@ -54,20 +50,32 @@ class ScenarioConfig:
     protocol_params: dict  # lower-case protocol name -> its config
 
     def __post_init__(self):
+        super().__post_init__()
+        # float coordinates, as a document's; ids >= 0, as -1 is the broadcast address
+        object.__setattr__(self, "placements", {
+            check_number(node, f"placements[{i}][0]", integer=True):
+                _point(pos, f"placements[{i}][1]")
+            for i, (node, pos) in enumerate(self.placements.items())})
+        object.__setattr__(self, "motions", [
+            Motion(check_number(m.node, f"motions[{i}][0]", integer=True),
+                   check_number(m.start_t, f"motions[{i}][1]"),
+                   _point(m.dest, f"motions[{i}][2]"),
+                   check_number(m.speed, f"motions[{i}][3]", positive=True))
+            for i, m in enumerate(self.motions)])
         if self.protocol not in PROTOCOLS:
-            raise _field_error("protocol", f"unknown protocol {self.protocol!r}")
+            raise FieldError("protocol", f"unknown protocol {self.protocol!r}")
         extent = (self.field.width, self.field.height)
         for i, pos in enumerate(self.placements.values()):
             if not self.field.contains(pos):
-                raise _field_error(f"placements[{i}]",
-                                   f"position {pos} outside field {extent}")
+                raise FieldError(f"placements[{i}]",
+                                 f"position {pos} outside field {extent}")
         for i, m in enumerate(self.motions):
             if m.node not in self.placements:
-                raise _field_error(f"motions[{i}]",
-                                   f"motion references unknown node {m.node!r}")
+                raise FieldError(f"motions[{i}]",
+                                 f"motion references unknown node {m.node!r}")
             if not self.field.contains(m.dest):
-                raise _field_error(f"motions[{i}][2]", f"destination "
-                                   f"{m.dest} outside field {extent}")
+                raise FieldError(f"motions[{i}][2]", f"destination "
+                                 f"{m.dest} outside field {extent}")
         # replay the legs in the order the scheduler applies them (start
         # time, then list order) so an overlap is found before the run; a
         # leg touches only its own node's plan
@@ -80,45 +88,43 @@ class ScenarioConfig:
             try:
                 replay.set_motion(m.node, m.dest, m.speed, m.start_t)
             except MobilityError as e:
-                raise _field_error(f"motions[{i}]", str(e)) from None
+                raise FieldError(f"motions[{i}]", str(e)) from None
         # the run-length rules: no flow may tick, random-waypoint node start
         # a leg, or DSDV node update more than MAX_FLOW_TICKS times in a run
         duration = self.duration
         names = []  # a list, since primary_flow may be any value
         for i, flow in enumerate(self.flows):
             if flow.flow in names:
-                raise _field_error(f"flows[{i}]",
-                                   f"duplicate flow name {flow.flow!r}")
+                raise FieldError(f"flows[{i}]", f"duplicate flow name {flow.flow!r}")
             names.append(flow.flow)
             for label, node in (("src", flow.src), ("sink", flow.sink)):
                 if node not in self.placements:
-                    raise _field_error(f"flows[{i}].{label}", f"flow {flow.flow!r} "
-                                       f"references unknown node {node!r}")
+                    raise FieldError(f"flows[{i}].{label}", f"flow {flow.flow!r} "
+                                     f"references unknown node {node!r}")
             # tick k fires at start_t + k * send_interval, the sum the source uses
             if flow.start_t + MAX_FLOW_TICKS * flow.send_interval <= duration:
-                raise _field_error(
+                raise FieldError(
                     f"flows[{i}].send_interval",
                     f"{flow.send_interval!r} would tick more than "
                     f"{MAX_FLOW_TICKS} times before duration {duration!r}")
         if self.primary_flow not in names:
-            raise _field_error("primary_flow",
-                               f"unknown flow {self.primary_flow!r}")
+            raise FieldError("primary_flow", f"unknown flow {self.primary_flow!r}")
         waypoint = self.background_mobility
         if waypoint is not None:
             v_max, pause = waypoint.v_max, waypoint.pause
             if v_max < waypoint.v_min:
-                raise _field_error("background_mobility.v_max", f"expected at "
-                                   f"least v_min {waypoint.v_min!r}, got {v_max!r}")
+                raise FieldError("background_mobility.v_max", f"expected at "
+                                 f"least v_min {waypoint.v_min!r}, got {v_max!r}")
             # a leg takes about the field's shorter side over v_max, plus the pause
             if MAX_FLOW_TICKS * (pause + min(extent) / v_max) <= duration:
-                raise _field_error(
+                raise FieldError(
                     "background_mobility.v_max",
                     f"{v_max!r} with pause {pause!r} would start more than "
                     f"{MAX_FLOW_TICKS} legs per node before duration {duration!r}")
         # checked whatever the protocol: compare runs both on one document
         interval = self.protocol_params["dsdv"].update_interval
         if MAX_FLOW_TICKS * interval <= duration:
-            raise _field_error(
+            raise FieldError(
                 "protocol_params.dsdv.update_interval",
                 f"{interval!r} would update more than {MAX_FLOW_TICKS} times "
                 f"before duration {duration!r}")
@@ -184,104 +190,56 @@ def random_waypoint_document(seed: int, nodes: int, flows: int,
 
 # -- scenario documents ----------------------------------------------------
 
-# a frame's bit count must stay below 2**53, where floats hold every int
-_MAX_FRAME_BYTES = 2**50
-_UPPER_BOUNDS = {"data_packet_size": _MAX_FRAME_BYTES,
-                 "ack_size": _MAX_FRAME_BYTES}
 # times a flow may tick, a random-waypoint node start a leg, or a DSDV node
 # update, before the run ends (the builtins tick at most 2,069 times); an
 # interval too small to advance the clock re-fires at one instant and
 # stalls a run. It also caps the windows of one metric series.
 MAX_FLOW_TICKS = 10**6
-# the document keys whose number must be positive; any other may be 0
-_POSITIVE_KEYS = {"bandwidth", "send_interval", "data_packet_size", "ack_size",
-                  "max_packets", "v_min", "v_max", "ttl", "node_traversal"}
 # config fields whose document key is not the field name
 _DOC_KEYS = {"radio_range": "range"}
 
 
 @dataclass(frozen=True)
-class RandomWaypoint:
+class RandomWaypoint(Config):
     """The fields of a random-waypoint background: m/s, m/s and s."""
 
-    v_min: float
-    v_max: float
-    pause: float = 0.0
+    v_min: float = rule(positive=True)
+    v_max: float = rule(positive=True)
+    pause: float = rule(0.0)
 
 
-def _field_error(path, message):
-    return ConfigError(f"{path}: {message}")
-
-
-def check_number(value, path, positive=False, integer=False, most=None):
-    """A document number: finite, positive or else non-negative, and at
-    most ``most`` if given. With ``integer`` it must be an int and stays
-    one; otherwise it is returned as a float. Bools are not numbers."""
-    is_number = (isinstance(value, int if integer else (int, float))
-                 and not isinstance(value, bool))
-    if not (is_number or integer):
-        raise _field_error(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value) if is_number else math.nan
-    except OverflowError:
-        if not integer:
-            raise _field_error(path, "expected a number, got an int too "
-                               "large for a float") from None
-        number = math.inf
-    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)
-            and (most is None or number <= most)):
-        kind = "positive" if positive else "non-negative"
-        limit = "" if most is None else f" up to {most}"
-        raise _field_error(path, f"expected a {kind} "
-                           f"{'int' if integer else 'number'}{limit}, "
-                           f"got {value!r}")
-    return value if integer else number
-
-
-def _point(raw, path, positive=False) -> tuple:
+def _point(raw, path) -> tuple:
     """An [x, y] pair of numbers as a float tuple."""
-    return tuple(check_number(v, f"{path}[{i}]", positive)
-                 for i, v in enumerate(raw))
+    return tuple(check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
 def _check_keys(raw, known, path=None) -> None:
     """Reject a key of a document object that is not in known."""
     for key in raw:
         if key not in known:
-            raise _field_error(f"{path}.{key}" if path else key,
-                               "unknown parameter")
+            raise FieldError(f"{path}.{key}" if path else key, "unknown parameter")
 
 
 def _read(raw, config_class, path, skip=()):
-    """A document object read into config_class.
-
-    Each key must name a field (or be in ``skip``), and each value is
-    checked by its field's type: a string, an int or a number. A field
-    left out takes the class's default, and one without a default is
-    required. A ValueError of the class's own checks names ``path``.
-    """
+    """A document object read into config_class. Each key must name a
+    field (or be in ``skip``); a field left out takes its default, or is
+    required. The config checks the values: the error of a field's rule
+    is re-raised at its key, and of a rule spanning fields at ``path``."""
     if not isinstance(raw, dict):
-        raise _field_error(path, "expected an object")
+        raise FieldError(path, "expected an object")
     fields = {_DOC_KEYS.get(f.name, f.name): f
               for f in dataclasses.fields(config_class)}
     _check_keys(raw, {*fields, *skip}, path)
-    values = {}
     for key, f in fields.items():
-        where = f"{path}.{key}"
-        if key not in raw:
-            if f.default is dataclasses.MISSING:
-                raise _field_error(where, "missing required field")
-        elif f.type is str:
-            if not isinstance(raw[key], str):
-                raise _field_error(where, f"expected a string, got {raw[key]!r}")
-            values[f.name] = raw[key]
-        else:
-            values[f.name] = check_number(raw[key], where, key in _POSITIVE_KEYS,
-                                          f.type is int, _UPPER_BOUNDS.get(key))
+        if key not in raw and f.default is dataclasses.MISSING:
+            raise FieldError(f"{path}.{key}", "missing required field")
     try:
-        return config_class(**values)
+        return config_class(**{f.name: raw[key]
+                               for key, f in fields.items() if key in raw})
+    except FieldError as e:
+        raise FieldError(f"{path}.{_DOC_KEYS.get(e.path, e.path)}", e.reason) from None
     except ValueError as e:
-        raise _field_error(path, str(e)) from None
+        raise FieldError(path, str(e)) from None
 
 
 def _doc_object(config) -> dict:
@@ -291,8 +249,8 @@ def _doc_object(config) -> dict:
 
 
 def load_config(text: str) -> ScenarioConfig:
-    """Parse a JSON scenario document, checking its shape and types and
-    filling defaults; the config checks the rules spanning its fields."""
+    """Parse a JSON scenario document, checking its shape and filling
+    defaults; the configs check the values."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -302,79 +260,68 @@ def load_config(text: str) -> ScenarioConfig:
     _check_keys(doc, {"nodes", *(f.name for f in
                                  dataclasses.fields(ScenarioConfig))})
 
-    name = doc.get("name", "custom")
-    if not isinstance(name, str):
-        raise _field_error("name", f"expected a string, got {name!r}")
     protocol = doc.get("protocol", DEFAULT_PROTOCOL)
     if not isinstance(protocol, str):
-        raise _field_error("protocol", f"unknown protocol {protocol!r}")
-    duration = check_number(doc.get("duration", BUILTIN_DURATION), "duration",
-                            positive=True)
-    seed = check_number(doc.get("seed", 1), "seed", integer=True)
+        raise FieldError("protocol", f"unknown protocol {protocol!r}")
 
     raw_field = doc.get("field", [3000.0, 1600.0])
     if not (isinstance(raw_field, list) and len(raw_field) == 2):
-        raise _field_error("field", "expected [width, height]")
-    # a field needs an extent: in a 0 x 0 field every random waypoint is
-    # the node's own position and re-fires at one instant forever
-    field = FieldConfig(*_point(raw_field, "field", positive=True))
+        raise FieldError("field", "expected [width, height]")
+    try:
+        field = FieldConfig(*raw_field)
+    except FieldError as e:
+        raise FieldError(f"field[{('width', 'height').index(e.path)}]", e.reason) from None
     radio = _read(doc.get("radio", {}), RadioConfig, "radio")
 
     raw_placements = doc.get("placements")
     if not isinstance(raw_placements, list) or not raw_placements:
-        raise _field_error("placements", "expected a non-empty list")
+        raise FieldError("placements", "expected a non-empty list")
     placements = {}
     for i, item in enumerate(raw_placements):
         path = f"placements[{i}]"
         if not (isinstance(item, list) and len(item) == 2
                 and isinstance(item[1], list) and len(item[1]) == 2):
-            raise _field_error(path, "expected [node, [x, y]]")
-        # -1 is the radio's broadcast address, so ids are non-negative
+            raise FieldError(path, "expected [node, [x, y]]")
+        # an id is a dict key, so it is checked first: True would be 1
         node = check_number(item[0], f"{path}[0]", integer=True)
         if node in placements:
-            raise _field_error(path, f"duplicate node id {node}")
-        placements[node] = _point(item[1], f"{path}[1]")
+            raise FieldError(path, f"duplicate node id {node}")
+        placements[node] = item[1]
     if "nodes" in doc and doc["nodes"] != len(placements):
-        raise _field_error(
+        raise FieldError(
             "nodes", f"declares {doc['nodes']} nodes but "
             f"placements lists {len(placements)}")
 
     raw_motions = doc.get("motions", [])
     if not isinstance(raw_motions, list):
-        raise _field_error("motions", "expected a list")
-    motions = []
+        raise FieldError("motions", "expected a list")
     for i, item in enumerate(raw_motions):
-        path = f"motions[{i}]"
         if not (isinstance(item, list) and len(item) == 4
                 and isinstance(item[2], list) and len(item[2]) == 2):
-            raise _field_error(path, "expected [node, start_t, [x, y], speed]")
-        motions.append(Motion(check_number(item[0], f"{path}[0]", integer=True),
-                              check_number(item[1], f"{path}[1]"),
-                              _point(item[2], f"{path}[2]"),
-                              check_number(item[3], f"{path}[3]", positive=True)))
+            raise FieldError(f"motions[{i}]",
+                             "expected [node, start_t, [x, y], speed]")
 
     raw_flows = doc.get("flows")
     if not isinstance(raw_flows, list) or not raw_flows:
-        raise _field_error("flows", "expected a non-empty list")
+        raise FieldError("flows", "expected a non-empty list")
     flows = [_read(item, FlowConfig, f"flows[{i}]")
              for i, item in enumerate(raw_flows)]
 
     background = doc.get("background_mobility", {"kind": "stationary"})
     path = "background_mobility"
     if not (isinstance(background, dict) and "kind" in background):
-        raise _field_error(path, "expected an object with a kind")
+        raise FieldError(path, "expected an object with a kind")
     if background["kind"] == "random-waypoint":
         waypoint = _read(background, RandomWaypoint, path, skip=("kind",))
     elif background["kind"] == "stationary":
         _check_keys(background, {"kind"}, path)
         waypoint = None
     else:
-        raise _field_error(f"{path}.kind",
-                           f"unknown kind {background['kind']!r}")
+        raise FieldError(f"{path}.kind", f"unknown kind {background['kind']!r}")
 
     params = doc.get("protocol_params", {})
     if not isinstance(params, dict):
-        raise _field_error("protocol_params", "expected an object")
+        raise FieldError("protocol_params", "expected an object")
     config_classes = {name.lower(): agent.config_class
                       for name, agent in PROTOCOLS.items()}
     _check_keys(params, config_classes, "protocol_params")
@@ -383,8 +330,10 @@ def load_config(text: str) -> ScenarioConfig:
               for key, config_class in config_classes.items()}
 
     return ScenarioConfig(
-        name=name, protocol=protocol.upper(), duration=duration, seed=seed,
-        field=field, placements=placements, motions=motions, flows=flows,
+        name=doc.get("name", "custom"), protocol=protocol.upper(),
+        duration=doc.get("duration", BUILTIN_DURATION), seed=doc.get("seed", 1),
+        field=field, placements=placements,
+        motions=[Motion(*item) for item in raw_motions], flows=flows,
         primary_flow=doc.get("primary_flow", flows[0].flow),
         background_mobility=waypoint, radio=radio, protocol_params=params,
     )
@@ -394,7 +343,7 @@ def check_window(window, duration, path="window") -> None:
     """A metric window: positive, and tiling the run in at most
     MAX_FLOW_TICKS windows, since every series holds one bin per window."""
     if duration / check_number(window, path, positive=True) > MAX_FLOW_TICKS:
-        raise _field_error(
+        raise FieldError(
             path, f"{window!r} would make more than {MAX_FLOW_TICKS} "
                   f"windows over duration {duration!r}")
 

@@ -19,35 +19,34 @@ with a cumulative ACK carrying the highest in-order sequence received.
 import math
 from dataclasses import dataclass
 
+from .rules import Config, ConfigError, check_string, rule
+
 INITIAL_SSTHRESH = 32.0
 INITIAL_RTO = 1.0
 RTO_MIN = 0.2
 RTO_MAX = 8.0
+# a frame's bit count must stay below 2**53, where floats hold every int
+MAX_FRAME_BYTES = 2**50
 
 
 @dataclass(frozen=True)
-class FlowConfig:
-    flow: str
-    src: int
-    sink: int
-    start_t: float = 0.0
-    send_interval: float = 0.1
-    data_packet_size: int = 512
-    ack_size: int = 210
-    max_packets: int = 2048
+class FlowConfig(Config):
+    flow: str = rule(check=check_string)
+    src: int = rule(integer=True)
+    sink: int = rule(integer=True)
+    start_t: float = rule(0.0)
+    send_interval: float = rule(0.1, positive=True)
+    data_packet_size: int = rule(512, integer=True, positive=True, most=MAX_FRAME_BYTES)
+    ack_size: int = rule(210, integer=True, positive=True, most=MAX_FRAME_BYTES)
+    max_packets: int = rule(2048, integer=True, positive=True)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.src == self.sink:
-            raise ValueError(f"flow {self.flow}: source equals sink ({self.src})")
-        if not self.data_packet_size > self.ack_size > 0:
-            raise ValueError(
-                f"flow {self.flow}: need data size > ack size > 0, got "
-                f"{self.data_packet_size}/{self.ack_size}"
-            )
-        if self.max_packets <= 0:
-            raise ValueError(f"flow {self.flow}: max_packets must be positive")
-        if self.send_interval <= 0:
-            raise ValueError(f"flow {self.flow}: send_interval must be positive")
+            raise ConfigError(f"flow {self.flow}: source equals sink ({self.src})")
+        if self.data_packet_size <= self.ack_size:
+            raise ConfigError(f"flow {self.flow}: need data size > ack size, "
+                              f"got {self.data_packet_size}/{self.ack_size}")
 
 
 @dataclass

@@ -25,14 +25,26 @@ from vanetsim.metrics import (
     _pstdev,
     format_motion_line,
     parse_mobility_trace,
-    parse_plot_series,
-    write_mobility_trace,
     write_plot_series,
 )
 from vanetsim.radio import Frame
 from vanetsim.scenario import build_simulation, builtin_scenario, load_config
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
+
+
+def parse_plot_series(path) -> list:
+    """The (t, value) points of a .dat file, read independently of the
+    writer."""
+    points = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            t_txt, v_txt = line.split()
+            points.append((float(t_txt), float(v_txt)))
+    return points
 
 
 def deliver(ledger, flow, seq, t, size=512, handoff=None):
@@ -384,11 +396,11 @@ def test_mobility_trace_round_trip():
         (0.0, 2, (550.0, 290.0, 0.0), (550.0, 290.0), 0.0),
         (10.0, 15, (140.0, 450.0, 0.0), (2788.0, 450.0), 12.97),
     ]
-    text = write_mobility_trace(records)
+    text = "".join(format_motion_line(*rec) + "\n" for rec in records)
     parsed, skipped = parse_mobility_trace(text)
     assert parsed == records
     assert skipped == 0
-    assert write_mobility_trace(parsed) == text
+    assert "".join(format_motion_line(*rec) + "\n" for rec in parsed) == text
 
 
 def test_parse_skips_packet_lines_and_counts_them():

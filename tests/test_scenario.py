@@ -14,10 +14,13 @@ from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
 from vanetsim.metrics import TRACE_BLOCK_LINES, FlowStats, parse_mobility_trace
 from vanetsim.mobility import FieldConfig
+from vanetsim.radio import RadioConfig
+from vanetsim.rules import Config, check_string
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
     RandomWaypoint,
+    ScenarioConfig,
     build_simulation,
     builtin_scenario,
     compare,
@@ -242,7 +245,7 @@ DOCUMENT_ERRORS = [
     ({"protocol_params": {"dsdv": {"update_interval": "x"}}},
      "protocol_params.dsdv.update_interval:"),
     ({"protocol_params": {"dsdv": {"update_interval": 0}}},
-     "protocol_params.dsdv: update_interval"),
+     "protocol_params.dsdv.update_interval: expected a positive number, got 0"),
     ({"protocol_params": {"aodv": {"ttl": 2.5}}}, "protocol_params.aodv.ttl:"),
     ({"protocol_params": {"olsr": {}}}, "protocol_params.olsr:"),
     ({"duration": -5}, "duration: expected a positive number"),
@@ -424,6 +427,105 @@ def test_replace_that_breaks_a_rule_raises_the_document_error(overrides, needle)
         dataclasses.replace(mini_config(), **config_fields(overrides))
     assert needle in str(loaded.value)
     assert str(replaced.value) == str(loaded.value)
+
+
+def _replace_aodv(config, **changes):
+    aodv = dataclasses.replace(config.protocol_params["aodv"], **changes)
+    return dataclasses.replace(
+        config, protocol_params=dict(config.protocol_params, aodv=aodv))
+
+
+# configs built by dataclasses.replace that used to run unchecked, fail
+# partway, deliver nothing or stall; a seed sweep replaces seed and duration
+REPLACE_PROBES = [
+    ("seed=-3", lambda c: dataclasses.replace(c, seed=-3), "seed"),
+    ("seed=1.5", lambda c: dataclasses.replace(c, seed=1.5), "seed"),
+    ("duration=nan", lambda c: dataclasses.replace(c, duration=math.nan), "duration"),
+    ("duration=-5", lambda c: dataclasses.replace(c, duration=-5.0), "duration"),
+    ("duration=0", lambda c: dataclasses.replace(c, duration=0.0), "duration"),
+    ("start_t=-1", lambda c: dataclasses.replace(
+        c, flows=[dataclasses.replace(c.flows[0], start_t=-1.0)]), "start_t"),
+    ("bandwidth=0", lambda c: dataclasses.replace(
+        c, radio=dataclasses.replace(c.radio, bandwidth=0.0)), "bandwidth"),
+    ("radio_range=-5", lambda c: dataclasses.replace(
+        c, radio=dataclasses.replace(c.radio, radio_range=-5.0)), "radio_range"),
+    ("ttl=0", lambda c: _replace_aodv(c, ttl=0, max_retries=10**8), "ttl"),
+    # -1 is the broadcast address
+    ("placement id", lambda c: dataclasses.replace(
+        c, placements={**c.placements, -1: (700.0, 300.0)}), r"placements\[3\]\[0\]"),
+    ("placement x", lambda c: dataclasses.replace(
+        c, placements={**c.placements, 2: (math.nan, 300.0)}),
+     r"placements\[2\]\[1\]\[0\]"),
+    ("motion", lambda c: dataclasses.replace(
+        c, motions=[Motion(1, -1.0, (400.0, 300.0), 5.0)]), r"motions\[0\]\[1\]"),
+]
+
+
+@pytest.mark.parametrize("make, field", [row[1:] for row in REPLACE_PROBES],
+                         ids=[row[0] for row in REPLACE_PROBES])
+def test_replace_probes_raise_at_the_replace(make, field):
+    """Each probe is rejected when its config is made, naming the field,
+    so none of them reaches a run."""
+    with pytest.raises(ConfigError, match=rf"^{field}: expected a "):
+        make(mini_config())
+
+
+CONFIG_CLASSES = (RadioConfig, AodvConfig, DsdvConfig, FlowConfig, FieldConfig,
+                  RandomWaypoint, ScenarioConfig)
+# held by ScenarioConfig's rules spanning fields: a known protocol, a flow's name
+SPANNING_RULES = {(ScenarioConfig, "protocol"), (ScenarioConfig, "primary_flow")}
+
+
+def test_every_config_field_declares_its_rule():
+    """A new int, float or str field of any config cannot skip a rule, and
+    the rule agrees with the field's type."""
+    assert set(Config.__subclasses__()) == set(CONFIG_CLASSES)
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            if f.type not in (int, float, str) or (cls, f.name) in SPANNING_RULES:
+                continue
+            rule = f.metadata["rule"]
+            if f.type is str:
+                assert rule.func is check_string, (cls, f.name)
+            else:
+                assert rule.keywords.get("integer", False) == (f.type is int), \
+                    (cls, f.name)
+
+
+def test_a_config_built_in_code_meets_its_documents_rule():
+    """Direct construction gives the document's text without its path, and
+    stores an int given to a number field as the document's float."""
+    for build, overrides, path in (
+            (lambda: RadioConfig(bandwidth=0), {"radio": {"bandwidth": 0}}, "radio."),
+            (lambda: DsdvConfig(update_interval=0),
+             {"protocol_params": {"dsdv": {"update_interval": 0}}},
+             "protocol_params.dsdv."),
+            (lambda: FlowConfig("f0", 0, 2, send_interval=-1),
+             {"flows": [{"flow": "f0", "src": 0, "sink": 2, "send_interval": -1}]},
+             "flows[0]."),
+            (lambda: FlowConfig(3, 0, 2), {"flows": [{"flow": 3, "src": 0, "sink": 2}]},
+             "flows[0]."),
+            (lambda: RandomWaypoint(0, 1),
+             {"background_mobility": {"kind": "random-waypoint", "v_min": 0,
+                                      "v_max": 1}}, "background_mobility.")):
+        with pytest.raises(ConfigError) as built:
+            build()
+        with pytest.raises(ConfigError) as loaded:
+            mini_config(**overrides)
+        assert str(loaded.value) == path + str(built.value)
+    with pytest.raises(ConfigError) as err:
+        RadioConfig(bandwidth=0)
+    assert str(err.value) == "bandwidth: expected a positive number, got 0"
+    bandwidth = RadioConfig(bandwidth=10).bandwidth
+    assert bandwidth == 10.0 and type(bandwidth) is float
+    coded = dataclasses.replace(
+        mini_config(), duration=6, radio=RadioConfig(radio_range=100),
+        placements={0: (100, 300), 1: (300, 300), 2: (500, 300)})
+    assert [type(v) for v in (coded.duration, coded.radio.radio_range,
+                              *coded.placements[0])] == [float] * 4
+    assert load_config(serialize_config(coded)) == coded
+    assert serialize_config(load_config(serialize_config(coded))) == \
+        serialize_config(coded)
 
 
 def test_configs_are_frozen():
