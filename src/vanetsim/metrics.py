@@ -19,19 +19,22 @@ and the same float on every supported Python (the standard library's
 Two text formats live here as well: mobility lines
 (``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``) and
 two-column plot series. Packet events in the combined trace use a
-columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form.
+columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form, made by
+``tracewriter.format_block``.
 
 Memory: a packet event waits in the trace as a raw record, the tuple
 ``(op, t, kind, id, src, dst, size)``, and a mobility line as its text.
-About every ``TRACE_BLOCK_LINES`` pending lines are formatted and joined
-into one text block, so the per-frame path only builds a tuple and the
-formatting runs a block at a time. A ledger keeps its blocks for
-``trace_text()``, or, once
-``trace_lines.stream_to(write)`` is called, hands each block to ``write``
-and keeps none, so a run that writes ``trace.txt`` holds at most one
-block of trace text. Receptions are logged only at the sinks a ledger is
-built with, the only nodes whose bandwidth a run reports; asking for any
-other node's raises ValueError. Each sink's receptions are two
+About every ``TRACE_BLOCK_LINES`` pending lines are packed into one
+block, so the per-frame path only builds a tuple. A ledger formats each
+block with ``format_block`` and keeps the text for ``trace_text()``, or,
+once ``trace_lines.stream_to(send)`` is called, hands each block of raw
+lines to ``send`` and keeps none. ``scenario.run`` sends them to the
+writer process that formats ``trace.txt``, so the simulating process
+formats no trace line and holds at most one block of them.
+
+Receptions are logged only at the sinks a ledger is built with, the
+only nodes whose bandwidth a run reports; asking for any other node's
+raises ValueError. Each sink's receptions are two
 ``array('d')``s (times, bits); bit counts are integers below 2**53, so
 each converts to a float exactly and the bandwidth sums equal those over
 the ints. A sequence's handoff times are dropped at its first delivery,
@@ -49,6 +52,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
+from .tracewriter import format_block
 from .transport import DeliveredSeqs
 
 
@@ -114,51 +118,53 @@ def _pstdev(values) -> float:
     return root / (1 << -shift)
 
 
-# pending trace lines formatted and joined into one block at a time; the
-# check runs once per sent frame, so a block may hold a few lines more
+# pending trace lines packed into one block at a time; the check runs
+# once per sent frame, so a block may hold a few lines more
 TRACE_BLOCK_LINES = 4096
-# the text of one packet record (op, t, kind, id, src, dst, size); %.7f
-# formats a float as {:.7f} does and %s an int as str() does
-_RECORD = "%s %.7f %s %s %s %s %s\n"
 
 
 class TraceLines:
-    """The trace: packed text blocks plus the lines not yet packed.
+    """The trace: packed blocks plus the lines not yet packed.
 
-    A pending line is either text or a packet record tuple, which
-    ``pack`` formats with ``_RECORD``. ``append`` is the pending list's
-    own method; ``len()`` counts every line. ``pack`` empties the pending
-    list in place, so a holder of that list (the ledger appends to it
-    directly) keeps a live reference. Blocks are kept until ``stream_to``
-    sends them, and every later one, to a writer instead.
+    A pending line is either text or a packet record tuple (see
+    ``tracewriter``). ``append`` is the pending list's own method;
+    ``len()`` counts every line. ``pack`` empties the pending list in
+    place, so a holder of that list (the ledger appends to it directly)
+    keeps a live reference. Blocks are kept as text, made by
+    ``format_block``, until ``stream_to`` sends them, and every later one
+    unformatted, to a sink instead.
     """
 
     def __init__(self):
         self.pending: list = []  # text lines and packet record tuples
         self.append = self.pending.append
         self._blocks: Optional[list[str]] = []
-        self._emit = self._blocks.append  # where each packed block goes
+        self._emit = self._keep  # takes each packed block of lines
         self._packed = 0
 
     def __len__(self) -> int:
         return self._packed + len(self.pending)
 
+    def _keep(self, lines) -> None:
+        self._blocks.append(format_block(lines))
+
     def pack(self) -> None:
-        """Format the pending lines into one newline-terminated block."""
+        """Emit the pending lines as one block."""
         pending = self.pending
         if pending:
             self._packed += len(pending)
-            self._emit("".join([_RECORD % line if type(line) is tuple
-                                else line + "\n" for line in pending]))
+            self._emit(pending)
             pending.clear()
 
-    def stream_to(self, write) -> None:
-        """Pass the trace so far, then each block packed later, to write,
-        keeping none; ``Simulation.run`` packs the tail when it ends."""
-        for block in self.blocks():
-            write(block)
+    def stream_to(self, send) -> None:
+        """Pass the trace so far, then each block packed later, to send
+        as a list of lines, keeping none; send must not keep the list.
+        ``Simulation.run`` packs the tail when it ends."""
+        for text in self.blocks():
+            # a kept block is one line of its text less the final newline
+            send([text[:-1]])
         self._blocks = None
-        self._emit = write
+        self._emit = send
 
     def blocks(self) -> list[str]:
         """Every line so far, as newline-terminated text blocks in order."""

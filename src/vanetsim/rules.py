@@ -49,6 +49,14 @@ def check_string(value, path):
     return value
 
 
+def check_type(value, path, kind):
+    """A value of class kind, held as it is."""
+    if not isinstance(value, kind):
+        got = "None" if value is None else type(value).__name__
+        raise FieldError(path, f"expected {kind.__name__}, got {got}")
+    return value
+
+
 def rule(default=dataclasses.MISSING, check=check_number, **kwargs):
     """A config field whose value must pass check(value, name, **kwargs)."""
     return dataclasses.field(default=default, metadata={

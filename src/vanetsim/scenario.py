@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from .metrics import FlowStats, write_plot_series
 from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
-from .rules import Config, ConfigError, FieldError, check_number, check_string, rule
+from .rules import (Config, ConfigError, FieldError, check_number, check_string,
+                    check_type, rule)
 from .simulation import PROTOCOLS, Motion, Simulation
+from .tracewriter import trace_sink
 from .transport import FlowConfig
 
 BUILTIN_SCENARIOS = ("long-distance", "short-distance")
@@ -37,17 +39,18 @@ class ScenarioConfig(Config):
     after loading is held to what its document would be."""
 
     name: str = rule(check=check_string)
-    protocol: str  # held to PROTOCOLS' names
+    protocol: str = rule(check=check_string)  # held to PROTOCOLS' names
     duration: float = rule(positive=True)
     seed: int = rule(integer=True)  # Random(-3) draws what Random(3) does
-    field: FieldConfig
-    placements: dict  # {node: (x, y)}
-    motions: list  # [Motion]
-    flows: list  # [FlowConfig]
+    field: FieldConfig = rule(check=check_type, kind=FieldConfig)
+    placements: dict = rule(check=check_type, kind=dict)  # {node: (x, y)}
+    motions: list = rule(check=check_type, kind=list)  # [Motion]
+    flows: list = rule(check=check_type, kind=list)  # [FlowConfig]
     primary_flow: str  # the flow a comparison's verdicts judge
     background_mobility: "RandomWaypoint | None"  # None: parked nodes
-    radio: RadioConfig
-    protocol_params: dict  # lower-case protocol name -> its config
+    radio: RadioConfig = rule(check=check_type, kind=RadioConfig)
+    # lower-case protocol name -> its config, for every protocol
+    protocol_params: dict = rule(check=check_type, kind=dict)
 
     def __post_init__(self):
         super().__post_init__()
@@ -56,12 +59,25 @@ class ScenarioConfig(Config):
             check_number(node, f"placements[{i}][0]", integer=True):
                 _point(pos, f"placements[{i}][1]")
             for i, (node, pos) in enumerate(self.placements.items())})
+        for i, m in enumerate(self.motions):
+            check_type(m, f"motions[{i}]", Motion)
         object.__setattr__(self, "motions", [
             Motion(check_number(m.node, f"motions[{i}][0]", integer=True),
                    check_number(m.start_t, f"motions[{i}][1]"),
                    _point(m.dest, f"motions[{i}][2]"),
                    check_number(m.speed, f"motions[{i}][3]", positive=True))
             for i, m in enumerate(self.motions)])
+        for i, flow in enumerate(self.flows):
+            check_type(flow, f"flows[{i}]", FlowConfig)
+        if self.background_mobility is not None:
+            check_type(self.background_mobility, "background_mobility",
+                       RandomWaypoint)
+        _check_keys(self.protocol_params, _PROTOCOL_CONFIGS, "protocol_params")
+        for key, config_class in _PROTOCOL_CONFIGS.items():
+            path = f"protocol_params.{key}"
+            if key not in self.protocol_params:
+                raise FieldError(path, "missing required field")
+            check_type(self.protocol_params[key], path, config_class)
         if self.protocol not in PROTOCOLS:
             raise FieldError("protocol", f"unknown protocol {self.protocol!r}")
         extent = (self.field.width, self.field.height)
@@ -195,6 +211,9 @@ def random_waypoint_document(seed: int, nodes: int, flows: int,
 # interval too small to advance the clock re-fires at one instant and
 # stalls a run. It also caps the windows of one metric series.
 MAX_FLOW_TICKS = 10**6
+# the config class of each protocol, under its protocol_params key
+_PROTOCOL_CONFIGS = {name.lower(): agent.config_class
+                     for name, agent in PROTOCOLS.items()}
 # config fields whose document key is not the field name
 _DOC_KEYS = {"radio_range": "range"}
 
@@ -210,6 +229,8 @@ class RandomWaypoint(Config):
 
 def _point(raw, path) -> tuple:
     """An [x, y] pair of numbers as a float tuple."""
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
+        raise FieldError(path, "expected [x, y]")
     return tuple(check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
@@ -322,12 +343,10 @@ def load_config(text: str) -> ScenarioConfig:
     params = doc.get("protocol_params", {})
     if not isinstance(params, dict):
         raise FieldError("protocol_params", "expected an object")
-    config_classes = {name.lower(): agent.config_class
-                      for name, agent in PROTOCOLS.items()}
-    _check_keys(params, config_classes, "protocol_params")
+    _check_keys(params, _PROTOCOL_CONFIGS, "protocol_params")
     params = {key: _read(params.get(key, {}), config_class,
                          f"protocol_params.{key}")
-              for key, config_class in config_classes.items()}
+              for key, config_class in _PROTOCOL_CONFIGS.items()}
 
     return ScenarioConfig(
         name=doc.get("name", "custom"), protocol=protocol.upper(),
@@ -391,30 +410,34 @@ def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
 def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     """Execute a scenario and, if out_dir is given, write every artifact.
 
-    With out_dir, ``trace.txt`` is written block by block while the
-    simulation runs, so the trace is never held whole; the ledger then
-    has no ``trace_text()``, and a simulation that raises leaves no
-    ``trace.txt`` behind. Each flow's series are built once.
+    The simulation runs in this process, single-threaded. With out_dir,
+    each trace block goes unformatted to a writer process (see
+    ``tracewriter``), which formats it and appends it to ``trace.txt``
+    while the simulation runs; where only one CPU is usable, this process
+    formats and writes it instead. The trace is never held whole, and
+    the ledger has no ``trace_text()``. The writer is joined last, after
+    the other artifacts are written. If the simulation raises or is interrupted,
+    the writer is killed. A ``trace.txt`` that cannot be opened raises
+    OSError before the simulation; a writer that fails later raises
+    OSError naming ``trace.txt``. Whenever run raises, no ``trace.txt``
+    is left behind. Each flow's series are built once.
     """
     check_window(window, config.duration)
     sim = build_simulation(config)
-    ledger = sim.ledger
-    duration = config.duration
-
-    manifest = []
     if out_dir is None:
-        sim.run(duration)
-    else:
-        manifest.append("trace.txt")
-        trace_path = _out_path(out_dir, "trace.txt")
-        with open(trace_path, "w") as fh:
-            try:
-                ledger.trace_lines.stream_to(fh.write)
-                sim.run(duration)
-            except BaseException:
-                fh.close()
-                os.remove(trace_path)
-                raise
+        sim.run(config.duration)
+        return _report(config, sim.ledger, None, window)
+    with trace_sink(_out_path(out_dir, "trace.txt")) as sink:
+        sim.ledger.trace_lines.stream_to(sink.send)
+        sim.run(config.duration)
+        return _report(config, sim.ledger, out_dir, window)
+
+
+def _report(config, ledger, out_dir, window) -> RunReport:
+    """The finished run's report, its artifacts written to out_dir if given
+    (``trace.txt`` is already on its way there)."""
+    duration = config.duration
+    manifest = [] if out_dir is None else ["trace.txt"]
     flow_stats = []
     for fc in config.flows:
         series = {

@@ -31,6 +31,7 @@ from vanetsim.radio import Frame
 from vanetsim.scenario import build_simulation, builtin_scenario, load_config
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
+from vanetsim.tracewriter import format_block
 
 
 def parse_plot_series(path) -> list:
@@ -523,7 +524,7 @@ def test_packed_records_equal_the_fstring_lines(events, block):
     text = "".join(line + "\n" for line in expected)
     assert led.trace_text() == text
     written = []
-    led.trace_lines.stream_to(written.append)
+    led.trace_lines.stream_to(lambda lines: written.append(format_block(lines)))
     led.trace_lines.append("tail")
     led.trace_lines.pack()
     led.trace_lines.pack()
@@ -557,7 +558,7 @@ def test_trace_blocks_join_to_the_lines(tmp_path, n_lines):
     assert led.trace_text() == expected
     assert len(led.trace_lines) == n_lines
     with open(tmp_path / "trace.txt", "w") as fh:
-        led.trace_lines.stream_to(fh.write)
+        led.trace_lines.stream_to(lambda lines: fh.write(format_block(lines)))
     assert (tmp_path / "trace.txt").read_text() == expected
 
 
@@ -601,7 +602,7 @@ def test_streaming_ledger_has_no_trace_text():
     led = MetricsLedger()
     led.on_send(Frame("DATA", 0, 1, 512), 0.0)
     written = []
-    led.trace_lines.stream_to(written.append)
+    led.trace_lines.stream_to(lambda lines: written.append(format_block(lines)))
     assert written == ["s 0.0000000 DATA 0 0 1 512\n"]
     with pytest.raises(RuntimeError, match="streamed"):
         led.trace_text()

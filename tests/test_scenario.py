@@ -4,18 +4,19 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from vanetsim import scenario
+from vanetsim import metrics, scenario, tracewriter
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
 from vanetsim.metrics import TRACE_BLOCK_LINES, FlowStats, parse_mobility_trace
 from vanetsim.mobility import FieldConfig
 from vanetsim.radio import RadioConfig
-from vanetsim.rules import Config, check_string
+from vanetsim.rules import Config, FieldError, check_string
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -32,6 +33,7 @@ from vanetsim.scenario import (
     serialize_config,
 )
 from vanetsim.simulation import Motion
+from vanetsim.tracewriter import TraceWriter
 from vanetsim.transport import FlowConfig
 
 MINI_DOC = {
@@ -470,10 +472,40 @@ def test_replace_probes_raise_at_the_replace(make, field):
         make(mini_config())
 
 
+NESTED_PROBES = [
+    ("radio=None", lambda c: {"radio": None}, "radio"),
+    ("no dsdv params", lambda c: {"protocol_params": {
+        "aodv": c.protocol_params["aodv"]}}, "protocol_params.dsdv"),
+    ("DsdvConfig under aodv", lambda c: {"protocol_params": {
+        **c.protocol_params, "aodv": DsdvConfig()}}, "protocol_params.aodv"),
+    ("3-d placement", lambda c: {"placements": {
+        **c.placements, 0: (500.0, 300.0, 7.0)}}, "placements[0][1]"),
+    ("field=None", lambda c: {"field": None}, "field"),
+    ("flows=None", lambda c: {"flows": None}, "flows"),
+    ("flow as a dict", lambda c: {"flows": [
+        dataclasses.asdict(c.flows[0])]}, "flows[0]"),
+    ("motion as a list", lambda c: {"motions": [
+        [1, 1.0, [400.0, 300.0], 5.0]]}, "motions[0]"),
+    ("background as a dict", lambda c: {"background_mobility": {
+        "v_min": 1.0, "v_max": 2.0}}, "background_mobility"),
+]
+
+
+@pytest.mark.parametrize("changes, path", [row[1:] for row in NESTED_PROBES],
+                         ids=[row[0] for row in NESTED_PROBES])
+def test_nested_field_of_the_wrong_shape_raises_at_the_replace(changes, path):
+    """A nested field built in code is checked for its type and shape when
+    the config is made, naming its path, instead of failing in the run."""
+    config = builtin_scenario("long-distance", "AODV")
+    with pytest.raises(FieldError) as raised:
+        dataclasses.replace(config, **changes(config), duration=5.0)
+    assert raised.value.path == path
+
+
 CONFIG_CLASSES = (RadioConfig, AodvConfig, DsdvConfig, FlowConfig, FieldConfig,
                   RandomWaypoint, ScenarioConfig)
-# held by ScenarioConfig's rules spanning fields: a known protocol, a flow's name
-SPANNING_RULES = {(ScenarioConfig, "protocol"), (ScenarioConfig, "primary_flow")}
+# held by ScenarioConfig's rule spanning fields: a flow's name
+SPANNING_RULES = {(ScenarioConfig, "primary_flow")}
 
 
 def test_every_config_field_declares_its_rule():
@@ -653,13 +685,36 @@ def test_run_is_reproducible_byte_for_byte(tmp_path):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
-def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
-    """trace.txt, streamed during the run, is the in-memory trace_text()."""
-    config = dataclasses.replace(
-        builtin_scenario("long-distance", "AODV"), duration=60.0)
-    expected = build_simulation(config).run(config.duration).ledger.trace_text()
-    assert expected.count("\n") > 3 * TRACE_BLOCK_LINES
+def record_writers(monkeypatch) -> list:
+    """Every TraceWriter that run() starts from now on, in order; run()
+    starts one whatever the host's CPU count."""
+    writers = []
 
+    class RecordedWriter(TraceWriter):
+        def __init__(self, path):
+            super().__init__(path)
+            writers.append(self)
+
+    monkeypatch.setattr(tracewriter, "TraceWriter", RecordedWriter)
+    monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: 2)
+    return writers
+
+
+def assert_reaped(writers):
+    """Each writer process was waited for, so none is left running."""
+    assert writers
+    for writer in writers:
+        assert writer.process.returncode is not None
+        with pytest.raises(ProcessLookupError):
+            os.kill(writer.process.pid, 0)
+
+
+def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
+    """trace.txt, formatted by the writer process during the run, is the
+    in-memory trace_text(), for both builtins."""
+    # blocks small enough that short-distance's 60 s cross several
+    block = TRACE_BLOCK_LINES // 4
+    monkeypatch.setattr(metrics, "TRACE_BLOCK_LINES", block)
     built = []
 
     def build_and_keep(*args, **kwargs):
@@ -667,36 +722,118 @@ def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(scenario, "build_simulation", build_and_keep)
-    run(config, out_dir=str(tmp_path))
-    assert (tmp_path / "trace.txt").read_text() == expected
-    with pytest.raises(RuntimeError):
-        built[0].ledger.trace_text()
+    writers = record_writers(monkeypatch)
+    for name, protocol in (("long-distance", "AODV"), ("short-distance", "DSDV")):
+        config = dataclasses.replace(builtin_scenario(name, protocol),
+                                     duration=60.0)
+        expected = build_simulation(config).run(60.0).ledger.trace_text()
+        assert expected.count("\n") > 6 * block
+        out = tmp_path / name
+        run(config, out_dir=str(out))
+        assert (out / "trace.txt").read_text() == expected, name
+        assert_reaped(writers)
+        with pytest.raises(RuntimeError):
+            built[-1].ledger.trace_text()
 
-    # streaming from mid-run writes the blocks packed before it first
-    sim = build_simulation(config).run(45.0)
-    packed = len(sim.ledger.trace_lines) - len(sim.ledger.trace_lines.pending)
-    assert packed >= 2 * TRACE_BLOCK_LINES
-    written = []
-    sim.ledger.trace_lines.stream_to(written.append)
-    sim.run(config.duration)
-    sim.ledger.trace_lines.pack()
-    assert "".join(written) == expected
+        # streaming from mid-run sends the blocks packed before it first
+        sim = build_simulation(config).run(45.0)
+        packed = len(sim.ledger.trace_lines) - len(sim.ledger.trace_lines.pending)
+        assert packed >= 2 * block
+        with TraceWriter(str(out / "mid-run.txt")) as writer:
+            sim.ledger.trace_lines.stream_to(writer.send)
+            sim.run(60.0)
+        assert (out / "mid-run.txt").read_text() == expected, name
+        assert_reaped([writer])
 
 
-def test_run_that_raises_leaves_no_trace(tmp_path, monkeypatch):
-    config = dataclasses.replace(
-        builtin_scenario("long-distance", "AODV"), duration=60.0)
+def _agent_raising_after(monkeypatch, t, error):
     on_frame = AodvAgent.on_frame
 
     def failing_on_frame(agent, frame):
-        if agent.sched.now > 30.0:
-            raise RuntimeError("agent fault")
+        if agent.sched.now > t:
+            raise error
         on_frame(agent, frame)
 
     monkeypatch.setattr(AodvAgent, "on_frame", failing_on_frame)
+
+
+def test_run_that_raises_leaves_no_trace(tmp_path, monkeypatch):
+    """A simulation that raises mid-run kills and reaps the writer and
+    deletes its partial trace.txt."""
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    _agent_raising_after(monkeypatch, 30.0, RuntimeError("agent fault"))
+    writers = record_writers(monkeypatch)
     with pytest.raises(RuntimeError, match="agent fault"):
         run(config, out_dir=str(tmp_path))
     assert not (tmp_path / "trace.txt").exists()
+    assert_reaped(writers)
+
+
+def test_interrupted_run_reaps_the_writer(tmp_path, monkeypatch):
+    """KeyboardInterrupt from inside the simulation propagates; the writer
+    is killed and reaped and no trace.txt is left."""
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    _agent_raising_after(monkeypatch, 30.0, KeyboardInterrupt)
+    writers = record_writers(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        run(config, out_dir=str(tmp_path))
+    assert not (tmp_path / "trace.txt").exists()
+    assert_reaped(writers)
+
+
+@pytest.mark.parametrize("target", ["directory", "full device"])
+def test_unwritable_trace_raises_os_error_naming_it(tmp_path, monkeypatch,
+                                                   target):
+    """A trace.txt that cannot be opened fails run() before the simulation,
+    and one the writer fails to write raises OSError naming it; no trace
+    file and no process remain."""
+    trace = tmp_path / "trace.txt"
+    if target == "directory":
+        trace.mkdir()
+    elif os.path.exists("/dev/full"):  # every write there fails with ENOSPC
+        trace.symlink_to("/dev/full")
+    else:
+        pytest.skip("no /dev/full")
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    writers = record_writers(monkeypatch)
+    with pytest.raises(OSError, match="trace.txt"):
+        run(config, out_dir=str(tmp_path))
+    if target == "directory":
+        assert writers == []
+        assert os.listdir(tmp_path) == ["trace.txt"]  # nothing else written
+        assert trace.is_dir()
+    else:
+        assert not os.path.lexists(trace)
+        assert_reaped(writers)
+
+
+def test_one_cpu_run_formats_its_trace_in_process(tmp_path, monkeypatch):
+    """With one CPU to run on, run() starts no writer process: it formats
+    trace.txt itself, to the same bytes, and a run that raises or cannot
+    open trace.txt leaves no trace file."""
+    monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: 1)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(tracewriter.subprocess, "Popen", no_process)
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    expected = build_simulation(config).run(60.0).ledger.trace_text()
+    run(config, out_dir=str(tmp_path / "ok"))
+    assert (tmp_path / "ok" / "trace.txt").read_text() == expected
+
+    (tmp_path / "dir" / "trace.txt").mkdir(parents=True)
+    with pytest.raises(OSError, match="trace.txt"):
+        run(config, out_dir=str(tmp_path / "dir"))
+
+    _agent_raising_after(monkeypatch, 30.0, RuntimeError("agent fault"))
+    with pytest.raises(RuntimeError, match="agent fault"):
+        run(config, out_dir=str(tmp_path / "raise"))
+    assert not (tmp_path / "raise" / "trace.txt").exists()
 
 
 def test_run_without_out_dir_returns_stats_only():
