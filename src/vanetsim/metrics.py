@@ -16,11 +16,11 @@ integer arithmetic and rounded once, so it is the correctly rounded value
 and the same float on every supported Python (the standard library's
 ``pstdev`` rounds twice before 3.11).
 
-Two text formats live here as well: mobility lines
-(``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``) and
-two-column plot series. Packet events in the combined trace use a
-columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form, made by
-``tracewriter.format_block``.
+Mobility lines (``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>),
+<speed>``) are formatted here. Packet events in the combined trace use
+a columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form, made by
+``tracewriter.format_block``; two-column plot series are written by
+``tracewriter.write_series``.
 
 Memory: a packet event waits in the trace as a raw record, the tuple
 ``(op, t, kind, id, src, dst, size)``, and a mobility line as its text.
@@ -28,9 +28,10 @@ About every ``TRACE_BLOCK_LINES`` pending lines are packed into one
 block, so the per-frame path only builds a tuple. A ledger formats each
 block with ``format_block`` and keeps the text for ``trace_text()``, or,
 once ``trace_lines.stream_to(send)`` is called, hands each block of raw
-lines to ``send`` and keeps none. ``scenario.run`` sends them to the
-writer process that formats ``trace.txt``, so the simulating process
-formats no trace line and holds at most one block of them.
+lines to ``send`` and keeps none. ``scenario.run`` sends them, and
+then each flow's series, to the writer process that formats
+``trace.txt`` and ``metrics/*.dat``, so the simulating process formats
+no trace or series line and holds at most one block of trace lines.
 
 Receptions are logged only at the sinks a ledger is built with, the
 only nodes whose bandwidth a run reports; asking for any other node's
@@ -52,7 +53,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .tracewriter import format_block
+from .tracewriter import format_block, nudge_ties, write_series
 from .transport import DeliveredSeqs
 
 
@@ -180,18 +181,6 @@ def _first_nonzero(points):
         if v > 0.0:
             return t
     return None
-
-
-def _nudge_ties(points):
-    """Shift repeated x-values forward by 1 ns so plots stay functions."""
-    out = []
-    prev = None
-    for t, v in points:
-        if prev is not None and t <= prev:
-            t = prev + 1e-9
-        out.append((t, v))
-        prev = t
-    return out
 
 
 class MetricsLedger:
@@ -329,12 +318,14 @@ class MetricsLedger:
         ]
         return MetricSeries(points, "seconds")
 
-    def delay_series(self, flow) -> MetricSeries:
+    # nudge=False keeps ties in t (and cwnd's own list), for a sink to nudge
+    def delay_series(self, flow, nudge=True) -> MetricSeries:
         points = [(t, delay) for t, delay, _seq, _b in self._deliveries.get(flow, [])]
-        return MetricSeries(_nudge_ties(points), "seconds")
+        return MetricSeries(nudge_ties(points) if nudge else points, "seconds")
 
-    def cwnd_series(self, flow) -> MetricSeries:
-        return MetricSeries(_nudge_ties(self._cwnd.get(flow, [])), "packets")
+    def cwnd_series(self, flow, nudge=True) -> MetricSeries:
+        points = self._cwnd.get(flow, [])
+        return MetricSeries(nudge_ties(points) if nudge else points, "packets")
 
     def _receptions(self, node):
         """(t, bits) pairs of every frame the sink node received, in order."""
@@ -434,8 +425,4 @@ def parse_mobility_trace(text):
 # -- plot series files ----------------------------------------------------
 
 def write_plot_series(series: MetricSeries, path) -> None:
-    with open(path, "w") as fh:
-        if series.points:
-            fh.write(f"# {series.unit}\n")
-        for t, v in series.points:
-            fh.write(f"{t!r} {v!r}\n")
+    write_series(path, series.unit, series.points, False)

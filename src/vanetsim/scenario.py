@@ -9,6 +9,7 @@ reaches a run through ``load_config``. The README's "Builtin scenarios"
 explains their geometry.
 """
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -16,7 +17,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .metrics import FlowStats, write_plot_series
+from .metrics import FlowStats
 from .mobility import FieldConfig, MobilityError, MobilityModel
 from .radio import RadioConfig
 from .rules import (Config, ConfigError, FieldError, check_number, check_string,
@@ -410,69 +411,77 @@ def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
 def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     """Execute a scenario and, if out_dir is given, write every artifact.
 
-    The simulation runs in this process, single-threaded. With out_dir,
-    each trace block goes unformatted to a writer process (see
-    ``tracewriter``), which formats it and appends it to ``trace.txt``
-    while the simulation runs; where only one CPU is usable, this process
-    formats and writes it instead. The trace is never held whole, and
-    the ledger has no ``trace_text()``. The writer is joined last, after
-    the other artifacts are written. If the simulation raises or is interrupted,
-    the writer is killed. A ``trace.txt`` that cannot be opened raises
-    OSError before the simulation; a writer that fails later raises
-    OSError naming ``trace.txt``. Whenever run raises, no ``trace.txt``
-    is left behind. Each flow's series are built once.
+    The simulation runs in this process, single-threaded. With out_dir, a
+    sink (see ``tracewriter``) writes ``trace.txt`` while the simulation
+    runs, then each flow's ``.dat`` series as soon as it is built, in a
+    writer process or, where only one CPU is usable, in this one. The
+    trace is never held whole, and the ledger has no ``trace_text()``.
+    The sink is joined before ``summary.csv``, ``paths.log`` and
+    ``report.txt`` are written. A ``trace.txt`` that cannot be opened
+    raises OSError before the simulation; a file that cannot be written
+    later raises OSError naming it, and whenever run raises after that,
+    none of its manifest files is left. Each flow's series are built once.
     """
     check_window(window, config.duration)
     sim = build_simulation(config)
     if out_dir is None:
         sim.run(config.duration)
-        return _report(config, sim.ledger, None, window)
-    with trace_sink(_out_path(out_dir, "trace.txt")) as sink:
-        sim.ledger.trace_lines.stream_to(sink.send)
-        sim.run(config.duration)
-        return _report(config, sim.ledger, out_dir, window)
+        return RunReport(config, _flow_stats(config, sim.ledger, window),
+                         sim.ledger.paths_taken(), [])
+    manifest = ["trace.txt"] + [
+        os.path.join("metrics", fc.flow, f"{metric}.dat")
+        for fc in config.flows for metric in _SERIES] + [
+        "summary.csv", "paths.log", "report.txt"]
+    sink = trace_sink(_out_path(out_dir, "trace.txt"))
 
+    def send(flow, metric, series, nudge):
+        rel = os.path.join("metrics", flow, f"{metric}.dat")
+        sink.send((_out_path(out_dir, rel), series.unit, series.points, nudge))
 
-def _report(config, ledger, out_dir, window) -> RunReport:
-    """The finished run's report, its artifacts written to out_dir if given
-    (``trace.txt`` is already on its way there)."""
-    duration = config.duration
-    manifest = [] if out_dir is None else ["trace.txt"]
-    flow_stats = []
-    for fc in config.flows:
-        series = {
-            "throughput": ledger.throughput_series(fc.flow, duration, window),
-            "jitter": ledger.jitter_series(fc.flow, duration, window),
-            "delay": ledger.delay_series(fc.flow),
-            "cwnd": ledger.cwnd_series(fc.flow),
-            "destination_bandwidth": ledger.bandwidth_series(
-                fc.sink, duration, window),
-        }
-        flow_stats.append(ledger.flow_summary(
-            fc.flow, fc.sink, duration, series["throughput"],
-            series["jitter"], series["destination_bandwidth"]))
-        if out_dir is not None:
-            for metric, values in series.items():
-                rel = os.path.join("metrics", fc.flow, f"{metric}.dat")
-                write_plot_series(values, _out_path(out_dir, rel))
-                manifest.append(rel)
-
-    if out_dir is not None:
-        manifest += ["summary.csv", "paths.log", "report.txt"]
+    ledger = sim.ledger
+    try:
+        with sink:
+            ledger.trace_lines.stream_to(sink.send)
+            sim.run(config.duration)
+            for fc in config.flows:  # raw points: the sink nudges their ties
+                send(fc.flow, "delay", ledger.delay_series(fc.flow, False), True)
+                send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow, False), True)
+            flow_stats = _flow_stats(config, ledger, window, send)
+        report = RunReport(config, flow_stats, ledger.paths_taken(), manifest)
         _write_summary_csv(out_dir, flow_stats)
         path_lines = ledger.path_log_lines()
         _write_text(out_dir, "paths.log",
                     "\n".join(path_lines) + "\n" if path_lines else "")
-
-    report = RunReport(
-        config=config,
-        flows=flow_stats,
-        paths=ledger.paths_taken(),
-        manifest=manifest,
-    )
-    if out_dir is not None:
         _write_text(out_dir, "report.txt", format_report(report))
-    return report
+        return report
+    except BaseException:
+        for rel in manifest:
+            with contextlib.suppress(OSError):  # the run's error goes on
+                os.remove(os.path.join(out_dir, rel))
+        raise
+
+
+# each flow's series, in manifest order
+_SERIES = ("throughput", "jitter", "delay", "cwnd", "destination_bandwidth")
+
+
+def _flow_stats(config, ledger, window, send=None) -> list:
+    """Each flow's FlowStats, from its windowed series; with send, each
+    series goes to send(flow, metric, series, False) once built."""
+    duration = config.duration
+    flow_stats = []
+    for fc in config.flows:
+        windowed = []
+        for metric, build, key in (
+                ("throughput", ledger.throughput_series, fc.flow),
+                ("jitter", ledger.jitter_series, fc.flow),
+                ("destination_bandwidth", ledger.bandwidth_series, fc.sink)):
+            windowed.append(build(key, duration, window))
+            if send is not None:
+                send(fc.flow, metric, windowed[-1], False)
+        flow_stats.append(
+            ledger.flow_summary(fc.flow, fc.sink, duration, *windowed))
+    return flow_stats
 
 
 def _out_path(out_dir, rel):

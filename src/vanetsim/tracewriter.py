@@ -1,26 +1,29 @@
-"""The trace's text format, and the process that writes ``trace.txt``.
+"""The trace and plot series formats, and the process that writes them.
 
 A trace block is a list of lines: a packet record is the tuple
 ``(op, t, kind, id, src, dst, size)`` and any other line is its text
 without the newline. ``format_block`` is the one place a block becomes
 text, in the simulating process for an in-memory trace and in the writer
-process for ``trace.txt``.
+process for ``trace.txt``; ``write_series`` is the one place a plot
+series becomes a file. A sink takes two kinds of message, both handled
+by ``write_message``: a trace block, appended to the trace file, and a
+series ``(path, unit, points, nudge)``, written to its own file.
 
-``trace_sink`` picks where a run's blocks go. Where this process may
+``trace_sink`` picks where a run's messages go. Where this process may
 run on two CPUs or more, ``TraceWriter`` moves the formatting to a writer
 process on another CPU, off the simulation's path. On one CPU the writer
 would take the simulation's own CPU time and add the cost of sending
 the blocks (18% more wall time for the builtin long-distance AODV run,
 pinned to one core of a 2-core x86-64 host, CPython 3.11), so
-``TraceFile`` formats and writes in this process.
+``TraceFile`` formats and writes in this process. Either sink raises
+OSError naming the file it could not write.
 
 ``TraceWriter`` starts this file as a standalone script in a fresh
-interpreter (``python -I -S tracewriter.py FD``), so the writer imports
-only the standard library. ``TraceWriter`` opens the trace file and
-passes the writer its descriptor FD. It sends each block over the
-writer's stdin as a 4-byte little-endian length and the block's
-``marshal`` bytes; the writer formats each block and appends it to the
-file until its stdin closes.
+interpreter (``python -I -S tracewriter.py FD PATH``), so the writer
+imports only the standard library. ``TraceWriter`` opens the trace file
+at PATH and passes the writer its descriptor FD. It sends each message
+over the writer's stdin as a 4-byte little-endian length and its
+``marshal`` bytes; the writer writes each message until its stdin closes.
 The writer ignores SIGINT, so an interrupt reaches the simulating
 process alone, which kills the writer; a writer error is reported on its
 stderr, which ``TraceWriter`` reads.
@@ -52,6 +55,47 @@ def format_block(lines) -> str:
                     for line in lines])
 
 
+def nudge_ties(points) -> list:
+    """Shift repeated x-values forward by 1 ns so plots stay functions."""
+    out = []
+    prev = None
+    for t, v in points:
+        if prev is not None and t <= prev:
+            t = prev + 1e-9
+        out.append((t, v))
+        prev = t
+    return out
+
+
+def write_series(path, unit, points, nudge) -> None:
+    """Write a plot series file: ``# unit`` if there are points, then one
+    ``t v`` line of reprs per point, ties in t nudged first if nudge."""
+    if nudge:
+        points = nudge_ties(points)
+    try:
+        with open(path, "w") as fh:
+            if points:
+                fh.write(f"# {unit}\n")
+                fh.write("".join([f"{t!r} {v!r}\n" for t, v in points]))
+    except OSError as e:  # a failed write or close names no file
+        raise OSError(e.errno, e.strerror, path) from None
+
+
+def write_message(trace, message) -> None:
+    """Write a message: a trace block (a list) to the open file trace, or
+    a series ``(path, unit, points, nudge)`` to the file at path."""
+    if type(message) is list:
+        trace.write(format_block(message))
+    else:
+        write_series(*message)
+
+
+def cannot_write(path, e) -> OSError:
+    """A sink's error for e, naming e's file or else path, the trace."""
+    reason = getattr(e, "strerror", None) or f"{type(e).__name__}: {e}"
+    return OSError(f"cannot write {getattr(e, 'filename', None) or path}: {reason}")
+
+
 def trace_sink(path):
     """A ``TraceWriter`` for path, or a ``TraceFile`` on one CPU."""
     return TraceWriter(path) if _usable_cpus() > 1 else TraceFile(path)
@@ -65,16 +109,18 @@ def _usable_cpus() -> int:
 
 
 class TraceFile:
-    """This process formats the blocks sent to it into path. The same
-    contract as ``TraceWriter``: whenever the block raises, no file is
-    left at path."""
+    """The in-process sink: it writes each message as it is sent, under
+    the contract of ``TraceWriter``."""
 
     def __init__(self, path):
         self.path = path
         self._file = open(path, "w")
 
-    def send(self, lines) -> None:
-        self._file.write(format_block(lines))
+    def send(self, message) -> None:
+        try:
+            write_message(self._file, message)
+        except OSError as e:
+            raise cannot_write(self.path, e) from None
 
     def __enter__(self):
         return self
@@ -82,21 +128,20 @@ class TraceFile:
     def __exit__(self, exc_type, exc, tb):
         try:
             self._file.close()  # flushes, so a full disk may raise here
-        except OSError:
-            os.remove(self.path)
-            raise
-        if exc_type is not None:
-            os.remove(self.path)
+        except OSError as e:
+            if exc_type is None:  # else the block's own error goes on
+                raise cannot_write(self.path, e) from None
 
 
 class TraceWriter:
-    """A writer process that formats the blocks sent to it into path.
+    """A writer process that writes the messages sent to it: trace blocks
+    into path, series to their own files.
 
     As a context manager it joins the writer on a clean exit, after the
-    writer has written its last block; otherwise it kills the writer and
-    waits for it. A failed writer raises OSError naming path, from
-    ``send`` or from the join. Whenever the block raises, no file is
-    left at path.
+    writer has handled its last message; otherwise it kills the writer
+    and waits for it. A failed writer raises OSError naming the file it
+    could not write, from ``send`` or from the join. The files written
+    are left for the caller to remove.
     """
 
     def __init__(self, path):
@@ -106,7 +151,7 @@ class TraceWriter:
             try:
                 self.process = subprocess.Popen(  # the writer
                     [sys.executable, "-I", "-S", os.path.abspath(__file__),
-                     str(trace.fileno())],
+                     str(trace.fileno()), path],
                     stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
                     stderr=subprocess.PIPE, pass_fds=(trace.fileno(),))
             except BaseException:
@@ -118,9 +163,9 @@ class TraceWriter:
             except OSError:  # over a limit the system sets; the default stays
                 pass
 
-    def send(self, lines) -> None:
-        """Hand a block to the writer; lines may change once this returns."""
-        data = marshal.dumps(lines)
+    def send(self, message) -> None:
+        """Hand a message to the writer; it may change once this returns."""
+        data = marshal.dumps(message)
         try:
             self.process.stdin.write(len(data).to_bytes(4, "little"))
             self.process.stdin.write(data)
@@ -131,10 +176,9 @@ class TraceWriter:
         """Close the writer's input and wait for it; OSError if it failed."""
         _, err = self.process.communicate()
         if self.process.returncode:
-            reason = (err.decode(errors="replace").strip().splitlines()
-                      or [f"exit status {self.process.returncode}"])[-1]
-            raise OSError(f"cannot write {self.path}: the trace writer "
-                          f"failed: {reason}")
+            raise OSError((err.decode(errors="replace").splitlines() or [
+                f"cannot write {self.path}: the trace writer failed: exit "
+                f"status {self.process.returncode}"])[-1])
 
     def __enter__(self):
         return self
@@ -150,36 +194,35 @@ class TraceWriter:
             raise
 
     def _kill(self) -> None:
-        """Kill and reap the writer, then delete the trace file."""
+        """Kill and reap the writer."""
         proc = self.process
         proc.kill()
         try:
             proc.stdin.close()
-        except BrokenPipeError:  # a block still buffered for the dead writer
+        except BrokenPipeError:  # a message still buffered for the dead writer
             pass
         proc.wait()
         proc.stderr.close()
-        os.remove(self.path)
 
 
-def main(fd) -> int:
-    """Write the blocks arriving on stdin to the file open at fd; 1 on any
-    error."""
+def main(fd, path) -> int:
+    """Write the messages arriving on stdin, trace blocks to the file open
+    at fd (path); 1 on any error, reported on stderr."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     read = sys.stdin.buffer.read
     try:
-        with open(fd, "w") as out:
+        with open(fd, "w") as trace:
             while head := read(4):
-                out.write(format_block(marshal.loads(
-                    read(int.from_bytes(head, "little")))))
+                write_message(trace, marshal.loads(
+                    read(int.from_bytes(head, "little"))))
     except Exception as e:
-        sys.stderr.write(f"{type(e).__name__}: {e}\n")
+        sys.stderr.write(f"{cannot_write(path, e)}\n")
         return 1
     return 0
 
 
 if __name__ == "__main__":
-    code = main(int(sys.argv[1]))
+    code = main(int(sys.argv[1]), sys.argv[2])
     sys.stderr.flush()
     # the run waits for this exit at its join: skip the interpreter's
     # teardown (about 5 ms), as nothing is left to release

@@ -1,11 +1,12 @@
 """End-to-end checks of the vanetsim console entry point."""
 
 import json
+import os
 from importlib import resources
 
 import pytest
 
-from vanetsim import cli
+from vanetsim import cli, tracewriter
 from vanetsim.cli import main
 
 MINI_DOC = {
@@ -219,6 +220,25 @@ def test_unwritable_out_dir_is_an_io_error(scenario_file, tmp_path, capsys):
                  "--out", str(blocker / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_full_disk_is_an_io_error_naming_the_trace(scenario_file, tmp_path,
+                                                    capsys, monkeypatch, cpus):
+    """On one CPU (the run writes its own trace) as on two (a writer
+    process does), a trace.txt that cannot be written is named in an
+    'error: cannot write' line, with exit code 2 and no traceback."""
+    if not os.path.exists("/dev/full"):  # every write there fails: ENOSPC
+        pytest.skip("no /dev/full")
+    monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace.txt").symlink_to("/dev/full")
+    code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'trace.txt'}: ")
+    assert "Traceback" not in err
 
 
 def test_compare_subcommand_runs_both_protocols(scenario_file, tmp_path, capsys):

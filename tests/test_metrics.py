@@ -5,8 +5,10 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import statistics
 import sys
+import tempfile
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -31,7 +33,7 @@ from vanetsim.radio import Frame
 from vanetsim.scenario import build_simulation, builtin_scenario, load_config
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
-from vanetsim.tracewriter import format_block
+from vanetsim.tracewriter import format_block, nudge_ties, write_series
 
 
 def parse_plot_series(path) -> list:
@@ -245,6 +247,42 @@ def test_delay_series_nudges_equal_timestamps():
         led.on_sink_delivery("f0", seq, 512, 2.0)
     pts = led.delay_series("f0").points
     assert [t for t, _ in pts] == [2.0, 2.0 + 1e-9, 2.0 + 2e-9]
+
+
+def reference_nudge_ties(points):
+    """The ledger's nudge before it moved to tracewriter: each x-value at
+    or below the one before becomes that one plus 1 ns."""
+    out = []
+    prev = None
+    for t, v in points:
+        if prev is not None and t <= prev:
+            t = prev + 1e-9
+        out.append((t, v))
+        prev = t
+    return out
+
+
+@given(points=st.lists(st.tuples(
+    st.sampled_from([0.0, 0.5, 0.5 + 1e-9, 1.0, 3.25]),
+    st.floats(allow_nan=False, allow_infinity=False)), max_size=20))
+@example(points=[(0.5, 1.0), (0.5, 2.0), (0.5 + 1e-9, 3.0), (0.0, 4.0)])
+def test_nudge_ties_equals_the_reference(points):
+    """Tied and falling x-values, nudged by the shared helper, as a series
+    of the ledger and as the text a sink writes, equal the reference."""
+    nudged = reference_nudge_ties(points)
+    assert nudge_ties(points) == nudged
+    led = MetricsLedger()
+    for t, v in points:
+        led.on_cwnd("f0", t, v)
+    assert led.cwnd_series("f0").points == nudged
+    assert led.cwnd_series("f0", False).points == points
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cwnd.dat")
+        write_series(path, "packets", points, True)
+        with open(path) as fh:
+            text = fh.read()
+    expected = "".join(f"{t!r} {v!r}\n" for t, v in nudged)
+    assert text == (f"# packets\n{expected}" if points else "")
 
 
 def test_destination_bandwidth_counts_every_frame_kind():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 from vanetsim import metrics, scenario, tracewriter
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
-from vanetsim.metrics import TRACE_BLOCK_LINES, FlowStats, parse_mobility_trace
+from vanetsim.metrics import (TRACE_BLOCK_LINES, FlowStats, MetricsLedger,
+                              parse_mobility_trace, write_plot_series)
 from vanetsim.mobility import FieldConfig
 from vanetsim.radio import RadioConfig
 from vanetsim.rules import Config, FieldError, check_string
@@ -33,7 +35,7 @@ from vanetsim.scenario import (
     serialize_config,
 )
 from vanetsim.simulation import Motion
-from vanetsim.tracewriter import TraceWriter
+from vanetsim.tracewriter import TraceFile, TraceWriter
 from vanetsim.transport import FlowConfig
 
 MINI_DOC = {
@@ -709,6 +711,20 @@ def assert_reaped(writers):
             os.kill(writer.process.pid, 0)
 
 
+def use_sink(monkeypatch, sink) -> list:
+    """Make run() write through sink, "writer" (a TraceWriter) or "file"
+    (a TraceFile, as on one CPU); the TraceWriters it starts, in order."""
+    if sink == "writer":
+        return record_writers(monkeypatch)
+    monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: 1)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(tracewriter.subprocess, "Popen", no_process)
+    return []
+
+
 def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
     """trace.txt, formatted by the writer process during the run, is the
     in-memory trace_text(), for both builtins."""
@@ -814,12 +830,7 @@ def test_one_cpu_run_formats_its_trace_in_process(tmp_path, monkeypatch):
     """With one CPU to run on, run() starts no writer process: it formats
     trace.txt itself, to the same bytes, and a run that raises or cannot
     open trace.txt leaves no trace file."""
-    monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: 1)
-
-    def no_process(*args, **kwargs):
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(tracewriter.subprocess, "Popen", no_process)
+    use_sink(monkeypatch, "file")
     config = dataclasses.replace(
         builtin_scenario("long-distance", "AODV"), duration=60.0)
     expected = build_simulation(config).run(60.0).ledger.trace_text()
@@ -834,6 +845,80 @@ def test_one_cpu_run_formats_its_trace_in_process(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="agent fault"):
         run(config, out_dir=str(tmp_path / "raise"))
     assert not (tmp_path / "raise" / "trace.txt").exists()
+
+
+@pytest.mark.parametrize("sink", ["writer", "file"])
+def test_series_files_equal_the_in_memory_series(tmp_path, monkeypatch, sink):
+    """Whichever sink writes them, the metrics/*.dat of both builtins hold
+    the bytes write_plot_series writes for the in-memory ledger's series;
+    a flow that delivers nothing gets empty delay and jitter files."""
+    writers = use_sink(monkeypatch, sink)
+    expected = tmp_path / "expected.dat"
+    for name, protocol in (("long-distance", "AODV"), ("short-distance", "DSDV")):
+        config = dataclasses.replace(builtin_scenario(name, protocol),
+                                     duration=60.0)
+        out = tmp_path / name
+        run(config, out_dir=str(out))
+        ledger = build_simulation(config).run(60.0).ledger
+        for fc in config.flows:
+            for metric, series in (
+                    ("throughput", ledger.throughput_series(fc.flow, 60.0)),
+                    ("jitter", ledger.jitter_series(fc.flow, 60.0)),
+                    ("delay", ledger.delay_series(fc.flow)),
+                    ("cwnd", ledger.cwnd_series(fc.flow)),
+                    ("destination_bandwidth",
+                     ledger.bandwidth_series(fc.sink, 60.0))):
+                write_plot_series(series, expected)
+                written = out / "metrics" / fc.flow / f"{metric}.dat"
+                assert written.read_bytes() == expected.read_bytes(), (
+                    name, fc.flow, metric)
+    # short-distance f1's first delivery is at about 157 s
+    for metric in ("delay", "jitter"):
+        assert (tmp_path / "short-distance" / "metrics" / "f1"
+                / f"{metric}.dat").read_bytes() == b""
+    if sink == "writer":
+        assert len(writers) == 2
+        assert_reaped(writers)
+
+
+@pytest.mark.parametrize("sink_class", [TraceWriter, TraceFile])
+def test_sinks_nudge_a_tied_series_as_the_ledger_does(tmp_path, sink_class):
+    """A series sent raw with nudge set is written as write_plot_series
+    writes the ledger's nudged series."""
+    ledger = MetricsLedger()
+    for t, value in [(0.0, 1), (0.5, 2), (0.5, 1), (0.5, 3), (1.0, 2)]:
+        ledger.on_cwnd("f0", t, value)
+    raw = ledger.cwnd_series("f0", False)
+    assert [t for t, _v in raw.points].count(0.5) == 3
+    with sink_class(str(tmp_path / "trace.txt")) as sink:
+        sink.send((str(tmp_path / "cwnd.dat"), raw.unit, raw.points, True))
+    write_plot_series(ledger.cwnd_series("f0"), tmp_path / "expected.dat")
+    text = (tmp_path / "cwnd.dat").read_text()
+    assert text == (tmp_path / "expected.dat").read_text()
+    assert "\n0.500000001 1\n" in text
+
+
+@pytest.mark.parametrize("sink", ["writer", "file"])
+@pytest.mark.parametrize("target", ["trace.txt", "metrics/f0/cwnd.dat"])
+def test_unwritable_file_leaves_no_manifest_file(tmp_path, monkeypatch, sink,
+                                                 target):
+    """A two-node run whose trace fits in one pipe write fails only when
+    its file is flushed, at the join when a writer process writes it. run
+    raises OSError naming the file and leaves none of its manifest files,
+    not even the series the writer had written."""
+    if not os.path.exists("/dev/full"):  # every write there fails: ENOSPC
+        pytest.skip("no /dev/full")
+    writers = use_sink(monkeypatch, sink)
+    config = mini_config(placements=MINI_DOC["placements"][:2],
+                         flows=[dict(MINI_DOC["flows"][0], sink=1)])
+    out = tmp_path / "out"
+    (out / "metrics" / "f0").mkdir(parents=True)
+    (out / target).symlink_to("/dev/full")
+    with pytest.raises(OSError, match=f"^cannot write {re.escape(str(out / target))}: "):
+        run(config, out_dir=str(out))
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    if sink == "writer":
+        assert_reaped(writers)
 
 
 def test_run_without_out_dir_returns_stats_only():
