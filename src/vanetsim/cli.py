@@ -25,6 +25,7 @@ from .scenario import (
     run,
 )
 from .simulation import PROTOCOLS
+from .tracewriter import cannot_write, write_text
 
 PROTOCOL_CHOICES = [name.lower() for name in PROTOCOLS]
 
@@ -119,8 +120,11 @@ def _cmd_compare(args) -> int:
                            out_dir=out_dir, window=args.window))
     result = compare(reports[0], reports[1])
     text = format_comparison(result)
-    with open(os.path.join(args.out, "comparison.txt"), "w") as fh:
-        fh.write(text)
+    path = os.path.join(args.out, "comparison.txt")
+    try:
+        write_text(path, text)
+    except OSError as e:
+        raise cannot_write(path, e) from None
     sys.stdout.write(text)
     return 0
 

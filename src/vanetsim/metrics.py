@@ -20,7 +20,8 @@ Mobility lines (``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>),
 <speed>``) are formatted here. Packet events in the combined trace use
 a columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form, made by
 ``tracewriter.format_block``; two-column plot series are written by
-``tracewriter.write_series``.
+``tracewriter.write_series``, which nudges tied times: the series
+builders return points as recorded.
 
 Memory: a packet event waits in the trace as a raw record, the tuple
 ``(op, t, kind, id, src, dst, size)``, and a mobility line as its text.
@@ -28,10 +29,11 @@ About every ``TRACE_BLOCK_LINES`` pending lines are packed into one
 block, so the per-frame path only builds a tuple. A ledger formats each
 block with ``format_block`` and keeps the text for ``trace_text()``, or,
 once ``trace_lines.stream_to(send)`` is called, hands each block of raw
-lines to ``send`` and keeps none. ``scenario.run`` sends them, and
-then each flow's series, to the writer process that formats
-``trace.txt`` and ``metrics/*.dat``, so the simulating process formats
-no trace or series line and holds at most one block of trace lines.
+lines to ``send`` and keeps none. ``scenario.run`` sends them, then
+each flow's series, then the summary, paths and report texts, to the
+sink that writes every file of the run (see ``tracewriter``), so the
+simulating process formats no trace or series line and holds at most
+one block of trace lines.
 
 Receptions are logged only at the sinks a ledger is built with, the
 only nodes whose bandwidth a run reports; asking for any other node's
@@ -53,7 +55,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .tracewriter import format_block, nudge_ties, write_series
+from .tracewriter import format_block, write_series
 from .transport import DeliveredSeqs
 
 
@@ -318,14 +320,12 @@ class MetricsLedger:
         ]
         return MetricSeries(points, "seconds")
 
-    # nudge=False keeps ties in t (and cwnd's own list), for a sink to nudge
-    def delay_series(self, flow, nudge=True) -> MetricSeries:
+    def delay_series(self, flow) -> MetricSeries:
         points = [(t, delay) for t, delay, _seq, _b in self._deliveries.get(flow, [])]
-        return MetricSeries(nudge_ties(points) if nudge else points, "seconds")
+        return MetricSeries(points, "seconds")
 
-    def cwnd_series(self, flow, nudge=True) -> MetricSeries:
-        points = self._cwnd.get(flow, [])
-        return MetricSeries(nudge_ties(points) if nudge else points, "packets")
+    def cwnd_series(self, flow) -> MetricSeries:
+        return MetricSeries(list(self._cwnd.get(flow, ())), "packets")
 
     def _receptions(self, node):
         """(t, bits) pairs of every frame the sink node received, in order."""
@@ -425,4 +425,4 @@ def parse_mobility_trace(text):
 # -- plot series files ----------------------------------------------------
 
 def write_plot_series(series: MetricSeries, path) -> None:
-    write_series(path, series.unit, series.points, False)
+    write_series(path, series.unit, series.points)

@@ -12,6 +12,8 @@ explains their geometry.
 import contextlib
 import csv
 import dataclasses
+import functools
+import io
 import json
 import os
 import random
@@ -412,15 +414,16 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     """Execute a scenario and, if out_dir is given, write every artifact.
 
     The simulation runs in this process, single-threaded. With out_dir, a
-    sink (see ``tracewriter``) writes ``trace.txt`` while the simulation
-    runs, then each flow's ``.dat`` series as soon as it is built, in a
-    writer process or, where only one CPU is usable, in this one. The
-    trace is never held whole, and the ledger has no ``trace_text()``.
-    The sink is joined before ``summary.csv``, ``paths.log`` and
-    ``report.txt`` are written. A ``trace.txt`` that cannot be opened
-    raises OSError before the simulation; a file that cannot be written
-    later raises OSError naming it, and whenever run raises after that,
-    none of its manifest files is left. Each flow's series are built once.
+    sink (see ``tracewriter``) writes every file of the run, in a writer
+    process or, where only one CPU is usable, in this one: ``trace.txt``
+    while the simulation runs, then each flow's ``.dat`` series as soon
+    as it is built, then ``summary.csv``, ``paths.log`` and
+    ``report.txt``. The trace is never held whole, and the ledger has no
+    ``trace_text()``. A ``trace.txt`` that cannot be opened raises
+    OSError before the simulation; a file that cannot be written later
+    raises OSError ``cannot write <path>: <reason>``. Whenever run
+    raises, none of its manifest files and none of the directories it
+    made is left. Each flow's series are built once.
     """
     check_window(window, config.duration)
     sim = build_simulation(config)
@@ -432,32 +435,39 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
         os.path.join("metrics", fc.flow, f"{metric}.dat")
         for fc in config.flows for metric in _SERIES] + [
         "summary.csv", "paths.log", "report.txt"]
-    sink = trace_sink(_out_path(out_dir, "trace.txt"))
+    out = functools.partial(os.path.join, out_dir)
+    dirs = [out_dir or os.curdir, out("metrics")] + [
+        out("metrics", fc.flow) for fc in config.flows]
+    made = [path for path in dirs if not os.path.isdir(path)]  # run makes these
 
-    def send(flow, metric, series, nudge):
-        rel = os.path.join("metrics", flow, f"{metric}.dat")
-        sink.send((_out_path(out_dir, rel), series.unit, series.points, nudge))
+    def send(flow, metric, series):
+        sink.send((out("metrics", flow, f"{metric}.dat"), series.unit,
+                   series.points))
 
     ledger = sim.ledger
     try:
-        with sink:
+        for path in made:
+            os.makedirs(path)
+        with trace_sink(out("trace.txt")) as sink:
             ledger.trace_lines.stream_to(sink.send)
             sim.run(config.duration)
             for fc in config.flows:  # raw points: the sink nudges their ties
-                send(fc.flow, "delay", ledger.delay_series(fc.flow, False), True)
-                send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow, False), True)
+                send(fc.flow, "delay", ledger.delay_series(fc.flow))
+                send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow))
             flow_stats = _flow_stats(config, ledger, window, send)
-        report = RunReport(config, flow_stats, ledger.paths_taken(), manifest)
-        _write_summary_csv(out_dir, flow_stats)
-        path_lines = ledger.path_log_lines()
-        _write_text(out_dir, "paths.log",
-                    "\n".join(path_lines) + "\n" if path_lines else "")
-        _write_text(out_dir, "report.txt", format_report(report))
+            report = RunReport(config, flow_stats, ledger.paths_taken(), manifest)
+            sink.send((out("summary.csv"), _summary_csv(flow_stats)))
+            sink.send((out("paths.log"), "".join(
+                [line + "\n" for line in ledger.path_log_lines()])))
+            sink.send((out("report.txt"), format_report(report)))
         return report
     except BaseException:
         for rel in manifest:
             with contextlib.suppress(OSError):  # the run's error goes on
-                os.remove(os.path.join(out_dir, rel))
+                os.remove(out(rel))
+        for path in reversed(made):
+            with contextlib.suppress(OSError):  # not made, or not empty
+                os.rmdir(path)
         raise
 
 
@@ -467,7 +477,7 @@ _SERIES = ("throughput", "jitter", "delay", "cwnd", "destination_bandwidth")
 
 def _flow_stats(config, ledger, window, send=None) -> list:
     """Each flow's FlowStats, from its windowed series; with send, each
-    series goes to send(flow, metric, series, False) once built."""
+    series goes to send(flow, metric, series) once built."""
     duration = config.duration
     flow_stats = []
     for fc in config.flows:
@@ -478,35 +488,22 @@ def _flow_stats(config, ledger, window, send=None) -> list:
                 ("destination_bandwidth", ledger.bandwidth_series, fc.sink)):
             windowed.append(build(key, duration, window))
             if send is not None:
-                send(fc.flow, metric, windowed[-1], False)
+                send(fc.flow, metric, windowed[-1])
         flow_stats.append(
             ledger.flow_summary(fc.flow, fc.sink, duration, *windowed))
     return flow_stats
 
 
-def _out_path(out_dir, rel):
-    """out_dir/rel, its directory created if missing."""
-    path = os.path.join(out_dir, rel)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
-
-
-def _write_text(out_dir, rel, text):
-    with open(_out_path(out_dir, rel), "w") as fh:
-        fh.write(text)
-
-
 _SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(FlowStats))[:8]
 
 
-def _write_summary_csv(out_dir, flow_stats):
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for stats in flow_stats:
-            # csv writes None as an empty cell
-            writer.writerow([getattr(stats, c) for c in _SUMMARY_COLUMNS])
+def _summary_csv(flow_stats) -> str:
+    """summary.csv's text: a header, then one row per flow, each ending in
+    \r\n; csv writes None as an empty cell."""
+    text = io.StringIO()
+    csv.writer(text).writerows([_SUMMARY_COLUMNS] + [
+        [getattr(stats, c) for c in _SUMMARY_COLUMNS] for stats in flow_stats])
+    return text.getvalue()
 
 
 def format_report(report: RunReport) -> str:

@@ -1,9 +1,9 @@
 """Wires mobility, radio, routing agents, and transport flows into one run.
 
 The assembly order is fixed (nodes ascending, then flows in the order
-given) and every random draw comes from one seeded generator, so a
-(scenario, seed) pair always produces the same event sequence and the
-same trace, byte for byte.
+given), and the waypoints and DSDV's start staggers each draw from their
+own stream seeded with the scenario's seed: a (scenario, seed) pair
+gives the same trace, byte for byte, and both protocols the same moves.
 
 ``PROTOCOLS`` is the one protocol table: it maps each protocol name to
 its agent class. The agent's ``config_class`` is its config, and the
@@ -65,10 +65,11 @@ class Simulation:
                 self.sched, self.radio, node, config=protocol_config,
                 deliver_up=self._deliver, auditor=self.route_auditor)
 
-        self.rng = seeded_rng(config.seed)
+        self.rng = seeded_rng(config.seed)  # the waypoints
         if agent_class.proactive:
+            stagger = seeded_rng(config.seed).uniform
             for node in sorted(self.agents):
-                self.agents[node].start(self.rng.uniform(0.0, START_STAGGER_MAX))
+                self.agents[node].start(stagger(0.0, START_STAGGER_MAX))
 
         self.sources = {}
         self.sinks = {}

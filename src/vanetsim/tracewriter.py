@@ -5,9 +5,11 @@ A trace block is a list of lines: a packet record is the tuple
 without the newline. ``format_block`` is the one place a block becomes
 text, in the simulating process for an in-memory trace and in the writer
 process for ``trace.txt``; ``write_series`` is the one place a plot
-series becomes a file. A sink takes two kinds of message, both handled
-by ``write_message``: a trace block, appended to the trace file, and a
-series ``(path, unit, points, nudge)``, written to its own file.
+series becomes a file, its ties in t nudged. A sink, the one writer of
+a run's files, takes three kinds of message, all handled by
+``write_message``: a trace block, appended to the trace file, and a
+series ``(path, unit, points)`` or a text ``(path, text)``, written to
+its own file by ``write_text``.
 
 ``trace_sink`` picks where a run's messages go. Where this process may
 run on two CPUs or more, ``TraceWriter`` moves the formatting to a writer
@@ -29,6 +31,7 @@ process alone, which kills the writer; a writer error is reported on its
 stderr, which ``TraceWriter`` reads.
 """
 
+import contextlib
 import marshal
 import os
 import signal
@@ -58,34 +61,37 @@ def format_block(lines) -> str:
 def nudge_ties(points) -> list:
     """Shift repeated x-values forward by 1 ns so plots stay functions."""
     out = []
-    prev = None
+    prev = float("-inf")
     for t, v in points:
-        if prev is not None and t <= prev:
-            t = prev + 1e-9
-        out.append((t, v))
-        prev = t
+        prev = prev + 1e-9 if t <= prev else t
+        out.append((prev, v))
     return out
 
 
-def write_series(path, unit, points, nudge) -> None:
-    """Write a plot series file: ``# unit`` if there are points, then one
-    ``t v`` line of reprs per point, ties in t nudged first if nudge."""
-    if nudge:
-        points = nudge_ties(points)
+def write_text(path, text) -> None:
+    """Write text to the file at path as given; OSError names path."""
     try:
-        with open(path, "w") as fh:
-            if points:
-                fh.write(f"# {unit}\n")
-                fh.write("".join([f"{t!r} {v!r}\n" for t, v in points]))
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     except OSError as e:  # a failed write or close names no file
         raise OSError(e.errno, e.strerror, path) from None
 
 
+def write_series(path, unit, points) -> None:
+    """Write a plot series file: ``# unit`` if there are points, then one
+    ``t v`` line of reprs per point, ties in t nudged first."""
+    points = nudge_ties(points)
+    write_text(path, f"# {unit}\n" + "".join(
+        [f"{t!r} {v!r}\n" for t, v in points]) if points else "")
+
+
 def write_message(trace, message) -> None:
-    """Write a message: a trace block (a list) to the open file trace, or
-    a series ``(path, unit, points, nudge)`` to the file at path."""
+    """Write a message: a trace block (a list) to the open file trace, a
+    series ``(path, unit, points)`` or a text ``(path, text)`` to path."""
     if type(message) is list:
         trace.write(format_block(message))
+    elif len(message) == 2:
+        write_text(*message)
     else:
         write_series(*message)
 
@@ -135,7 +141,7 @@ class TraceFile:
 
 class TraceWriter:
     """A writer process that writes the messages sent to it: trace blocks
-    into path, series to their own files.
+    into path, series and texts to their own files.
 
     As a context manager it joins the writer on a clean exit, after the
     writer has handled its last message; otherwise it kills the writer
@@ -148,20 +154,15 @@ class TraceWriter:
         self.path = path
         # opened here, so a path that cannot be written fails before the run
         with open(path, "w") as trace:
-            try:
-                self.process = subprocess.Popen(  # the writer
-                    [sys.executable, "-I", "-S", os.path.abspath(__file__),
-                     str(trace.fileno()), path],
-                    stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
-                    stderr=subprocess.PIPE, pass_fds=(trace.fileno(),))
-            except BaseException:
-                os.remove(path)
-                raise
+            self.process = subprocess.Popen(  # the writer
+                [sys.executable, "-I", "-S", os.path.abspath(__file__),
+                 str(trace.fileno()), path],
+                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, pass_fds=(trace.fileno(),))
         if F_SETPIPE_SZ is not None:
-            try:
+            # over a limit the system sets, the default size stays
+            with contextlib.suppress(OSError):
                 fcntl(self.process.stdin, F_SETPIPE_SZ, PIPE_BYTES)
-            except OSError:  # over a limit the system sets; the default stays
-                pass
 
     def send(self, message) -> None:
         """Hand a message to the writer; it may change once this returns."""
@@ -184,23 +185,18 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            self._kill()
-            return
         try:
-            self._join()
-        except BaseException:
-            self._kill()
-            raise
+            if exc_type is None:
+                self._join()
+        finally:
+            self._kill()  # nothing to do for a writer joined
 
     def _kill(self) -> None:
         """Kill and reap the writer."""
         proc = self.process
         proc.kill()
-        try:
+        with contextlib.suppress(BrokenPipeError):  # bytes left for the dead writer
             proc.stdin.close()
-        except BrokenPipeError:  # a message still buffered for the dead writer
-            pass
         proc.wait()
         proc.stderr.close()
 

@@ -225,20 +225,24 @@ def test_unwritable_out_dir_is_an_io_error(scenario_file, tmp_path, capsys):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_full_disk_is_an_io_error_naming_the_trace(scenario_file, tmp_path,
                                                     capsys, monkeypatch, cpus):
-    """On one CPU (the run writes its own trace) as on two (a writer
-    process does), a trace.txt that cannot be written is named in an
-    'error: cannot write' line, with exit code 2 and no traceback."""
+    """On one CPU (the run writes its own files) as on two (a writer
+    process does), a trace.txt or summary.csv that cannot be written is
+    named in an 'error: cannot write' line, with exit code 2 and no
+    traceback."""
     if not os.path.exists("/dev/full"):  # every write there fails: ENOSPC
         pytest.skip("no /dev/full")
     monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: cpus)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "trace.txt").symlink_to("/dev/full")
-    code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out / 'trace.txt'}: ")
-    assert "Traceback" not in err
+    for name in ("trace.txt", "summary.csv"):
+        out = tmp_path / name
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: "
+                              "No space left on device\n"), err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
 
 
 def test_compare_subcommand_runs_both_protocols(scenario_file, tmp_path, capsys):
@@ -252,6 +256,23 @@ def test_compare_subcommand_runs_both_protocols(scenario_file, tmp_path, capsys)
     assert "reactive=AODV" in text
     assert "proactive=DSDV" in text
     assert capsys.readouterr().out == text
+
+
+def test_unwritable_comparison_is_an_io_error_naming_it(scenario_file,
+                                                        tmp_path, capsys):
+    """A comparison.txt that cannot be written is named in an 'error:
+    cannot write' line, with exit code 2."""
+    if not os.path.exists("/dev/full"):  # every write there fails: ENOSPC
+        pytest.skip("no /dev/full")
+    out = tmp_path / "cmp"
+    out.mkdir()
+    (out / "comparison.txt").symlink_to("/dev/full")
+    code = main(["compare", "--scenario", str(scenario_file),
+                 "--duration", "12", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot write {out / 'comparison.txt'}: "
+                   "No space left on device\n")
 
 
 def test_compare_loads_its_document_once(scenario_file, tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import metrics
@@ -30,7 +30,9 @@ from vanetsim.metrics import (
     write_plot_series,
 )
 from vanetsim.radio import Frame
-from vanetsim.scenario import build_simulation, builtin_scenario, load_config
+from vanetsim.rules import FieldError
+from vanetsim.scenario import (build_simulation, builtin_scenario, check_window,
+                               load_config)
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
 from vanetsim.tracewriter import format_block, nudge_ties, write_series
@@ -240,12 +242,17 @@ def test_delivery_bookkeeping_equals_a_set_of_every_seq(ops):
                              if key not in ref.seen}
 
 
-def test_delay_series_nudges_equal_timestamps():
+def test_delay_series_nudges_equal_timestamps(tmp_path):
+    """The ledger keeps the tied delivery times; the written series nudges
+    them apart."""
     led = MetricsLedger()
     for seq in range(3):
         led.on_data_handoff("f0", seq, 0.0)
         led.on_sink_delivery("f0", seq, 512, 2.0)
-    pts = led.delay_series("f0").points
+    series = led.delay_series("f0")
+    assert [t for t, _ in series.points] == [2.0, 2.0, 2.0]
+    write_plot_series(series, tmp_path / "delay.dat")
+    pts = parse_plot_series(tmp_path / "delay.dat")
     assert [t for t, _ in pts] == [2.0, 2.0 + 1e-9, 2.0 + 2e-9]
 
 
@@ -267,22 +274,52 @@ def reference_nudge_ties(points):
     st.floats(allow_nan=False, allow_infinity=False)), max_size=20))
 @example(points=[(0.5, 1.0), (0.5, 2.0), (0.5 + 1e-9, 3.0), (0.0, 4.0)])
 def test_nudge_ties_equals_the_reference(points):
-    """Tied and falling x-values, nudged by the shared helper, as a series
-    of the ledger and as the text a sink writes, equal the reference."""
+    """Tied and falling x-values, nudged by the shared helper and in the
+    text write_series writes, equal the reference; the ledger's series
+    keeps them as recorded."""
     nudged = reference_nudge_ties(points)
     assert nudge_ties(points) == nudged
     led = MetricsLedger()
     for t, v in points:
         led.on_cwnd("f0", t, v)
-    assert led.cwnd_series("f0").points == nudged
-    assert led.cwnd_series("f0", False).points == points
+    assert led.cwnd_series("f0").points == points
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cwnd.dat")
-        write_series(path, "packets", points, True)
+        write_series(path, "packets", points)
         with open(path) as fh:
             text = fh.read()
     expected = "".join(f"{t!r} {v!r}\n" for t, v in nudged)
     assert text == (f"# packets\n{expected}" if points else "")
+
+
+# windows per run, log-uniform up to the 10**6 check_window allows, so
+# most draws build a short series
+@settings(max_examples=10, deadline=None)
+@given(duration=st.floats(1e-3, 1e6), log_windows=st.floats(0.0, 6.0))
+@example(duration=3600.0, log_windows=6.0)  # 10**6 windows of 3.6 ms
+def test_windowed_series_times_rise_and_are_written_unchanged(duration,
+                                                              log_windows):
+    """A window check_window accepts gives at most 10**6 windows, each
+    stamped (k+1)*window: the times strictly rise, since the window is far
+    above an ulp of the last stamp, so write_series, which nudges ties,
+    writes every time as built."""
+    window = duration / 10**log_windows
+    try:
+        check_window(window, duration)
+    except FieldError:
+        assume(False)
+    led = MetricsLedger()
+    deliver(led, "f0", 0, duration / 2)
+    series = led.throughput_series("f0", duration, window)
+    times = [t for t, _v in series.points]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "throughput.dat")
+        write_series(path, series.unit, series.points)
+        with open(path) as fh:
+            text = fh.read()
+    assert text == "# bits/second\n" + "".join(
+        [f"{t!r} {v!r}\n" for t, v in series.points])
 
 
 def test_destination_bandwidth_counts_every_frame_kind():
@@ -413,12 +450,17 @@ def test_flow_summary_row():
     assert row.first_sink_bandwidth_window == 2.0
 
 
-def test_cwnd_series_keeps_every_sample():
+def test_cwnd_series_keeps_every_sample(tmp_path):
+    """Every sample is kept as recorded, and the written series keeps
+    each one at a time after the one before."""
     led = MetricsLedger()
     led.on_cwnd("f0", 0.0, 1)
     led.on_cwnd("f0", 0.5, 2)
     led.on_cwnd("f0", 0.5, 1)
-    pts = led.cwnd_series("f0").points
+    series = led.cwnd_series("f0")
+    assert series.points == [(0.0, 1), (0.5, 2), (0.5, 1)]
+    write_plot_series(series, tmp_path / "cwnd.dat")
+    pts = parse_plot_series(tmp_path / "cwnd.dat")
     assert [v for _t, v in pts] == [1, 2, 1]
     assert pts[2][0] > pts[1][0]
 

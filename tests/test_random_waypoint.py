@@ -8,6 +8,7 @@ import pytest
 
 from vanetsim.scenario import (
     build_simulation,
+    builtin_scenario,
     load_config,
     random_waypoint_document,
 )
@@ -63,3 +64,23 @@ def test_invariants_hold_under_random_waypoint(protocol, pause):
         if seed == 0:
             again = audited_run(seed, protocol, pause)
             assert again.ledger.trace_text() == sim.ledger.trace_text()
+
+
+@pytest.mark.parametrize("document", ["random-waypoint", "scripted"])
+def test_both_protocols_roam_alike(document):
+    """DSDV's start staggers draw from a stream of their own, so the AODV
+    and DSDV runs of one document move every node alike: their mobility
+    lines, an independent record of the motion, are equal."""
+    if document == "scripted":
+        config = dataclasses.replace(
+            builtin_scenario("short-distance", "AODV"), duration=60.0)
+    else:
+        config = load_config(random_waypoint_document(7, 50, 10, 60.0))
+    moves = {}
+    for protocol in ("AODV", "DSDV"):
+        sim = build_simulation(dataclasses.replace(config, protocol=protocol))
+        text = sim.run(config.duration).ledger.trace_text()
+        moves[protocol] = [line for line in text.splitlines()
+                           if line.startswith("M ")]
+    assert len(moves["AODV"]) == {"random-waypoint": 137, "scripted": 102}[document]
+    assert moves["DSDV"] == moves["AODV"]

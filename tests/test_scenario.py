@@ -883,15 +883,15 @@ def test_series_files_equal_the_in_memory_series(tmp_path, monkeypatch, sink):
 
 @pytest.mark.parametrize("sink_class", [TraceWriter, TraceFile])
 def test_sinks_nudge_a_tied_series_as_the_ledger_does(tmp_path, sink_class):
-    """A series sent raw with nudge set is written as write_plot_series
-    writes the ledger's nudged series."""
+    """The ledger's series, tied times and all, sent to a sink is written
+    as write_plot_series writes it, its ties nudged."""
     ledger = MetricsLedger()
     for t, value in [(0.0, 1), (0.5, 2), (0.5, 1), (0.5, 3), (1.0, 2)]:
         ledger.on_cwnd("f0", t, value)
-    raw = ledger.cwnd_series("f0", False)
+    raw = ledger.cwnd_series("f0")
     assert [t for t, _v in raw.points].count(0.5) == 3
     with sink_class(str(tmp_path / "trace.txt")) as sink:
-        sink.send((str(tmp_path / "cwnd.dat"), raw.unit, raw.points, True))
+        sink.send((str(tmp_path / "cwnd.dat"), raw.unit, raw.points))
     write_plot_series(ledger.cwnd_series("f0"), tmp_path / "expected.dat")
     text = (tmp_path / "cwnd.dat").read_text()
     assert text == (tmp_path / "expected.dat").read_text()
@@ -899,24 +899,27 @@ def test_sinks_nudge_a_tied_series_as_the_ledger_does(tmp_path, sink_class):
 
 
 @pytest.mark.parametrize("sink", ["writer", "file"])
-@pytest.mark.parametrize("target", ["trace.txt", "metrics/f0/cwnd.dat"])
+@pytest.mark.parametrize("target", ["trace.txt", "metrics/f0/cwnd.dat",
+                                    "summary.csv", "paths.log", "report.txt"])
 def test_unwritable_file_leaves_no_manifest_file(tmp_path, monkeypatch, sink,
                                                  target):
     """A two-node run whose trace fits in one pipe write fails only when
     its file is flushed, at the join when a writer process writes it. run
     raises OSError naming the file and leaves none of its manifest files,
-    not even the series the writer had written."""
+    not even the series the writer had written, and none of the
+    directories it made."""
     if not os.path.exists("/dev/full"):  # every write there fails: ENOSPC
         pytest.skip("no /dev/full")
     writers = use_sink(monkeypatch, sink)
     config = mini_config(placements=MINI_DOC["placements"][:2],
                          flows=[dict(MINI_DOC["flows"][0], sink=1)])
     out = tmp_path / "out"
-    (out / "metrics" / "f0").mkdir(parents=True)
+    (out / target).parent.mkdir(parents=True)
+    made_here = sorted(out.rglob("*"))  # the target's directories, if any
     (out / target).symlink_to("/dev/full")
     with pytest.raises(OSError, match=f"^cannot write {re.escape(str(out / target))}: "):
         run(config, out_dir=str(out))
-    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    assert sorted(out.rglob("*")) == made_here
     if sink == "writer":
         assert_reaped(writers)
 
