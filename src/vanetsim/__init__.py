@@ -6,14 +6,13 @@ vector), a simplified congestion-controlled transport, and per-flow metric
 extraction suitable for comparative protocol studies.
 """
 
-from .engine import Scheduler, SchedulerMisuseError, seeded_rng
+from .engine import Scheduler, SchedulerMisuseError
 from .scenario import builtin_scenario, compare, load_config, run
 from .simulation import Motion, Simulation
 
 __all__ = [
     "Scheduler",
     "SchedulerMisuseError",
-    "seeded_rng",
     "builtin_scenario",
     "compare",
     "load_config",

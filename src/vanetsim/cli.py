@@ -16,16 +16,18 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
     FieldError,
+    all_or_none,
     builtin_scenario,
     check_window,
     compare,
     format_comparison,
     format_report,
     load_config,
+    manifest,
     run,
 )
 from .simulation import PROTOCOLS
-from .tracewriter import cannot_write, write_text
+from .tracewriter import write_text
 
 PROTOCOL_CHOICES = [name.lower() for name in PROTOCOLS]
 
@@ -113,18 +115,15 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     # one resolved scenario; the two runs differ only in protocol
     config = _resolve_config(args, next(iter(PROTOCOLS)))
-    reports = []
-    for protocol in PROTOCOLS:
-        out_dir = os.path.join(args.out, protocol.lower())
-        reports.append(run(dataclasses.replace(config, protocol=protocol),
-                           out_dir=out_dir, window=args.window))
-    result = compare(reports[0], reports[1])
-    text = format_comparison(result)
+    out_dirs = {p: os.path.join(args.out, p.lower()) for p in PROTOCOLS}
     path = os.path.join(args.out, "comparison.txt")
-    try:
+    files = [path] + [os.path.join(out_dir, rel)
+                      for out_dir in out_dirs.values() for rel in manifest(config)]
+    with all_or_none(files):  # a failed command leaves none of its files
+        reports = [run(dataclasses.replace(config, protocol=p), out_dir=out_dir,
+                       window=args.window) for p, out_dir in out_dirs.items()]
+        text = format_comparison(compare(*reports))
         write_text(path, text)
-    except OSError as e:
-        raise cannot_write(path, e) from None
     sys.stdout.write(text)
     return 0
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from typing import Callable
 
 
@@ -94,12 +93,3 @@ class Scheduler:
         finally:
             self.now = t_end
         return dispatched
-
-
-def seeded_rng(seed: int) -> random.Random:
-    """Return an independent Mersenne Twister stream for the given seed.
-
-    Every stochastic choice in a run must come from one of these streams so
-    that identical seeds reproduce identical runs.
-    """
-    return random.Random(seed)

@@ -41,9 +41,10 @@ raises ValueError. Each sink's receptions are two
 ``array('d')``s (times, bits); bit counts are integers below 2**53, so
 each converts to a float exactly and the bandwidth sums equal those over
 the ints. A sequence's handoff times are dropped at its first delivery,
-and each flow's delivered sequences are a contiguous floor plus a sparse
-set, so delivery bookkeeping grows with the sequences still in flight,
-not with the run.
+and later ones skipped. The ledger keeps no delivered set: it reads
+each flow's sink's (``TcpSink.received``, a contiguous floor plus a
+sparse set), which ``Simulation`` hands it in ``delivered``. So delivery
+bookkeeping grows with the sequences still in flight, not with the run.
 """
 
 import math
@@ -51,12 +52,10 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .tracewriter import format_block, write_series
-from .transport import DeliveredSeqs
+from .tracewriter import format_block
 
 
 @dataclass
@@ -195,7 +194,7 @@ class MetricsLedger:
         # handoff times of each (flow, seq) not yet delivered
         self._handoffs: dict[tuple[str, int], list[float]] = {}
         self._deliveries: dict[str, list] = {}  # flow -> [(t, delay, seq, bits)]
-        self._seen = defaultdict(DeliveredSeqs)  # flow -> delivered seqs
+        self.delivered = {}  # flow -> its sink's delivered seqs, TcpSink.received
         self._drops: dict[str, dict[str, int]] = {}  # flow -> reason -> count
         self._cwnd: dict[str, list] = {}
         self._paths: dict[str, list] = {}  # flow -> [(t, node chain)]
@@ -237,25 +236,21 @@ class MetricsLedger:
 
     def on_data_handoff(self, flow: str, seq: int, t: float) -> None:
         # a delivered sequence's handoffs are never read again
-        if seq not in self._seen[flow]:
+        if seq not in self.delivered.get(flow, ()):
             self._handoffs.setdefault((flow, seq), []).append(t)
 
-    def on_sink_delivery(self, flow: str, seq: int, size: int, t: float) -> bool:
-        """Record an end-to-end arrival; returns False for duplicates.
+    def on_sink_delivery(self, flow: str, seq: int, size: int, t: float) -> None:
+        """Record the first end-to-end arrival of a sequence; the sink
+        reports no other (see ``TcpSink.on_data``).
 
         Delay is measured from the latest handoff of this sequence that
         precedes the arrival, so a retransmitted packet is charged for
         the attempt that actually got through.
         """
-        seen = self._seen[flow]
-        if seq in seen:
-            return False
-        seen.add(seq)
         handoffs = self._handoffs.pop((flow, seq), ())
         i = bisect_right(handoffs, t) - 1
         delay = t - handoffs[i] if i >= 0 else 0.0
         self._deliveries.setdefault(flow, []).append((t, delay, seq, size * 8))
-        return True
 
     def on_flow_drop(self, flow: str, seq: int, t: float, reason: str) -> None:
         """Count one lost data packet; its routing agent reports it once."""
@@ -420,9 +415,3 @@ def parse_mobility_trace(text):
             (t, node, (nums[0], nums[1], nums[2]), (nums[3], nums[4]), nums[5])
         )
     return records, skipped
-
-
-# -- plot series files ----------------------------------------------------
-
-def write_plot_series(series: MetricSeries, path) -> None:
-    write_series(path, series.unit, series.points)

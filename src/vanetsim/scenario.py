@@ -423,7 +423,8 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     OSError before the simulation; a file that cannot be written later
     raises OSError ``cannot write <path>: <reason>``. Whenever run
     raises, none of its manifest files and none of the directories it
-    made is left. Each flow's series are built once.
+    made, parents included, is left (see ``all_or_none``). Each flow's
+    series are built once.
     """
     check_window(window, config.duration)
     sim = build_simulation(config)
@@ -431,43 +432,60 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
         sim.run(config.duration)
         return RunReport(config, _flow_stats(config, sim.ledger, window),
                          sim.ledger.paths_taken(), [])
-    manifest = ["trace.txt"] + [
-        os.path.join("metrics", fc.flow, f"{metric}.dat")
-        for fc in config.flows for metric in _SERIES] + [
-        "summary.csv", "paths.log", "report.txt"]
     out = functools.partial(os.path.join, out_dir)
-    dirs = [out_dir or os.curdir, out("metrics")] + [
-        out("metrics", fc.flow) for fc in config.flows]
-    made = [path for path in dirs if not os.path.isdir(path)]  # run makes these
 
     def send(flow, metric, series):
         sink.send((out("metrics", flow, f"{metric}.dat"), series.unit,
                    series.points))
 
     ledger = sim.ledger
+    files = manifest(config)
+    with all_or_none([out(rel) for rel in files]), \
+            trace_sink(out("trace.txt")) as sink:
+        ledger.trace_lines.stream_to(sink.send)
+        sim.run(config.duration)
+        for fc in config.flows:  # raw points: the sink nudges their ties
+            send(fc.flow, "delay", ledger.delay_series(fc.flow))
+            send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow))
+        flow_stats = _flow_stats(config, ledger, window, send)
+        report = RunReport(config, flow_stats, ledger.paths_taken(), files)
+        sink.send((out("summary.csv"), _summary_csv(flow_stats)))
+        sink.send((out("paths.log"), "".join(
+            [line + "\n" for line in ledger.path_log_lines()])))
+        sink.send((out("report.txt"), format_report(report)))
+    return report
+
+
+def manifest(config: ScenarioConfig) -> list:
+    """The files a run of config writes, relative to its output directory."""
+    return ["trace.txt"] + [
+        os.path.join("metrics", fc.flow, f"{metric}.dat")
+        for fc in config.flows for metric in _SERIES] + [
+        "summary.csv", "paths.log", "report.txt"]
+
+
+@contextlib.contextmanager
+def all_or_none(paths):
+    """Make the missing directories of the files at paths, parents
+    included; if the block raises, remove those files and every
+    directory made, and let the error go on."""
+    made = []
+
+    def make(path):  # path and its missing parents, each listed in made
+        if path and not os.path.isdir(path):
+            make(os.path.dirname(path))
+            os.makedirs(path, exist_ok=True)  # a path ending in .. exists now
+            made.append(path)
+
     try:
-        for path in made:
-            os.makedirs(path)
-        with trace_sink(out("trace.txt")) as sink:
-            ledger.trace_lines.stream_to(sink.send)
-            sim.run(config.duration)
-            for fc in config.flows:  # raw points: the sink nudges their ties
-                send(fc.flow, "delay", ledger.delay_series(fc.flow))
-                send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow))
-            flow_stats = _flow_stats(config, ledger, window, send)
-            report = RunReport(config, flow_stats, ledger.paths_taken(), manifest)
-            sink.send((out("summary.csv"), _summary_csv(flow_stats)))
-            sink.send((out("paths.log"), "".join(
-                [line + "\n" for line in ledger.path_log_lines()])))
-            sink.send((out("report.txt"), format_report(report)))
-        return report
+        for path in paths:
+            make(os.path.dirname(path))
+        yield
     except BaseException:
-        for rel in manifest:
-            with contextlib.suppress(OSError):  # the run's error goes on
-                os.remove(out(rel))
-        for path in reversed(made):
-            with contextlib.suppress(OSError):  # not made, or not empty
-                os.rmdir(path)
+        for remove, targets in ((os.remove, paths), (os.rmdir, made[::-1])):
+            for path in targets:
+                with contextlib.suppress(OSError):  # not written, or not empty
+                    remove(path)
         raise
 
 

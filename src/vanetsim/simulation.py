@@ -11,11 +11,12 @@ lower-case name its key under a scenario's ``protocol_params``.
 Everything that chooses a protocol reads it.
 """
 
+import random
 from dataclasses import dataclass
 
 from .aodv import AodvAgent
 from .dsdv import DsdvAgent
-from .engine import Scheduler, seeded_rng
+from .engine import Scheduler
 from .metrics import MetricsLedger
 from .mobility import MobilityModel
 from .radio import RadioMedium
@@ -65,9 +66,9 @@ class Simulation:
                 self.sched, self.radio, node, config=protocol_config,
                 deliver_up=self._deliver, auditor=self.route_auditor)
 
-        self.rng = seeded_rng(config.seed)  # the waypoints
+        self.rng = random.Random(config.seed)  # the waypoints
         if agent_class.proactive:
-            stagger = seeded_rng(config.seed).uniform
+            stagger = random.Random(config.seed).uniform
             for node in sorted(self.agents):
                 self.agents[node].start(stagger(0.0, START_STAGGER_MAX))
 
@@ -79,6 +80,7 @@ class Simulation:
                 self.ledger, auditor=self.transport_auditor)
             self.sinks[cfg.flow] = TcpSink(
                 self.sched, cfg, self.agents[cfg.sink].send_packet, self.ledger)
+            self.ledger.delivered[cfg.flow] = self.sinks[cfg.flow].received
             self.sources[cfg.flow].start()
 
         for motion in config.motions:

@@ -5,27 +5,27 @@ A trace block is a list of lines: a packet record is the tuple
 without the newline. ``format_block`` is the one place a block becomes
 text, in the simulating process for an in-memory trace and in the writer
 process for ``trace.txt``; ``write_series`` is the one place a plot
-series becomes a file, its ties in t nudged. A sink, the one writer of
-a run's files, takes three kinds of message, all handled by
-``write_message``: a trace block, appended to the trace file, and a
-series ``(path, unit, points)`` or a text ``(path, text)``, written to
-its own file by ``write_text``.
+series becomes a file, its ties in t nudged. ``TraceFile`` is the one
+writer of a run's files. It takes three kinds of message: a trace
+block, appended to the trace file, and a series ``(path, unit, points)``
+or a text ``(path, text)``, written to its own file by ``write_text``.
 
-``trace_sink`` picks where a run's messages go. Where this process may
-run on two CPUs or more, ``TraceWriter`` moves the formatting to a writer
-process on another CPU, off the simulation's path. On one CPU the writer
-would take the simulation's own CPU time and add the cost of sending
-the blocks (18% more wall time for the builtin long-distance AODV run,
-pinned to one core of a 2-core x86-64 host, CPython 3.11), so
-``TraceFile`` formats and writes in this process. Either sink raises
-OSError naming the file it could not write.
+``trace_sink`` picks where a ``TraceFile`` runs. Where this process may
+run on two CPUs or more, ``TraceWriter`` runs it in a writer process on
+another CPU, off the simulation's path. On one CPU the writer would take
+the simulation's own CPU time and add the cost of sending the blocks
+(18% more wall time for the builtin long-distance AODV run, pinned to
+one core of a 2-core x86-64 host, CPython 3.11), so the ``TraceFile``
+runs in this process. Either sink raises OSError
+``cannot write <path>: <reason>`` naming the file it could not write.
 
 ``TraceWriter`` starts this file as a standalone script in a fresh
 interpreter (``python -I -S tracewriter.py FD PATH``), so the writer
 imports only the standard library. ``TraceWriter`` opens the trace file
 at PATH and passes the writer its descriptor FD. It sends each message
 over the writer's stdin as a 4-byte little-endian length and its
-``marshal`` bytes; the writer writes each message until its stdin closes.
+``marshal`` bytes; the writer hands each message to a ``TraceFile`` on
+FD until its stdin closes.
 The writer ignores SIGINT, so an interrupt reaches the simulating
 process alone, which kills the writer; a writer error is reported on its
 stderr, which ``TraceWriter`` reads.
@@ -74,7 +74,7 @@ def write_text(path, text) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as e:  # a failed write or close names no file
-        raise OSError(e.errno, e.strerror, path) from None
+        raise cannot_write(path, e) from None
 
 
 def write_series(path, unit, points) -> None:
@@ -85,21 +85,11 @@ def write_series(path, unit, points) -> None:
         [f"{t!r} {v!r}\n" for t, v in points]) if points else "")
 
 
-def write_message(trace, message) -> None:
-    """Write a message: a trace block (a list) to the open file trace, a
-    series ``(path, unit, points)`` or a text ``(path, text)`` to path."""
-    if type(message) is list:
-        trace.write(format_block(message))
-    elif len(message) == 2:
-        write_text(*message)
-    else:
-        write_series(*message)
-
-
 def cannot_write(path, e) -> OSError:
-    """A sink's error for e, naming e's file or else path, the trace."""
+    """The error of a failed write to path: e's reason, or else its type
+    and text."""
     reason = getattr(e, "strerror", None) or f"{type(e).__name__}: {e}"
-    return OSError(f"cannot write {getattr(e, 'filename', None) or path}: {reason}")
+    return OSError(f"cannot write {path}: {reason}")
 
 
 def trace_sink(path):
@@ -115,18 +105,26 @@ def _usable_cpus() -> int:
 
 
 class TraceFile:
-    """The in-process sink: it writes each message as it is sent, under
-    the contract of ``TraceWriter``."""
+    """The writer of a run's files: it writes each message as it is sent,
+    trace blocks into path (or fd, a descriptor open on path), series and
+    texts to their own files, under the contract of ``TraceWriter``."""
 
-    def __init__(self, path):
+    def __init__(self, path, fd=None):
         self.path = path
-        self._file = open(path, "w")
+        self._file = open(path if fd is None else fd, "w")
 
     def send(self, message) -> None:
-        try:
-            write_message(self._file, message)
-        except OSError as e:
-            raise cannot_write(self.path, e) from None
+        """Write a message: a trace block (a list) to the trace, a series
+        ``(path, unit, points)`` or a text ``(path, text)`` to path."""
+        if type(message) is list:
+            try:
+                self._file.write(format_block(message))
+            except OSError as e:
+                raise cannot_write(self.path, e) from None
+        elif len(message) == 2:
+            write_text(*message)
+        else:
+            write_series(*message)
 
     def __enter__(self):
         return self
@@ -140,8 +138,7 @@ class TraceFile:
 
 
 class TraceWriter:
-    """A writer process that writes the messages sent to it: trace blocks
-    into path, series and texts to their own files.
+    """A writer process that runs a ``TraceFile`` on path.
 
     As a context manager it joins the writer on a clean exit, after the
     writer has handled its last message; otherwise it kills the writer
@@ -202,17 +199,16 @@ class TraceWriter:
 
 
 def main(fd, path) -> int:
-    """Write the messages arriving on stdin, trace blocks to the file open
-    at fd (path); 1 on any error, reported on stderr."""
+    """Send the messages arriving on stdin to a ``TraceFile`` on fd, open
+    on path; 1 on any error, reported on stderr naming a file."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     read = sys.stdin.buffer.read
     try:
-        with open(fd, "w") as trace:
+        with TraceFile(path, fd) as trace:
             while head := read(4):
-                write_message(trace, marshal.loads(
-                    read(int.from_bytes(head, "little"))))
-    except Exception as e:
-        sys.stderr.write(f"{cannot_write(path, e)}\n")
+                trace.send(marshal.loads(read(int.from_bytes(head, "little"))))
+    except Exception as e:  # TraceFile's OSErrors name their file
+        sys.stderr.write(f"{e if isinstance(e, OSError) else cannot_write(path, e)}\n")
         return 1
     return 0
 

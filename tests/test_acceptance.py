@@ -8,13 +8,14 @@ the comparative behavior the builtin scenarios were designed to show.
 
 import json
 import math
+import random
 import time
 
 import pytest
 
 from vanetsim.aodv import AodvAgent
 from vanetsim.dsdv import DsdvAgent, DsdvConfig
-from vanetsim.engine import Scheduler, seeded_rng
+from vanetsim.engine import Scheduler
 from vanetsim.metrics import (MetricsLedger, format_motion_line,
                               parse_mobility_trace)
 from vanetsim.mobility import FieldConfig, MobilityModel
@@ -126,7 +127,7 @@ def _bfs(adj, root):
 @pytest.fixture(scope="module")
 def topologies():
     """Random connected static topologies with all-pairs hop distances."""
-    rng = seeded_rng(20260814)
+    rng = random.Random(20260814)
     out = []
     for _ in range(TOPOLOGY_COUNT):
         n = rng.randint(4, 30)

@@ -258,21 +258,46 @@ def test_compare_subcommand_runs_both_protocols(scenario_file, tmp_path, capsys)
     assert capsys.readouterr().out == text
 
 
-def test_unwritable_comparison_is_an_io_error_naming_it(scenario_file,
-                                                        tmp_path, capsys):
-    """A comparison.txt that cannot be written is named in an 'error:
-    cannot write' line, with exit code 2."""
+def test_unwritable_comparison_is_an_io_error_naming_it(tmp_path, capsys,
+                                                        monkeypatch):
+    """On one CPU as on two, a comparison.txt that cannot be written is
+    named in an 'error: cannot write' line, with exit code 2, and the
+    command leaves none of its files: not the two runs' files, nor the
+    directories it made."""
     if not os.path.exists("/dev/full"):  # every write there fails: ENOSPC
         pytest.skip("no /dev/full")
-    out = tmp_path / "cmp"
-    out.mkdir()
-    (out / "comparison.txt").symlink_to("/dev/full")
+    doc = tmp_path / "doc.json"  # one flow between two nodes
+    doc.write_text(json.dumps(dict(MINI_DOC, placements=MINI_DOC["placements"][:2],
+                                   flows=[dict(MINI_DOC["flows"][0], sink=1)])))
+    for cpus in (1, 2):
+        monkeypatch.setattr(tracewriter, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cq{cpus}"
+        out.mkdir()
+        (out / "comparison.txt").symlink_to("/dev/full")
+        code = main(["compare", "--scenario", str(doc), "--duration", "5",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write {out / 'comparison.txt'}: "
+                       "No space left on device\n")
+        assert os.listdir(out) == []
+
+
+def test_failed_compare_into_a_missing_path_leaves_none_of_it(
+        scenario_file, tmp_path, monkeypatch):
+    """A compare whose second run fails removes the first run's files and
+    every directory it made, the missing parents of --out included."""
+    def failing(config, *args, **kwargs):
+        if config.protocol == "DSDV":
+            raise OSError("cannot write summary.csv: disk full")
+        return run(config, *args, **kwargs)
+
+    run = cli.run
+    monkeypatch.setattr(cli, "run", failing)
     code = main(["compare", "--scenario", str(scenario_file),
-                 "--duration", "12", "--out", str(out)])
+                 "--out", str(tmp_path / "a" / "b")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: cannot write {out / 'comparison.txt'}: "
-                   "No space left on device\n")
+    assert sorted(os.listdir(tmp_path)) == ["mini.json"]
 
 
 def test_compare_loads_its_document_once(scenario_file, tmp_path, monkeypatch):

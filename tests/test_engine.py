@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetsim.engine import Scheduler, SchedulerMisuseError, seeded_rng
+from vanetsim.engine import Scheduler, SchedulerMisuseError
 
 
 def test_events_fire_in_time_order():
@@ -269,13 +269,3 @@ def _execute(sched, program):
 def test_scheduler_matches_sorted_list_reference(program):
     assert _execute(Scheduler(), program) == _execute(ListScheduler(), program)
 
-
-def test_seeded_rng_streams_are_reproducible_and_independent():
-    a1 = seeded_rng(7)
-    a2 = seeded_rng(7)
-    b = seeded_rng(8)
-    seq_a1 = [a1.random() for _ in range(5)]
-    seq_a2 = [a2.random() for _ in range(5)]
-    seq_b = [b.random() for _ in range(5)]
-    assert seq_a1 == seq_a2
-    assert seq_a1 != seq_b

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vanetsim import metrics
+from vanetsim.engine import Scheduler
 from vanetsim.metrics import (
     TRACE_BLOCK_LINES,
     FlowStats,
@@ -27,7 +28,6 @@ from vanetsim.metrics import (
     _pstdev,
     format_motion_line,
     parse_mobility_trace,
-    write_plot_series,
 )
 from vanetsim.radio import Frame
 from vanetsim.rules import FieldError
@@ -36,6 +36,7 @@ from vanetsim.scenario import (build_simulation, builtin_scenario, check_window,
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
 from vanetsim.tracewriter import format_block, nudge_ties, write_series
+from vanetsim.transport import DataPacket, FlowConfig, TcpSink
 
 
 def parse_plot_series(path) -> list:
@@ -54,7 +55,7 @@ def parse_plot_series(path) -> list:
 
 def deliver(ledger, flow, seq, t, size=512, handoff=None):
     ledger.on_data_handoff(flow, seq, handoff if handoff is not None else t)
-    return ledger.on_sink_delivery(flow, seq, size, t)
+    ledger.on_sink_delivery(flow, seq, size, t)
 
 
 def summarize(ledger, flow, sink, duration, window=1.0):
@@ -167,22 +168,37 @@ def test_pstdev_of_constant_window_is_zero(value):
     assert _pstdev([value] * 7) == 0.0
 
 
+def sink_reporting_to(ledger, flow="f0") -> TcpSink:
+    """A flow's TcpSink reporting to ledger, which reads the sink's
+    delivered set as Simulation hands it over."""
+    sink = TcpSink(Scheduler(), FlowConfig(flow, 0, 1), lambda pkt, dest: None,
+                   ledger)
+    ledger.delivered[flow] = sink.received
+    return sink
+
+
 def test_delay_measured_from_latest_handoff_before_arrival():
     led = MetricsLedger()
+    sink = sink_reporting_to(led)
     led.on_data_handoff("f0", 7, 1.0)
     led.on_data_handoff("f0", 7, 4.0)  # retransmission
-    assert led.on_sink_delivery("f0", 7, 512, 4.5)
+    sink.on_data(DataPacket("f0", 7, 512), 4.5)
     series = led.delay_series("f0")
     assert series.points == [(4.5, pytest.approx(0.5))]
 
 
 def test_duplicate_sink_arrivals_are_excluded():
+    """The sink reports a sequence's first arrival only, and the ledger
+    keeps no handoff of a sequence its sink has delivered."""
     led = MetricsLedger()
+    sink = sink_reporting_to(led)
     led.on_data_handoff("f0", 3, 0.0)
-    assert led.on_sink_delivery("f0", 3, 512, 0.4)
-    assert not led.on_sink_delivery("f0", 3, 512, 0.9)
+    sink.on_data(DataPacket("f0", 3, 512), 0.4)
+    sink.on_data(DataPacket("f0", 3, 512), 0.9)
+    led.on_data_handoff("f0", 3, 1.0)  # a late retransmission
     assert len(led.deliveries("f0")) == 1
     assert led.first_delivery("f0") == 0.4
+    assert led._handoffs == {}
 
 
 class SetLedger:
@@ -198,13 +214,12 @@ class SetLedger:
 
     def on_sink_delivery(self, flow, seq, size, t):
         if (flow, seq) in self.seen:
-            return False
+            return
         self.seen.add((flow, seq))
         handoffs = self.handoffs.get((flow, seq), [])
         i = bisect_right(handoffs, t) - 1
         delay = t - handoffs[i] if i >= 0 else 0.0
         self.deliveries.setdefault(flow, []).append((t, delay, seq, size * 8))
-        return True
 
 
 FLOWS = ("f0", "f1")
@@ -226,20 +241,35 @@ ledger_ops = st.lists(st.tuples(
               ("handoff", "f1", -1, 3.0), ("delivery", "f1", -1, 4.0),
               ("delivery", "f1", 0, 5.0)])
 def test_delivery_bookkeeping_equals_a_set_of_every_seq(ops):
-    """Returns, delays and deliveries match the keep-everything rule, and
-    only undelivered sequences keep their handoff times."""
+    """A ledger fed by each flow's sink, whose delivered set it reads, has
+    the deliveries and delays of the keep-everything rule, and only
+    undelivered sequences keep their handoff times."""
     led, ref = MetricsLedger(), SetLedger()
+    sinks = {flow: sink_reporting_to(led, flow) for flow in FLOWS}
     for op, flow, seq, t in ops:
         if op == "handoff":
             led.on_data_handoff(flow, seq, t)
             ref.on_data_handoff(flow, seq, t)
         else:
-            assert (led.on_sink_delivery(flow, seq, 512, t)
-                    == ref.on_sink_delivery(flow, seq, 512, t))
+            sinks[flow].on_data(DataPacket(flow, seq, 512), t)
+            ref.on_sink_delivery(flow, seq, 512, t)
     for flow in FLOWS:
         assert led.deliveries(flow) == ref.deliveries.get(flow, [])
     assert led._handoffs == {key: times for key, times in ref.handoffs.items()
                              if key not in ref.seen}
+
+
+@pytest.mark.parametrize("name, protocol", [("long-distance", "AODV"),
+                                            ("short-distance", "DSDV")])
+def test_ledger_reads_each_sinks_delivered_set(name, protocol):
+    """After a builtin run the ledger's delivered set of each flow is its
+    sink's own, and no pending handoff is of a delivered sequence."""
+    config = dataclasses.replace(builtin_scenario(name, protocol), duration=60.0)
+    sim = Simulation(config).run(60.0)
+    for flow, sink in sim.sinks.items():
+        assert sim.ledger.delivered[flow] is sink.received
+    assert not [(flow, seq) for flow, seq in sim.ledger._handoffs
+                if seq in sim.sinks[flow].received]
 
 
 def test_delay_series_nudges_equal_timestamps(tmp_path):
@@ -251,7 +281,7 @@ def test_delay_series_nudges_equal_timestamps(tmp_path):
         led.on_sink_delivery("f0", seq, 512, 2.0)
     series = led.delay_series("f0")
     assert [t for t, _ in series.points] == [2.0, 2.0, 2.0]
-    write_plot_series(series, tmp_path / "delay.dat")
+    write_series(tmp_path / "delay.dat", series.unit, series.points)
     pts = parse_plot_series(tmp_path / "delay.dat")
     assert [t for t, _ in pts] == [2.0, 2.0 + 1e-9, 2.0 + 2e-9]
 
@@ -459,7 +489,7 @@ def test_cwnd_series_keeps_every_sample(tmp_path):
     led.on_cwnd("f0", 0.5, 1)
     series = led.cwnd_series("f0")
     assert series.points == [(0.0, 1), (0.5, 2), (0.5, 1)]
-    write_plot_series(series, tmp_path / "cwnd.dat")
+    write_series(tmp_path / "cwnd.dat", series.unit, series.points)
     pts = parse_plot_series(tmp_path / "cwnd.dat")
     assert [v for _t, v in pts] == [1, 2, 1]
     assert pts[2][0] > pts[1][0]
@@ -721,7 +751,7 @@ def test_streamed_run_holds_little_trace(tmp_path, monkeypatch):
 def test_plot_series_round_trip(tmp_path):
     series = MetricSeries([(1.0, 40960.0), (2.0, 0.0), (2.5, 1.25e-3)], "bits/second")
     path = tmp_path / "throughput.dat"
-    write_plot_series(series, path)
+    write_series(path, series.unit, series.points)
     text = path.read_text()
     assert text.startswith("# bits/second\n")
     assert parse_plot_series(path) == series.points
@@ -729,11 +759,11 @@ def test_plot_series_round_trip(tmp_path):
 
 def test_plot_series_empty_writes_empty_file(tmp_path):
     path = tmp_path / "empty.dat"
-    write_plot_series(MetricSeries([], "seconds"), path)
+    write_series(path, "seconds", [])
     assert path.read_text() == ""
 
 
 def test_plot_series_plain_values(tmp_path):
     path = tmp_path / "simple.dat"
-    write_plot_series(MetricSeries([(1, 2.5)], "packets"), path)
+    write_series(path, "packets", [(1, 2.5)])
     assert path.read_text() == "# packets\n1 2.5\n"

@@ -15,7 +15,7 @@ from vanetsim import metrics, scenario, tracewriter
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
 from vanetsim.metrics import (TRACE_BLOCK_LINES, FlowStats, MetricsLedger,
-                              parse_mobility_trace, write_plot_series)
+                              parse_mobility_trace)
 from vanetsim.mobility import FieldConfig
 from vanetsim.radio import RadioConfig
 from vanetsim.rules import Config, FieldError, check_string
@@ -35,7 +35,7 @@ from vanetsim.scenario import (
     serialize_config,
 )
 from vanetsim.simulation import Motion
-from vanetsim.tracewriter import TraceFile, TraceWriter
+from vanetsim.tracewriter import TraceFile, TraceWriter, write_series
 from vanetsim.transport import FlowConfig
 
 MINI_DOC = {
@@ -850,7 +850,7 @@ def test_one_cpu_run_formats_its_trace_in_process(tmp_path, monkeypatch):
 @pytest.mark.parametrize("sink", ["writer", "file"])
 def test_series_files_equal_the_in_memory_series(tmp_path, monkeypatch, sink):
     """Whichever sink writes them, the metrics/*.dat of both builtins hold
-    the bytes write_plot_series writes for the in-memory ledger's series;
+    the bytes write_series writes for the in-memory ledger's series;
     a flow that delivers nothing gets empty delay and jitter files."""
     writers = use_sink(monkeypatch, sink)
     expected = tmp_path / "expected.dat"
@@ -868,7 +868,7 @@ def test_series_files_equal_the_in_memory_series(tmp_path, monkeypatch, sink):
                     ("cwnd", ledger.cwnd_series(fc.flow)),
                     ("destination_bandwidth",
                      ledger.bandwidth_series(fc.sink, 60.0))):
-                write_plot_series(series, expected)
+                write_series(expected, series.unit, series.points)
                 written = out / "metrics" / fc.flow / f"{metric}.dat"
                 assert written.read_bytes() == expected.read_bytes(), (
                     name, fc.flow, metric)
@@ -884,7 +884,7 @@ def test_series_files_equal_the_in_memory_series(tmp_path, monkeypatch, sink):
 @pytest.mark.parametrize("sink_class", [TraceWriter, TraceFile])
 def test_sinks_nudge_a_tied_series_as_the_ledger_does(tmp_path, sink_class):
     """The ledger's series, tied times and all, sent to a sink is written
-    as write_plot_series writes it, its ties nudged."""
+    as write_series writes it, its ties nudged."""
     ledger = MetricsLedger()
     for t, value in [(0.0, 1), (0.5, 2), (0.5, 1), (0.5, 3), (1.0, 2)]:
         ledger.on_cwnd("f0", t, value)
@@ -892,10 +892,23 @@ def test_sinks_nudge_a_tied_series_as_the_ledger_does(tmp_path, sink_class):
     assert [t for t, _v in raw.points].count(0.5) == 3
     with sink_class(str(tmp_path / "trace.txt")) as sink:
         sink.send((str(tmp_path / "cwnd.dat"), raw.unit, raw.points))
-    write_plot_series(ledger.cwnd_series("f0"), tmp_path / "expected.dat")
+    write_series(tmp_path / "expected.dat", raw.unit, raw.points)
     text = (tmp_path / "cwnd.dat").read_text()
     assert text == (tmp_path / "expected.dat").read_text()
     assert "\n0.500000001 1\n" in text
+
+
+def test_writer_names_the_trace_for_an_error_that_is_no_os_error(tmp_path):
+    """A message the writer process cannot handle, here a series tuple of
+    the wrong length, fails the join with an OSError naming the trace, the
+    error's type and its text."""
+    trace = str(tmp_path / "trace.txt")
+    writer = TraceWriter(trace)
+    with pytest.raises(OSError, match=f"^cannot write {re.escape(trace)}: "
+                                      "TypeError: .+"):
+        with writer:
+            writer.send((str(tmp_path / "cwnd.dat"), "packets", [], "extra"))
+    assert_reaped([writer])
 
 
 @pytest.mark.parametrize("sink", ["writer", "file"])
@@ -920,6 +933,24 @@ def test_unwritable_file_leaves_no_manifest_file(tmp_path, monkeypatch, sink,
     with pytest.raises(OSError, match=f"^cannot write {re.escape(str(out / target))}: "):
         run(config, out_dir=str(out))
     assert sorted(out.rglob("*")) == made_here
+    if sink == "writer":
+        assert_reaped(writers)
+
+
+@pytest.mark.parametrize("sink", ["writer", "file"])
+def test_failed_run_into_a_missing_path_leaves_no_parent(tmp_path, monkeypatch,
+                                                         sink):
+    """A run into a/b/c, a missing, that fails after making its
+    directories leaves none of them, parents included."""
+    writers = use_sink(monkeypatch, sink)
+
+    def failing(flow_stats):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scenario, "_summary_csv", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run(mini_config(), out_dir=str(tmp_path / "a" / "b" / "c"))
+    assert os.listdir(tmp_path) == []
     if sink == "writer":
         assert_reaped(writers)
 

@@ -29,7 +29,6 @@ class LedgerStub:
 
     def on_sink_delivery(self, flow, seq, size, t):
         self.sink_deliveries.append((t, seq))
-        return True
 
 
 class Auditor:
