@@ -26,14 +26,13 @@ builders return points as recorded.
 Memory: a packet event waits in the trace as a raw record, the tuple
 ``(op, t, kind, id, src, dst, size)``, and a mobility line as its text.
 About every ``TRACE_BLOCK_LINES`` pending lines are packed into one
-block, so the per-frame path only builds a tuple. A ledger formats each
-block with ``format_block`` and keeps the text for ``trace_text()``, or,
-once ``trace_lines.stream_to(send)`` is called, hands each block of raw
-lines to ``send`` and keeps none. ``scenario.run`` sends them, then
-each flow's series, then the summary, paths and report texts, to the
-sink that writes every file of the run (see ``tracewriter``), so the
-simulating process formats no trace or series line and holds at most
-one block of trace lines.
+block for the trace sink the run was wired with (``Simulation``'s
+``trace``), so the per-frame path only builds a tuple. ``scenario.run``
+passes the sink that writes every file of the run (see ``tracewriter``),
+so the simulating process formats no trace or series line and holds at
+most one block of trace lines; a ``KeptTrace`` keeps the text in memory
+instead. A ledger with no sink builds no trace: its taps are bound to
+build no record, and ``on_delivery`` only logs the sinks' receptions.
 
 Receptions are logged only at the sinks a ledger is built with, the
 only nodes whose bandwidth a run reports; asking for any other node's
@@ -126,55 +125,37 @@ TRACE_BLOCK_LINES = 4096
 
 
 class TraceLines:
-    """The trace: packed blocks plus the lines not yet packed.
+    """The trace: the lines not yet packed, and the sink of packed blocks.
 
     A pending line is either text or a packet record tuple (see
-    ``tracewriter``). ``append`` is the pending list's own method;
-    ``len()`` counts every line. ``pack`` empties the pending list in
-    place, so a holder of that list (the ledger appends to it directly)
-    keeps a live reference. Blocks are kept as text, made by
-    ``format_block``, until ``stream_to`` sends them, and every later one
-    unformatted, to a sink instead.
+    ``tracewriter``); ``len()`` counts every line. ``pack`` hands the
+    pending list to ``send``, which must not keep it, and empties it in
+    place, so its holder (the ledger appends to it) keeps a live list.
     """
 
-    def __init__(self):
+    def __init__(self, send):
         self.pending: list = []  # text lines and packet record tuples
-        self.append = self.pending.append
-        self._blocks: Optional[list[str]] = []
-        self._emit = self._keep  # takes each packed block of lines
+        self.send = send
         self._packed = 0
 
     def __len__(self) -> int:
         return self._packed + len(self.pending)
 
-    def _keep(self, lines) -> None:
-        self._blocks.append(format_block(lines))
-
     def pack(self) -> None:
-        """Emit the pending lines as one block."""
+        """Send the pending lines as one block."""
         pending = self.pending
         if pending:
             self._packed += len(pending)
-            self._emit(pending)
+            self.send(pending)
             pending.clear()
 
-    def stream_to(self, send) -> None:
-        """Pass the trace so far, then each block packed later, to send
-        as a list of lines, keeping none; send must not keep the list.
-        ``Simulation.run`` packs the tail when it ends."""
-        for text in self.blocks():
-            # a kept block is one line of its text less the final newline
-            send([text[:-1]])
-        self._blocks = None
-        self._emit = send
 
-    def blocks(self) -> list[str]:
-        """Every line so far, as newline-terminated text blocks in order."""
-        if self._blocks is None:
-            raise RuntimeError("the trace was streamed to a writer; "
-                               "its text is not kept")
-        self.pack()
-        return self._blocks
+class KeptTrace(list):
+    """A trace sink that keeps each block as the text ``format_block``
+    makes of it; ``MetricsLedger.trace_text`` reads it."""
+
+    def __call__(self, lines) -> None:
+        self.append(format_block(lines))
 
 
 def _first_nonzero(points):
@@ -185,8 +166,8 @@ def _first_nonzero(points):
 
 
 class MetricsLedger:
-    def __init__(self, sinks=()):
-        self.trace_lines = TraceLines()
+    def __init__(self, sinks=(), trace=None):
+        self.trace_lines = TraceLines(trace)
         # lines and records go straight onto the pending list, one plain
         # list.append each
         self._lines = self.trace_lines.pending
@@ -201,6 +182,9 @@ class MetricsLedger:
         # sink -> (times, frame bits) of every reception there; no other
         # node's receptions are kept
         self._received = {node: (array("d"), array("d")) for node in sinks}
+        if trace is None:  # the taps are bound once, so none tests per call
+            self.on_send = self.on_loss = self.on_motion_state = lambda *a: None
+            self.on_delivery = self._log_reception
 
     # -- radio tap ---------------------------------------------------
 
@@ -224,6 +208,13 @@ class MetricsLedger:
             log[1].append(size * 8)
         self._lines.append(("r", t, frame.kind, frame.trace_id, frame.src,
                             receiver, size))
+
+    def _log_reception(self, frame, receiver: int, t: float) -> None:
+        """``on_delivery`` of an untraced run: it logs a sink's receptions."""
+        log = self._received.get(receiver)
+        if log is not None:
+            log[0].append(t)
+            log[1].append(frame.size * 8)
 
     def on_loss(self, frame, reason: str, t: float) -> None:
         """Trace a frame the radio could not deliver; a lost data packet
@@ -367,7 +358,9 @@ class MetricsLedger:
         )
 
     def trace_text(self) -> str:
-        return "".join(self.trace_lines.blocks())
+        """The trace so far, of a ledger whose sink is a ``KeptTrace``."""
+        self.trace_lines.pack()
+        return "".join(self.trace_lines.send)
 
 
 # -- mobility trace format ------------------------------------------------

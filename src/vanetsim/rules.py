@@ -49,6 +49,15 @@ def check_string(value, path):
     return value
 
 
+def check_file_name(value, path):
+    """One path component: not "", "." or "..", no "/", NUL or whitespace."""
+    if (set("/\0") & set(check_string(value, path)) or value in (".", "..")
+            or value.split() != [value]):
+        raise FieldError(path, "expected a file name without '/', NUL or "
+                         f"whitespace, got {value!r}")
+    return value
+
+
 def check_type(value, path, kind):
     """A value of class kind, held as it is."""
     if not isinstance(value, kind):

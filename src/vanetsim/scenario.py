@@ -404,46 +404,44 @@ class RunReport:
     manifest: list  # files written, relative to the output directory
 
 
-def build_simulation(config: ScenarioConfig, auditing=False) -> Simulation:
-    """The run of config; ``run`` builds through this name, so tools that
-    time or patch a run's setup wrap it."""
-    return Simulation(config, auditing=auditing)
+def build_simulation(config: ScenarioConfig, **options) -> Simulation:
+    """The run of config, ``Simulation(config, **options)``; ``run`` builds
+    through this name, so tools that time or patch a run's setup wrap it."""
+    return Simulation(config, **options)
 
 
 def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     """Execute a scenario and, if out_dir is given, write every artifact.
 
-    The simulation runs in this process, single-threaded. With out_dir, a
-    sink (see ``tracewriter``) writes every file of the run, in a writer
-    process or, where only one CPU is usable, in this one: ``trace.txt``
-    while the simulation runs, then each flow's ``.dat`` series as soon
-    as it is built, then ``summary.csv``, ``paths.log`` and
-    ``report.txt``. The trace is never held whole, and the ledger has no
-    ``trace_text()``. A ``trace.txt`` that cannot be opened raises
-    OSError before the simulation; a file that cannot be written later
-    raises OSError ``cannot write <path>: <reason>``. Whenever run
-    raises, none of its manifest files and none of the directories it
-    made, parents included, is left (see ``all_or_none``). Each flow's
-    series are built once.
+    The simulation runs in this process, single-threaded; without out_dir
+    it gets no trace sink and builds no trace. With out_dir, a sink (see
+    ``tracewriter``) writes every file of the run, in a writer process
+    or, where only one CPU is usable, in this one: ``trace.txt`` while
+    the simulation runs, then each flow's ``.dat`` series as soon as it
+    is built, then ``summary.csv``, ``paths.log`` and ``report.txt``. The
+    trace is never held whole. A ``trace.txt`` that cannot be opened
+    raises OSError before the simulation is built; a file that cannot be
+    written later raises OSError ``cannot write <path>: <reason>``.
+    Whenever run raises, none of its manifest files and none of the
+    directories it made, parents included, is left (see
+    ``all_or_none``). Each flow's series are built once.
     """
     check_window(window, config.duration)
-    sim = build_simulation(config)
     if out_dir is None:
-        sim.run(config.duration)
-        return RunReport(config, _flow_stats(config, sim.ledger, window),
-                         sim.ledger.paths_taken(), [])
+        ledger = build_simulation(config).run(config.duration).ledger
+        return RunReport(config, _flow_stats(config, ledger, window),
+                         ledger.paths_taken(), [])
     out = functools.partial(os.path.join, out_dir)
 
     def send(flow, metric, series):
         sink.send((out("metrics", flow, f"{metric}.dat"), series.unit,
                    series.points))
 
-    ledger = sim.ledger
     files = manifest(config)
     with all_or_none([out(rel) for rel in files]), \
             trace_sink(out("trace.txt")) as sink:
-        ledger.trace_lines.stream_to(sink.send)
-        sim.run(config.duration)
+        ledger = build_simulation(config, trace=sink.send).run(
+            config.duration).ledger
         for fc in config.flows:  # raw points: the sink nudges their ties
             send(fc.flow, "delay", ledger.delay_series(fc.flow))
             send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow))

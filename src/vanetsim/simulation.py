@@ -43,13 +43,13 @@ class Motion:
 
 class Simulation:
     """One run of a ScenarioConfig, which is valid by construction;
-    ``auditing`` adds the auditors."""
+    ``auditing`` adds the auditors, and only a ``trace`` sink gets a trace."""
 
-    def __init__(self, config, *, auditing=False):
+    def __init__(self, config, *, auditing=False, trace=None):
         agent_class = PROTOCOLS[config.protocol]
         protocol_config = config.protocol_params[config.protocol.lower()]
         self.config = config
-        self.ledger = MetricsLedger({cfg.sink for cfg in config.flows})
+        self.ledger = MetricsLedger({cfg.sink for cfg in config.flows}, trace)
         self.sched = Scheduler()
         self.mobility = MobilityModel(config.field)
         self.radio = RadioMedium(self.sched, self.mobility, self.ledger,
@@ -127,6 +127,6 @@ class Simulation:
 
     def run(self, until: float) -> "Simulation":
         self.sched.run_until(until)
-        # pack the last partial block too: a finished run keeps no raw records
+        # send the last partial block too: a finished run keeps no raw records
         self.ledger.trace_lines.pack()
         return self

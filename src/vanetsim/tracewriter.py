@@ -3,12 +3,12 @@
 A trace block is a list of lines: a packet record is the tuple
 ``(op, t, kind, id, src, dst, size)`` and any other line is its text
 without the newline. ``format_block`` is the one place a block becomes
-text, in the simulating process for an in-memory trace and in the writer
-process for ``trace.txt``; ``write_series`` is the one place a plot
-series becomes a file, its ties in t nudged. ``TraceFile`` is the one
-writer of a run's files. It takes three kinds of message: a trace
-block, appended to the trace file, and a series ``(path, unit, points)``
-or a text ``(path, text)``, written to its own file by ``write_text``.
+text, for ``trace.txt`` and for a trace kept in memory
+(``metrics.KeptTrace``); ``write_series`` is the one place a plot series
+becomes a file, its ties in t nudged. ``TraceFile`` is the one writer
+of a run's files. It takes three kinds of message: a trace block,
+appended to the trace file, and a series ``(path, unit, points)`` or a
+text ``(path, text)``, written to its own file by ``write_text``.
 
 ``trace_sink`` picks where a ``TraceFile`` runs. Where this process may
 run on two CPUs or more, ``TraceWriter`` runs it in a writer process on

@@ -19,7 +19,7 @@ with a cumulative ACK carrying the highest in-order sequence received.
 import math
 from dataclasses import dataclass
 
-from .rules import Config, ConfigError, check_string, rule
+from .rules import Config, ConfigError, check_file_name, rule
 
 INITIAL_SSTHRESH = 32.0
 INITIAL_RTO = 1.0
@@ -31,7 +31,7 @@ MAX_FRAME_BYTES = 2**50
 
 @dataclass(frozen=True)
 class FlowConfig(Config):
-    flow: str = rule(check=check_string)
+    flow: str = rule(check=check_file_name)  # a directory name under metrics/
     src: int = rule(integer=True)
     sink: int = rule(integer=True)
     start_t: float = rule(0.0)

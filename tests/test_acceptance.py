@@ -16,7 +16,7 @@ import pytest
 from vanetsim.aodv import AodvAgent
 from vanetsim.dsdv import DsdvAgent, DsdvConfig
 from vanetsim.engine import Scheduler
-from vanetsim.metrics import (MetricsLedger, format_motion_line,
+from vanetsim.metrics import (KeptTrace, MetricsLedger, format_motion_line,
                               parse_mobility_trace)
 from vanetsim.mobility import FieldConfig, MobilityModel
 from vanetsim.radio import RadioMedium
@@ -104,8 +104,8 @@ def audited_sims():
     """
     return {
         (name, proto):
-            build_simulation(builtin_scenario(name, proto),
-                             auditing=True).run(600.0)
+            build_simulation(builtin_scenario(name, proto), auditing=True,
+                             trace=KeptTrace()).run(600.0)
         for name, proto in COMBOS
     }
 
@@ -325,7 +325,8 @@ def test_c06_transport_conservation(audited_sims):
 
 def test_c07_trace_format_golden_lines_and_round_trip(audited_sims):
     problems = []
-    sim = build_simulation(builtin_scenario("long-distance", "AODV")).run(0.0)
+    sim = build_simulation(builtin_scenario("long-distance", "AODV"),
+                           trace=KeptTrace()).run(0.0)
     emitted = {line.split()[2]: line
                for line in sim.ledger.trace_text().splitlines()
                if line.startswith("M ")}

@@ -10,6 +10,7 @@ import pytest
 
 from vanetsim.aodv import AodvAgent, AodvConfig, Rerr, RouteEntry, Rrep, Rreq
 from vanetsim.engine import Scheduler
+from vanetsim.metrics import KeptTrace
 from vanetsim.mobility import MobilityModel
 from vanetsim.radio import BROADCAST, Frame, RadioMedium, RoutedPacket
 from vanetsim.scenario import load_config
@@ -375,7 +376,7 @@ def test_zero_seen_expiry_floods_once_per_node_and_runs_to_its_end():
                       + [[6, [2500, 300]]],
         "flows": [{"flow": "f0", "src": 0, "sink": 6}],
         "protocol_params": {"aodv": {"seen_expiry": 0}}}))
-    sim = Simulation(config).run(config.duration)
+    sim = Simulation(config, trace=KeptTrace()).run(config.duration)
     assert sim.sched.now == config.duration
     floods = sum(agent.next_rreq_id for agent in sim.agents.values())
     rreqs = sum(line.split()[2] == "RREQ"
@@ -393,7 +394,8 @@ def test_parked_neighbours_one_rounding_step_inside_range_discover_once():
     pb = (625.4692513363111, 1477.3744967209082)
     sim = Simulation(load_config(json.dumps({
         "placements": [[0, pa], [1, pb]],
-        "flows": [{"flow": "f0", "src": 0, "sink": 1, "max_packets": 100}]})))
+        "flows": [{"flow": "f0", "src": 0, "sink": 1, "max_packets": 100}]})),
+        trace=KeptTrace())
     sim.run(10.0)
     sends = Counter(line.split()[2] for line in sim.ledger.trace_text().splitlines()
                     if line.startswith("s "))

@@ -87,6 +87,29 @@ def test_invalid_document_is_a_validation_error(tmp_path, capsys):
     assert "placements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["../x", "../../escaped", "a/../../x", "a/b",
+                                  "<absolute>", "", ".", "..", "a b", "f0\t",
+                                  "a\0b"])
+def test_flow_name_that_is_no_file_name_is_a_field_error(tmp_path, capsys, name):
+    """A flow's name is a directory under metrics/, so one that is not a
+    single file-name component (or would split a paths.log column) is
+    rejected before the run, and no file is written inside --out or
+    outside it."""
+    root = tmp_path / "a" / "b"
+    root.mkdir(parents=True)
+    if name == "<absolute>":
+        name = str(tmp_path / "abs")
+    doc = root / "doc.json"
+    doc.write_text(json.dumps(dict(
+        MINI_DOC, flows=[dict(MINI_DOC["flows"][0], flow=name)])))
+    code = main(["run", "--scenario", str(doc), "--out", str(root / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: flows[0].flow: expected a file name")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", root, doc]
+
+
 @pytest.mark.parametrize("params, field", [
     ({"aodv": {"bogus": 1}}, "protocol_params.aodv.bogus"),
     ({"aodv": [1, 2]}, "protocol_params.aodv"),

@@ -22,6 +22,7 @@ from vanetsim.engine import Scheduler
 from vanetsim.metrics import (
     TRACE_BLOCK_LINES,
     FlowStats,
+    KeptTrace,
     MetricSeries,
     MetricsLedger,
     TraceFormatError,
@@ -35,7 +36,7 @@ from vanetsim.scenario import (build_simulation, builtin_scenario, check_window,
                                load_config)
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
-from vanetsim.tracewriter import format_block, nudge_ties, write_series
+from vanetsim.tracewriter import nudge_ties, write_series
 from vanetsim.transport import DataPacket, FlowConfig, TcpSink
 
 
@@ -531,7 +532,7 @@ def test_parse_rejects_malformed_mobility_line():
 
 
 def test_ledger_emits_interleaved_trace_lines():
-    led = MetricsLedger()
+    led = MetricsLedger(trace=KeptTrace())
     led.on_motion_state(0.0, 2, (550.0, 290.0), (550.0, 290.0), 0.0)
     f = Frame("DATA", 0, 15, 512)
     led.on_send(f, 0.5)
@@ -544,7 +545,7 @@ def test_ledger_emits_interleaved_trace_lines():
 
 
 def test_broadcast_trace_lines_use_star_and_loss_marks_flow():
-    led = MetricsLedger(sinks={2})
+    led = MetricsLedger(sinks={2}, trace=KeptTrace())
     f = Frame("RREQ", 1, -1, 64)
     led.on_send(f, 1.0)
     led.on_loss(f, "no-neighbors", 1.0)
@@ -600,7 +601,7 @@ def test_packed_records_equal_the_fstring_lines(events, block):
     A small block size makes the records and text lines cross block
     edges; sends pack, so a block edge may fall anywhere.
     """
-    led = MetricsLedger()
+    led = MetricsLedger(trace=KeptTrace())
     expected = []
     next_id = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -608,7 +609,7 @@ def test_packed_records_equal_the_fstring_lines(events, block):
         for event in events:
             op = event[0]
             if op == "text":
-                led.trace_lines.append(event[1])
+                led.trace_lines.pending.append(event[1])
                 expected.append(event[1])
             elif op == "M":
                 t, node = event[1:]
@@ -633,21 +634,19 @@ def test_packed_records_equal_the_fstring_lines(events, block):
             assert len(led.trace_lines) == len(expected)
     text = "".join(line + "\n" for line in expected)
     assert led.trace_text() == text
-    written = []
-    led.trace_lines.stream_to(lambda lines: written.append(format_block(lines)))
-    led.trace_lines.append("tail")
+    led.trace_lines.pending.append("tail")
     led.trace_lines.pack()
     led.trace_lines.pack()
-    assert "".join(written) == text + "tail\n"
+    assert led.trace_text() == text + "tail\n"
     assert len(led.trace_lines) == len(expected) + 1
 
 
 @pytest.mark.parametrize("n_lines", [0, 1, TRACE_BLOCK_LINES - 1,
                                      TRACE_BLOCK_LINES, TRACE_BLOCK_LINES + 1,
                                      2 * TRACE_BLOCK_LINES])
-def test_trace_blocks_join_to_the_lines(tmp_path, n_lines):
+def test_trace_blocks_join_to_the_lines(n_lines):
     """Packed blocks give the newline-joined lines, across block edges."""
-    led = MetricsLedger()
+    led = MetricsLedger(trace=KeptTrace())
     lines = []
     for i in range(n_lines):
         t = i * 1e-3
@@ -667,9 +666,6 @@ def test_trace_blocks_join_to_the_lines(tmp_path, n_lines):
     assert led.trace_text() == expected
     assert led.trace_text() == expected
     assert len(led.trace_lines) == n_lines
-    with open(tmp_path / "trace.txt", "w") as fh:
-        led.trace_lines.stream_to(lambda lines: fh.write(format_block(lines)))
-    assert (tmp_path / "trace.txt").read_text() == expected
 
 
 def test_ledger_memory_per_record_stays_small():
@@ -678,7 +674,8 @@ def test_ledger_memory_per_record_stays_small():
                                  duration=60.0)
     tracemalloc.start()
     try:
-        ledger = build_simulation(config).run(config.duration).ledger
+        ledger = build_simulation(config, trace=KeptTrace()).run(
+            config.duration).ledger
         # a full collection clears CPython's free lists, whose cached
         # tuples are not records the ledger holds
         gc.collect()
@@ -703,19 +700,10 @@ def test_simulation_run_packs_its_trace_tail():
     """A run leaves no raw record tuples behind, wherever it stops."""
     config = dataclasses.replace(builtin_scenario("long-distance", "AODV"),
                                  duration=60.0)
-    trace_lines = build_simulation(config).run(60.0).ledger.trace_lines
+    trace_lines = build_simulation(config, trace=KeptTrace()).run(
+        60.0).ledger.trace_lines
     assert len(trace_lines) > TRACE_BLOCK_LINES
     assert trace_lines.pending == []
-
-
-def test_streaming_ledger_has_no_trace_text():
-    led = MetricsLedger()
-    led.on_send(Frame("DATA", 0, 1, 512), 0.0)
-    written = []
-    led.trace_lines.stream_to(lambda lines: written.append(format_block(lines)))
-    assert written == ["s 0.0000000 DATA 0 0 1 512\n"]
-    with pytest.raises(RuntimeError, match="streamed"):
-        led.trace_text()
 
 
 def test_streamed_run_holds_little_trace(tmp_path, monkeypatch):

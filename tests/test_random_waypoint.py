@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from vanetsim.metrics import KeptTrace
 from vanetsim.scenario import (
     build_simulation,
     builtin_scenario,
@@ -45,7 +46,8 @@ def audited_run(seed, protocol, pause):
     config = dataclasses.replace(
         load_config(random_waypoint_document(seed, 30, 10, 60.0, pause)),
         protocol=protocol)
-    return build_simulation(config, auditing=True).run(config.duration)
+    return build_simulation(config, auditing=True,
+                            trace=KeptTrace()).run(config.duration)
 
 
 @pytest.mark.parametrize("pause", [0.0, 30.0])
@@ -78,7 +80,8 @@ def test_both_protocols_roam_alike(document):
         config = load_config(random_waypoint_document(7, 50, 10, 60.0))
     moves = {}
     for protocol in ("AODV", "DSDV"):
-        sim = build_simulation(dataclasses.replace(config, protocol=protocol))
+        sim = build_simulation(dataclasses.replace(config, protocol=protocol),
+                               trace=KeptTrace())
         text = sim.run(config.duration).ledger.trace_text()
         moves[protocol] = [line for line in text.splitlines()
                            if line.startswith("M ")]

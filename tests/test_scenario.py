@@ -14,11 +14,11 @@ import pytest
 from vanetsim import metrics, scenario, tracewriter
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
-from vanetsim.metrics import (TRACE_BLOCK_LINES, FlowStats, MetricsLedger,
-                              parse_mobility_trace)
+from vanetsim.metrics import (TRACE_BLOCK_LINES, FlowStats, KeptTrace,
+                              MetricsLedger, parse_mobility_trace)
 from vanetsim.mobility import FieldConfig
 from vanetsim.radio import RadioConfig
-from vanetsim.rules import Config, FieldError, check_string
+from vanetsim.rules import Config, FieldError, check_file_name, check_string
 from vanetsim.scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -34,7 +34,7 @@ from vanetsim.scenario import (
     run,
     serialize_config,
 )
-from vanetsim.simulation import Motion
+from vanetsim.simulation import Motion, Simulation
 from vanetsim.tracewriter import TraceFile, TraceWriter, write_series
 from vanetsim.transport import FlowConfig
 
@@ -520,7 +520,8 @@ def test_every_config_field_declares_its_rule():
                 continue
             rule = f.metadata["rule"]
             if f.type is str:
-                assert rule.func is check_string, (cls, f.name)
+                # a file name is a string with a stricter rule
+                assert rule.func in (check_string, check_file_name), (cls, f.name)
             else:
                 assert rule.keywords.get("integer", False) == (f.type is int), \
                     (cls, f.name)
@@ -646,6 +647,26 @@ def test_run_writes_complete_artifact_set(tmp_path):
     assert "f0 0 1 2" in paths_log
 
 
+@pytest.mark.parametrize("name, protocol", [("long-distance", "AODV"),
+                                            ("short-distance", "DSDV")])
+def test_untraced_run_reports_what_a_traced_run_does(tmp_path, name, protocol):
+    """run() without an output directory builds no trace, yet returns the
+    flows and paths of a run that writes its files, and a simulation
+    given no trace sink still counts the sinks' bandwidth."""
+    config = dataclasses.replace(builtin_scenario(name, protocol),
+                                 duration=60.0)
+    untraced = run(config)
+    traced = run(config, out_dir=str(tmp_path))
+    assert untraced.flows == traced.flows
+    assert untraced.paths == traced.paths
+    ledger = Simulation(config).run(60.0).ledger
+    assert len(ledger.trace_lines) == 0
+    for fc, stats in zip(config.flows, untraced.flows):
+        assert stats.sink_bandwidth_bits > 0
+        assert ledger.cumulative_bandwidth_bits(fc.sink, 60.0) == \
+            stats.sink_bandwidth_bits
+
+
 def test_run_summary_rows_equal_flow_summary():
     """run() builds each flow's series once; its rows match flow_summary."""
     config = dataclasses.replace(
@@ -731,35 +752,17 @@ def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
     # blocks small enough that short-distance's 60 s cross several
     block = TRACE_BLOCK_LINES // 4
     monkeypatch.setattr(metrics, "TRACE_BLOCK_LINES", block)
-    built = []
-
-    def build_and_keep(*args, **kwargs):
-        built.append(build_simulation(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(scenario, "build_simulation", build_and_keep)
     writers = record_writers(monkeypatch)
     for name, protocol in (("long-distance", "AODV"), ("short-distance", "DSDV")):
         config = dataclasses.replace(builtin_scenario(name, protocol),
                                      duration=60.0)
-        expected = build_simulation(config).run(60.0).ledger.trace_text()
+        expected = build_simulation(config, trace=KeptTrace()).run(
+            60.0).ledger.trace_text()
         assert expected.count("\n") > 6 * block
         out = tmp_path / name
         run(config, out_dir=str(out))
         assert (out / "trace.txt").read_text() == expected, name
         assert_reaped(writers)
-        with pytest.raises(RuntimeError):
-            built[-1].ledger.trace_text()
-
-        # streaming from mid-run sends the blocks packed before it first
-        sim = build_simulation(config).run(45.0)
-        packed = len(sim.ledger.trace_lines) - len(sim.ledger.trace_lines.pending)
-        assert packed >= 2 * block
-        with TraceWriter(str(out / "mid-run.txt")) as writer:
-            sim.ledger.trace_lines.stream_to(writer.send)
-            sim.run(60.0)
-        assert (out / "mid-run.txt").read_text() == expected, name
-        assert_reaped([writer])
 
 
 def _agent_raising_after(monkeypatch, t, error):
@@ -833,7 +836,8 @@ def test_one_cpu_run_formats_its_trace_in_process(tmp_path, monkeypatch):
     use_sink(monkeypatch, "file")
     config = dataclasses.replace(
         builtin_scenario("long-distance", "AODV"), duration=60.0)
-    expected = build_simulation(config).run(60.0).ledger.trace_text()
+    expected = build_simulation(config, trace=KeptTrace()).run(
+        60.0).ledger.trace_text()
     run(config, out_dir=str(tmp_path / "ok"))
     assert (tmp_path / "ok" / "trace.txt").read_text() == expected
 

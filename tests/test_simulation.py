@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from vanetsim.metrics import parse_mobility_trace
+from vanetsim.metrics import KeptTrace, parse_mobility_trace
 from vanetsim.scenario import (BUILTIN_SCENARIOS, ConfigError, build_simulation,
                                builtin_scenario, load_config, run)
 from vanetsim.simulation import PROTOCOLS, Simulation
@@ -24,7 +24,7 @@ def chain_config(protocol="AODV", *, flow, motions=(), seed=1):
 def chain_sim(protocol, *, flow_start, seed=7, auditing=False):
     flow = {"start_t": flow_start, "send_interval": 0.2, "max_packets": 5}
     return Simulation(chain_config(protocol, flow=flow, seed=seed),
-                      auditing=auditing)
+                      auditing=auditing, trace=KeptTrace())
 
 
 def test_rejects_unknown_protocol():
@@ -57,7 +57,7 @@ def test_motion_emits_state_lines():
     # the flow starts after the run ends, so no frame is sent
     sim = Simulation(chain_config(
         flow={"start_t": 10.0}, motions=[[1, 2.0, [300.0, 900.0], 10.0]],
-    )).run(5.0)
+    ), trace=KeptTrace()).run(5.0)
     records, skipped = parse_mobility_trace(sim.ledger.trace_text())
     assert skipped == 0
     assert [(r[0], r[1]) for r in records] == [
@@ -111,7 +111,7 @@ def test_drops_by_reason_add_up_to_lost(name, protocol):
     # the lost counts scenario.run reports, against a second simulation's
     # ledger
     lost = {stats.flow: stats.lost for stats in run(config).flows}
-    ledger = build_simulation(config).run(60.0).ledger
+    ledger = build_simulation(config, trace=KeptTrace()).run(60.0).ledger
     radio_losses = 0
     for flow in config.flows:
         reasons = ledger.drops_by_reason(flow.flow)
