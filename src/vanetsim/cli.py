@@ -2,8 +2,10 @@
 
 Subcommands: `run` executes one scenario and writes its artifacts,
 `compare` runs both protocols on one scenario and prints the verdict
-table, `trace-parse` validates a mobility trace file. Exit codes:
-0 success, 1 validation problem, 2 I/O problem.
+table, `trace-parse` validates a mobility trace file with the reader in
+``tracewriter``. Exit codes: 0 success, 1 validation problem (a
+malformed flag among them), 2 I/O problem, each error one ``error: ``
+line on stderr.
 """
 
 import argparse
@@ -11,7 +13,6 @@ import dataclasses
 import os
 import sys
 
-from .metrics import TraceFormatError, parse_mobility_trace
 from .scenario import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -27,7 +28,7 @@ from .scenario import (
     run,
 )
 from .simulation import PROTOCOLS
-from .tracewriter import write_text
+from .tracewriter import parse_mobility_trace, write_text
 
 PROTOCOL_CHOICES = [name.lower() for name in PROTOCOLS]
 
@@ -48,8 +49,15 @@ def _add_common_flags(parser):
                         help="metric averaging window in seconds (default: 1)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vanetsim",
         description="Deterministic ad-hoc network simulator comparing "
                     "on-demand and table-driven routing.")
@@ -138,15 +146,14 @@ def _cmd_trace_parse(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "trace-parse": _cmd_trace_parse,
-    }[args.command]
     try:
-        return handler(args)
-    except (ConfigError, TraceFormatError, ValueError) as e:
+        args = build_parser().parse_args(argv)
+        return {
+            "run": _cmd_run,
+            "compare": _cmd_compare,
+            "trace-parse": _cmd_trace_parse,
+        }[args.command](args)
+    except ValueError as e:  # ConfigError, TraceFormatError among them
         sys.stderr.write(f"error: {e}\n")
         return 1
     except OSError as e:

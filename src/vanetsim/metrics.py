@@ -16,23 +16,23 @@ integer arithmetic and rounded once, so it is the correctly rounded value
 and the same float on every supported Python (the standard library's
 ``pstdev`` rounds twice before 3.11).
 
-Mobility lines (``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>),
-<speed>``) are formatted here. Packet events in the combined trace use
-a columnar ``s|r|l <t> <class> <id> <src> <dst> <size>`` form, made by
-``tracewriter.format_block``; two-column plot series are written by
-``tracewriter.write_series``, which nudges tied times: the series
-builders return points as recorded.
+The ledger formats nothing: ``tracewriter.format_block`` makes the
+text of each trace record, and ``tracewriter.write_series`` writes the
+two-column plot series, nudging tied times: the series builders return
+points as recorded.
 
-Memory: a packet event waits in the trace as a raw record, the tuple
-``(op, t, kind, id, src, dst, size)``, and a mobility line as its text.
-About every ``TRACE_BLOCK_LINES`` pending lines are packed into one
-block for the trace sink the run was wired with (``Simulation``'s
+Memory: each trace line waits in the trace as its record, the tuple
+``(op, t, kind, id, src, dst, size)`` of a packet event or
+``("M", t, node, x, y, 0.0, dest_x, dest_y, speed)`` of a mobility
+state. About every ``TRACE_BLOCK_LINES`` pending records are packed into
+one block for the trace sink the run was wired with (``Simulation``'s
 ``trace``), so the per-frame path only builds a tuple. ``scenario.run``
 passes the sink that writes every file of the run (see ``tracewriter``),
 so the simulating process formats no trace or series line and holds at
-most one block of trace lines; a ``KeptTrace`` keeps the text in memory
-instead. A ledger with no sink builds no trace: its taps are bound to
-build no record, and ``on_delivery`` only logs the sinks' receptions.
+most one block of trace records; a ``KeptTrace`` keeps the text in
+memory instead. A ledger with no sink builds no trace: its taps are
+bound to build no record, and ``on_delivery`` only logs the sinks'
+receptions.
 
 Receptions are logged only at the sinks a ledger is built with, the
 only nodes whose bandwidth a run reports; asking for any other node's
@@ -47,7 +47,6 @@ bookkeeping grows with the sequences still in flight, not with the run.
 """
 
 import math
-import re
 import sys
 from array import array
 from bisect import bisect_right
@@ -78,10 +77,6 @@ class FlowStats:
     # end times of the first windows with nonzero throughput and sink bandwidth
     first_data_window: Optional[float]
     first_sink_bandwidth_window: Optional[float]
-
-
-class TraceFormatError(ValueError):
-    pass
 
 
 # bits of the scaled integer square root: two more than twice a float's
@@ -125,16 +120,16 @@ TRACE_BLOCK_LINES = 4096
 
 
 class TraceLines:
-    """The trace: the lines not yet packed, and the sink of packed blocks.
+    """The trace: the records not yet packed, and the sink of packed blocks.
 
-    A pending line is either text or a packet record tuple (see
-    ``tracewriter``); ``len()`` counts every line. ``pack`` hands the
-    pending list to ``send``, which must not keep it, and empties it in
-    place, so its holder (the ledger appends to it) keeps a live list.
+    A pending record is one trace line's tuple (see ``tracewriter``);
+    ``len()`` counts every record. ``pack`` hands the pending list to
+    ``send``, which must not keep it, and empties it in place, so its
+    holder (the ledger appends to it) keeps a live list.
     """
 
     def __init__(self, send):
-        self.pending: list = []  # text lines and packet record tuples
+        self.pending: list = []  # packet and mobility record tuples
         self.send = send
         self._packed = 0
 
@@ -142,7 +137,7 @@ class TraceLines:
         return self._packed + len(self.pending)
 
     def pack(self) -> None:
-        """Send the pending lines as one block."""
+        """Send the pending records as one block."""
         pending = self.pending
         if pending:
             self._packed += len(pending)
@@ -168,8 +163,7 @@ def _first_nonzero(points):
 class MetricsLedger:
     def __init__(self, sinks=(), trace=None):
         self.trace_lines = TraceLines(trace)
-        # lines and records go straight onto the pending list, one plain
-        # list.append each
+        # records go straight onto the pending list, one list.append each
         self._lines = self.trace_lines.pending
         self._next_frame_id = 0
         # handoff times of each (flow, seq) not yet delivered
@@ -273,7 +267,7 @@ class MetricsLedger:
 
     def on_motion_state(self, t, node, pos, dest, speed) -> None:
         self._lines.append(
-            format_motion_line(t, node, (pos[0], pos[1], 0.0), dest, speed))
+            ("M", t, node, pos[0], pos[1], 0.0, dest[0], dest[1], speed))
 
     # -- series builders ------------------------------------------------
 
@@ -361,50 +355,3 @@ class MetricsLedger:
         """The trace so far, of a ledger whose sink is a ``KeptTrace``."""
         self.trace_lines.pack()
         return "".join(self.trace_lines.send)
-
-
-# -- mobility trace format ------------------------------------------------
-
-def format_motion_line(t, node, pos, dest, speed) -> str:
-    x, y, z = pos
-    return (
-        f"M {t:.5f} {node} ({x:.2f}, {y:.2f}, {z:.2f}), "
-        f"({dest[0]:.2f}, {dest[1]:.2f}), {speed:.2f}"
-    )
-
-
-_M_LINE = re.compile(
-    r"^M (\S+) (\d+) \((\S+), (\S+), (\S+)\), \((\S+), (\S+)\), (\S+)$"
-)
-
-
-def parse_mobility_trace(text):
-    """Extract mobility records; returns (records, skipped_line_count).
-
-    Lines of other types (packet events and so on) are skipped and
-    counted; a line that starts like a mobility line but does not parse
-    raises TraceFormatError naming the line number.
-    """
-    records = []
-    skipped = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if not line.startswith("M "):
-            skipped += 1
-            continue
-        m = _M_LINE.match(line)
-        if not m:
-            raise TraceFormatError(f"line {lineno}: malformed mobility line: {line!r}")
-        try:
-            t = float(m.group(1))
-            node = int(m.group(2))
-            nums = [float(m.group(i)) for i in range(3, 9)]
-        except ValueError:
-            raise TraceFormatError(
-                f"line {lineno}: non-numeric field in mobility line: {line!r}"
-            ) from None
-        records.append(
-            (t, node, (nums[0], nums[1], nums[2]), (nums[3], nums[4]), nums[5])
-        )
-    return records, skipped

@@ -277,7 +277,7 @@ def load_config(text: str) -> ScenarioConfig:
     defaults; the configs check the values."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also a huge int, deep nesting
         raise ConfigError(f"scenario document is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")

@@ -1,14 +1,19 @@
 """The trace and plot series formats, and the process that writes them.
 
-A trace block is a list of lines: a packet record is the tuple
-``(op, t, kind, id, src, dst, size)`` and any other line is its text
-without the newline. ``format_block`` is the one place a block becomes
-text, for ``trace.txt`` and for a trace kept in memory
-(``metrics.KeptTrace``); ``write_series`` is the one place a plot series
-becomes a file, its ties in t nudged. ``TraceFile`` is the one writer
-of a run's files. It takes three kinds of message: a trace block,
-appended to the trace file, and a series ``(path, unit, points)`` or a
-text ``(path, text)``, written to its own file by ``write_text``.
+A trace block is a list of records, one per line. A packet record is
+``(op, t, kind, id, src, dst, size)`` with op ``s``, ``r`` or ``l``,
+and its line ``<op> <t> <kind> <id> <src> <dst> <size>``; a mobility
+record is ``("M", t, node, x, y, z, dest_x, dest_y, speed)``, and its
+line ``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``.
+``format_block`` is the one place a block becomes text, for
+``trace.txt`` and for a trace kept in memory (``metrics.KeptTrace``);
+``parse_mobility_trace`` reads the mobility records back, so that
+``format_block`` of them is their lines. ``write_series`` is the one
+place a plot series becomes a file, its ties in t nudged. ``TraceFile``
+is the one writer of a run's files. It takes three kinds of message: a
+trace block, appended to the trace file, and a series ``(path, unit,
+points)`` or a text ``(path, text)``, written to its own file by
+``write_text``.
 
 ``trace_sink`` picks where a ``TraceFile`` runs. Where this process may
 run on two CPUs or more, ``TraceWriter`` runs it in a writer process on
@@ -34,6 +39,7 @@ stderr, which ``TraceWriter`` reads.
 import contextlib
 import marshal
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -47,15 +53,52 @@ except ImportError:  # pipe sizes are set on Linux only
 # 160 KiB each), so send seldom waits while the writer formats; Linux's
 # default limit for an unprivileged process (fs.pipe-max-size)
 PIPE_BYTES = 1 << 20
-# the text of one packet record (op, t, kind, id, src, dst, size); %.7f
+# the text of one packet record (op, t, kind, id, src, dst, size) and of
+# one mobility record ("M", t, node, x, y, z, dest_x, dest_y, speed); %.7f
 # formats a float as {:.7f} does and %s an int as str() does
 _RECORD = "%s %.7f %s %s %s %s %s\n"
+_MOTION = "%s %.5f %s (%.2f, %.2f, %.2f), (%.2f, %.2f), %.2f\n"
+_M_LINE = re.compile(r"^M (\S+) (\d+) \((\S+), (\S+), (\S+)\), "
+                     r"\((\S+), (\S+)\), (\S+)$")
 
 
-def format_block(lines) -> str:
-    """The newline-terminated text of a block of trace lines."""
-    return "".join([_RECORD % line if type(line) is tuple else line + "\n"
-                    for line in lines])
+class TraceFormatError(ValueError):
+    pass
+
+
+def format_block(records) -> str:
+    """The newline-terminated text of a block of trace records."""
+    return "".join([(_MOTION if record[0] == "M" else _RECORD) % record
+                    for record in records])
+
+
+def parse_mobility_trace(text):
+    """Extract mobility records; returns (records, skipped_line_count).
+
+    Each record is the tuple ``format_block`` formats as its line. Lines
+    of other types (packet events and so on) are skipped and counted; a
+    line that starts like a mobility line but does not parse raises
+    TraceFormatError naming the line number.
+    """
+    records = []
+    skipped = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if not line.startswith("M "):
+            skipped += 1
+            continue
+        m = _M_LINE.match(line)
+        if not m:
+            raise TraceFormatError(f"line {lineno}: malformed mobility line: {line!r}")
+        try:
+            records.append(("M", float(m[1]), int(m[2]),
+                            *[float(m[i]) for i in range(3, 9)]))
+        except ValueError:
+            raise TraceFormatError(
+                f"line {lineno}: non-numeric field in mobility line: {line!r}"
+            ) from None
+    return records, skipped
 
 
 def nudge_ties(points) -> list:

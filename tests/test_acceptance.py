@@ -16,12 +16,12 @@ import pytest
 from vanetsim.aodv import AodvAgent
 from vanetsim.dsdv import DsdvAgent, DsdvConfig
 from vanetsim.engine import Scheduler
-from vanetsim.metrics import (KeptTrace, MetricsLedger, format_motion_line,
-                              parse_mobility_trace)
+from vanetsim.metrics import KeptTrace, MetricsLedger
 from vanetsim.mobility import FieldConfig, MobilityModel
 from vanetsim.radio import RadioMedium
 from vanetsim.scenario import (build_simulation, builtin_scenario, compare,
                                format_comparison, run)
+from vanetsim.tracewriter import format_block, parse_mobility_trace
 from vanetsim.transport import DataPacket
 
 from make_golden import (GOLDEN, WINDOW, combo_key, comparison_key, digests,
@@ -339,7 +339,7 @@ def test_c07_trace_format_golden_lines_and_round_trip(audited_sims):
     trace = audited_sims[("long-distance", "AODV")].ledger.trace_text()
     original = [l for l in trace.splitlines() if l.startswith("M ")]
     records, _skipped = parse_mobility_trace(trace)
-    rebuilt = [format_motion_line(*record) for record in records]
+    rebuilt = format_block(records).splitlines()
     if rebuilt != original:
         problems.append(
             f"round trip changed {sum(a != b for a, b in zip(rebuilt, original))}"

@@ -87,6 +87,51 @@ def test_invalid_document_is_a_validation_error(tmp_path, capsys):
     assert "placements" in capsys.readouterr().err
 
 
+def test_deeply_nested_document_is_a_validation_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code = main(["run", "--scenario", str(deep), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: scenario document is not valid JSON: ")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("args, flag", [
+    (["--seed", "x"], "--seed"),
+    (["--duration", "abc"], "--duration"),
+    (["--window"], "--window"),
+    (["--protocol", "ospf"], "--protocol"),
+    (["--range", "far"], "--range"),
+    (["--bogus"], "--bogus"),
+])
+def test_malformed_flag_is_a_validation_error(scenario_file, tmp_path, capsys,
+                                              command, args, flag):
+    """A flag argparse cannot read exits 1, as every validation error
+    does, with one 'error: ' line naming it."""
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(scenario_file), "--out", str(out),
+                 *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["simulate"], ["trace-parse"]])
+def test_usage_error_is_a_validation_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", ["../x", "../../escaped", "a/../../x", "a/b",
                                   "<absolute>", "", ".", "..", "a b", "f0\t",
                                   "a\0b"])

@@ -25,18 +25,16 @@ from vanetsim.metrics import (
     KeptTrace,
     MetricSeries,
     MetricsLedger,
-    TraceFormatError,
     _pstdev,
-    format_motion_line,
-    parse_mobility_trace,
 )
 from vanetsim.radio import Frame
 from vanetsim.rules import FieldError
 from vanetsim.scenario import (build_simulation, builtin_scenario, check_window,
-                               load_config)
+                               load_config, random_waypoint_document)
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
-from vanetsim.tracewriter import nudge_ties, write_series
+from vanetsim.tracewriter import (TraceFormatError, format_block, nudge_ties,
+                                  parse_mobility_trace, write_series)
 from vanetsim.transport import DataPacket, FlowConfig, TcpSink
 
 
@@ -497,22 +495,37 @@ def test_cwnd_series_keeps_every_sample(tmp_path):
 
 
 def test_motion_line_matches_sample_bytes():
-    line = format_motion_line(0.0, 2, (550.0, 290.0, 0.0), (550.0, 290.0), 0.0)
-    assert line == "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00"
-    line80 = format_motion_line(0.0, 80, (1150.0, 920.0, 0.0), (1150.0, 920.0), 0.0)
-    assert line80 == "M 0.00000 80 (1150.00, 920.00, 0.00), (1150.00, 920.00), 0.00"
+    text = format_block([
+        ("M", 0.0, 2, 550.0, 290.0, 0.0, 550.0, 290.0, 0.0),
+        ("M", 0.0, 80, 1150.0, 920.0, 0.0, 1150.0, 920.0, 0.0)])
+    assert text == (
+        "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00\n"
+        "M 0.00000 80 (1150.00, 920.00, 0.00), (1150.00, 920.00), 0.00\n")
 
 
 def test_mobility_trace_round_trip():
     records = [
-        (0.0, 2, (550.0, 290.0, 0.0), (550.0, 290.0), 0.0),
-        (10.0, 15, (140.0, 450.0, 0.0), (2788.0, 450.0), 12.97),
+        ("M", 0.0, 2, 550.0, 290.0, 0.0, 550.0, 290.0, 0.0),
+        ("M", 10.0, 15, 140.0, 450.0, 0.0, 2788.0, 450.0, 12.97),
     ]
-    text = "".join(format_motion_line(*rec) + "\n" for rec in records)
+    text = format_block(records)
     parsed, skipped = parse_mobility_trace(text)
     assert parsed == records
     assert skipped == 0
-    assert "".join(format_motion_line(*rec) + "\n" for rec in parsed) == text
+    assert format_block(parsed) == text
+
+
+def test_random_waypoint_trace_round_trip():
+    """The mobility lines of a run whose coordinates and speeds are
+    arbitrary floats read back to records that format to those lines."""
+    config = load_config(random_waypoint_document(7, 50, 10, 60.0))
+    trace = Simulation(config, trace=KeptTrace()).run(60.0).ledger.trace_text()
+    text = "".join(line + "\n" for line in trace.splitlines()
+                   if line.startswith("M "))
+    records, skipped = parse_mobility_trace(trace)
+    assert len(records) > 50  # the waypoint legs, not only the placements
+    assert skipped == len(trace.splitlines()) - len(records)
+    assert format_block(records) == text
 
 
 def test_parse_skips_packet_lines_and_counts_them():
@@ -569,6 +582,13 @@ def _fstring_line(op, t, kind, trace_id, src, dst, size):
     return f"{op} {t:.7f} {kind} {trace_id} {src} {dst_txt} {size}"
 
 
+def _fstring_motion_line(t, node, pos, dest, speed):
+    """A mobility line as the ledger formatted it eagerly, one f-string."""
+    x, y, z = pos
+    return (f"M {t:.5f} {node} ({x:.2f}, {y:.2f}, {z:.2f}), "
+            f"({dest[0]:.2f}, {dest[1]:.2f}), {speed:.2f}")
+
+
 _TRACE_TIMES = st.one_of(
     st.sampled_from([0, 0.0, -0.0, 3, 1e-8, 1e9, 0.1 + 0.2, 599.99999995]),
     st.integers(min_value=0, max_value=10**6),
@@ -583,8 +603,10 @@ _TRACE_EVENTS = st.one_of(
               st.integers(1, 10**6)),
     st.tuples(st.just("r"), *_FRAME_FIELDS, st.integers(0, 120),
               st.integers(1, 10**6)),
-    st.tuples(st.just("M"), _TRACE_TIMES, st.integers(0, 120)),
-    st.tuples(st.just("text"), st.text("abc #()", max_size=8)))
+    # a mobility state's x, y, destination x, y and speed: ints or floats
+    st.tuples(st.just("M"), _TRACE_TIMES, st.integers(0, 120),
+              *[st.one_of(st.integers(-10**6, 10**6),
+                          st.floats(-1e9, 1e9))] * 5))
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,14 +614,16 @@ _TRACE_EVENTS = st.one_of(
        block=st.integers(min_value=1, max_value=6))
 @example(events=[("s", t, "RREQ", None, 1, -1, 64)
                  for t in (0, -0.0, 3, 1e-8, 1e9)]
-         + [("r", 0.5, "DATA", None, 0, 2, 512), ("M", 2, 4),
-            ("l", 1e-8, "ACK", 9, 2, -1, 210), ("text", "")],
+         + [("r", 0.5, "DATA", None, 0, 2, 512),
+            ("M", 2, 4, -0.0, 1e-3, 5, 0.005, 12.97),
+            ("l", 1e-8, "ACK", 9, 2, -1, 210)],
          block=2)
 def test_packed_records_equal_the_fstring_lines(events, block):
     """Records formatted a block at a time give the eager f-string text.
 
-    A small block size makes the records and text lines cross block
-    edges; sends pack, so a block edge may fall anywhere.
+    A small block size makes packet and mobility records cross block
+    edges; sends pack, so a block edge may fall anywhere. The mobility
+    lines' f-string is this test's own, not the writer's template.
     """
     led = MetricsLedger(trace=KeptTrace())
     expected = []
@@ -608,14 +632,11 @@ def test_packed_records_equal_the_fstring_lines(events, block):
         mp.setattr(metrics, "TRACE_BLOCK_LINES", block)
         for event in events:
             op = event[0]
-            if op == "text":
-                led.trace_lines.pending.append(event[1])
-                expected.append(event[1])
-            elif op == "M":
-                t, node = event[1:]
-                led.on_motion_state(t, node, (1.0, 2.0), (3.0, 4.0), 5.0)
-                expected.append(format_motion_line(
-                    t, node, (1.0, 2.0, 0.0), (3.0, 4.0), 5.0))
+            if op == "M":
+                t, node, x, y, dest_x, dest_y, speed = event[1:]
+                led.on_motion_state(t, node, (x, y), (dest_x, dest_y), speed)
+                expected.append(_fstring_motion_line(
+                    t, node, (x, y, 0.0), (dest_x, dest_y), speed))
             else:
                 t, kind, trace_id, src, dst, size = event[1:]
                 frame = Frame(kind, src, -1 if op == "r" else dst, size,
@@ -634,10 +655,11 @@ def test_packed_records_equal_the_fstring_lines(events, block):
             assert len(led.trace_lines) == len(expected)
     text = "".join(line + "\n" for line in expected)
     assert led.trace_text() == text
-    led.trace_lines.pending.append("tail")
+    led.on_motion_state(7.0, 3, (1.0, 2.0), (3.0, 4.0), 5.0)
     led.trace_lines.pack()
     led.trace_lines.pack()
-    assert led.trace_text() == text + "tail\n"
+    assert led.trace_text() == text + _fstring_motion_line(
+        7.0, 3, (1.0, 2.0, 0.0), (3.0, 4.0), 5.0) + "\n"
     assert len(led.trace_lines) == len(expected) + 1
 
 
@@ -652,8 +674,8 @@ def test_trace_blocks_join_to_the_lines(n_lines):
         t = i * 1e-3
         if i % 3 == 2:  # every third line is a motion line
             led.on_motion_state(t, 4, (1.0, 2.0), (3.0, 4.0), 5.0)
-            lines.append(format_motion_line(t, 4, (1.0, 2.0, 0.0),
-                                            (3.0, 4.0), 5.0))
+            lines.append(_fstring_motion_line(t, 4, (1.0, 2.0, 0.0),
+                                              (3.0, 4.0), 5.0))
         else:
             led.on_send(Frame("DATA", 0, 1, 512), t)
             lines.append(f"s {t:.7f} DATA {i - i // 3} 0 1 512")

@@ -15,7 +15,7 @@ from vanetsim import metrics, scenario, tracewriter
 from vanetsim.aodv import AodvAgent, AodvConfig
 from vanetsim.dsdv import DsdvConfig
 from vanetsim.metrics import (TRACE_BLOCK_LINES, FlowStats, KeptTrace,
-                              MetricsLedger, parse_mobility_trace)
+                              MetricsLedger)
 from vanetsim.mobility import FieldConfig
 from vanetsim.radio import RadioConfig
 from vanetsim.rules import Config, FieldError, check_file_name, check_string
@@ -35,7 +35,8 @@ from vanetsim.scenario import (
     serialize_config,
 )
 from vanetsim.simulation import Motion, Simulation
-from vanetsim.tracewriter import TraceFile, TraceWriter, write_series
+from vanetsim.tracewriter import (TraceFile, TraceWriter, parse_mobility_trace,
+                                  write_series)
 from vanetsim.transport import FlowConfig
 
 MINI_DOC = {
@@ -591,6 +592,16 @@ def test_document_must_be_json_object():
         load_config("[1, 2]")
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"a":' * 2_000,
+    '{"seed": 1' + "0" * 5_000 + "}",  # past int's 4,300-digit limit
+], ids=["deep-array", "deep-object", "long-integer"])
+def test_undecodable_document_is_a_config_error(text):
+    with pytest.raises(ConfigError, match="^scenario document is not valid JSON: "):
+        load_config(text)
+
+
 # -- running and artifacts -------------------------------------------------
 
 def test_run_writes_complete_artifact_set(tmp_path):
@@ -616,7 +627,7 @@ def test_run_writes_complete_artifact_set(tmp_path):
     assert report.paths["f0"][0][1] == (0, 1, 2)
 
     records, _ = parse_mobility_trace((out / "trace.txt").read_text())
-    assert {node for _, node, _, _, _ in records} == {0, 1, 2, 3}
+    assert {record[2] for record in records} == {0, 1, 2, 3}
 
     with open(out / "summary.csv", newline="") as fh:
         header, *cells = csv.reader(fh)

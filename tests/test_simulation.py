@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from vanetsim.metrics import KeptTrace, parse_mobility_trace
+from vanetsim.metrics import KeptTrace
 from vanetsim.scenario import (BUILTIN_SCENARIOS, ConfigError, build_simulation,
                                builtin_scenario, load_config, run)
 from vanetsim.simulation import PROTOCOLS, Simulation
+from vanetsim.tracewriter import parse_mobility_trace
 
 CHAIN = [[0, [100.0, 400.0]], [1, [300.0, 400.0]], [2, [500.0, 400.0]]]
 
@@ -60,13 +61,13 @@ def test_motion_emits_state_lines():
     ), trace=KeptTrace()).run(5.0)
     records, skipped = parse_mobility_trace(sim.ledger.trace_text())
     assert skipped == 0
-    assert [(r[0], r[1]) for r in records] == [
+    assert [r[1:3] for r in records] == [
         (0.0, 0), (0.0, 1), (0.0, 2), (2.0, 1)]
     # parked nodes report their own position as the destination
-    assert records[0][3] == (100.0, 400.0)
-    t, node, pos, dest, speed = records[3]
-    assert pos == (300.0, 400.0, 0.0)
-    assert dest == (300.0, 900.0)
+    assert records[0][6:8] == (100.0, 400.0)
+    _, t, node, x, y, z, dest_x, dest_y, speed = records[3]
+    assert (x, y, z) == (300.0, 400.0, 0.0)
+    assert (dest_x, dest_y) == (300.0, 900.0)
     assert speed == 10.0
 
 
