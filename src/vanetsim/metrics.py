@@ -17,9 +17,12 @@ and the same float on every supported Python (the standard library's
 ``pstdev`` rounds twice before 3.11).
 
 The ledger formats nothing: ``tracewriter.format_block`` makes the
-text of each trace record, and ``tracewriter.write_series`` writes the
+text of each trace record, and ``tracewriter.format_series`` that of the
 two-column plot series, nudging tied times: the series builders return
-points as recorded.
+points as recorded. ``delay_series`` and ``cwnd_series`` take a start,
+the number of points already read, so a run can send the points
+recorded since its last send while it simulates. A flow's throughput and
+jitter share one pass over its deliveries (``_windows``).
 
 Memory: each trace line waits in the trace as its record, the tuple
 ``(op, t, kind, id, src, dst, size)`` of a packet event or
@@ -28,9 +31,10 @@ state. About every ``TRACE_BLOCK_LINES`` pending records are packed into
 one block for the trace sink the run was wired with (``Simulation``'s
 ``trace``), so the per-frame path only builds a tuple. ``scenario.run``
 passes the sink that writes every file of the run (see ``tracewriter``),
-so the simulating process formats no trace or series line and holds at
-most one block of trace records; a ``KeptTrace`` keeps the text in
-memory instead. A ledger with no sink builds no trace: its taps are
+with each flow's new delay and cwnd points after each block, so the
+simulating process formats no trace or series line and holds at most one
+block of trace records; a ``KeptTrace`` keeps the text in memory
+instead. A ledger with no sink builds no trace: its taps are
 bound to build no record, and ``on_delivery`` only logs the sinks'
 receptions.
 
@@ -93,12 +97,20 @@ def _pstdev(values) -> float:
     by round-to-odd ``math.isqrt`` on a scaled integer and rounded to a
     float once, the method CPython 3.11+ ``statistics`` uses.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _n, d in ratios)
-    nums = [n * (den // d) for n, d in ratios]
-    k = len(nums)
-    total = sum(nums)
-    ss = k * sum(n * n for n in nums) - total * total
+    den = 1  # the largest d so far; total and squares are over it
+    total = squares = 0
+    for n, d in map(float.as_integer_ratio, values):
+        if d > den:  # both powers of two: rescale what is summed
+            scale = d // den
+            total *= scale
+            squares *= scale * scale
+            den = d
+        else:
+            n *= den // d
+        total += n
+        squares += n * n
+    k = len(values)
+    ss = k * squares - total * total
     if ss == 0:
         return 0.0
     m = (k * den) ** 2
@@ -153,6 +165,12 @@ class KeptTrace(list):
         self.append(format_block(lines))
 
 
+def _rates(bits, window) -> MetricSeries:
+    """Bits per second of each window's bits, at each window's end."""
+    return MetricSeries([((k + 1) * window, b / window)
+                         for k, b in enumerate(bits)], "bits/second")
+
+
 def _first_nonzero(points):
     for t, v in points:
         if v > 0.0:
@@ -176,6 +194,7 @@ class MetricsLedger:
         # sink -> (times, frame bits) of every reception there; no other
         # node's receptions are kept
         self._received = {node: (array("d"), array("d")) for node in sinks}
+        self._last_windows = (None,)  # see _windows
         if trace is None:  # the taps are bound once, so none tests per call
             self.on_send = self.on_loss = self.on_motion_state = lambda *a: None
             self.on_delivery = self._log_reception
@@ -271,6 +290,24 @@ class MetricsLedger:
 
     # -- series builders ------------------------------------------------
 
+    def _windows(self, flow, duration, window):
+        """Each window's delivered bits and delays, from one pass over the
+        flow's deliveries. The last result is kept, keyed by the deliveries
+        it read, so a flow's throughput and jitter share the pass."""
+        deliveries = self._deliveries.get(flow, ())
+        key = (flow, duration, window, len(deliveries))
+        if self._last_windows[0] != key:
+            n = math.ceil(duration / window)
+            bits = [0.0] * n
+            delays = [[] for _ in range(n)]
+            for t, delay, _seq, b in deliveries:
+                k = int(t // window)
+                if k < n:
+                    bits[k] += b
+                    delays[k].append(delay)
+            self._last_windows = (key, bits, delays)
+        return self._last_windows[1:]
+
     def _bit_rate(self, arrivals, duration, window) -> MetricSeries:
         """Bits per second in each window, from (t, bits) arrivals."""
         n = math.ceil(duration / window)
@@ -279,48 +316,42 @@ class MetricsLedger:
             k = int(t // window)
             if k < n:
                 bits[k] += b
-        points = [((k + 1) * window, bits[k] / window) for k in range(n)]
-        return MetricSeries(points, "bits/second")
+        return _rates(bits, window)
 
     def throughput_series(self, flow, duration, window=1.0) -> MetricSeries:
-        arrivals = ((t, b) for t, _d, _s, b in self._deliveries.get(flow, []))
-        return self._bit_rate(arrivals, duration, window)
+        return _rates(self._windows(flow, duration, window)[0], window)
 
     def jitter_series(self, flow, duration, window=1.0) -> MetricSeries:
-        n = math.ceil(duration / window)
-        delays = [[] for _ in range(n)]
-        for t, delay, _seq, _b in self._deliveries.get(flow, []):
-            k = int(t // window)
-            if k < n:
-                delays[k].append(delay)
-        points = [
-            ((k + 1) * window, _pstdev(delays[k]))
-            for k in range(n)
-            if len(delays[k]) >= 2
-        ]
+        delays = self._windows(flow, duration, window)[1]
+        points = [((k + 1) * window, _pstdev(d))
+                  for k, d in enumerate(delays) if len(d) >= 2]
         return MetricSeries(points, "seconds")
 
-    def delay_series(self, flow) -> MetricSeries:
-        points = [(t, delay) for t, delay, _seq, _b in self._deliveries.get(flow, [])]
+    def delay_series(self, flow, start=0) -> MetricSeries:
+        """The flow's delay per delivery, from its start-th delivery on."""
+        points = [(t, delay) for t, delay, _seq, _b
+                  in self._deliveries.get(flow, [])[start:]]
         return MetricSeries(points, "seconds")
 
-    def cwnd_series(self, flow) -> MetricSeries:
-        return MetricSeries(list(self._cwnd.get(flow, ())), "packets")
+    def cwnd_series(self, flow, start=0) -> MetricSeries:
+        """The flow's congestion-window samples, from its start-th on."""
+        return MetricSeries(self._cwnd.get(flow, [])[start:], "packets")
 
-    def _receptions(self, node):
-        """(t, bits) pairs of every frame the sink node received, in order."""
+    def _log(self, node):
+        """The arrays (times, bits) of every frame the sink node received."""
         log = self._received.get(node)
         if log is None:
             raise ValueError(f"node {node} is not a sink: its receptions "
                              "are not recorded")
-        return zip(*log)
+        return log
 
     def bandwidth_series(self, node, duration, window=1.0) -> MetricSeries:
-        return self._bit_rate(self._receptions(node), duration, window)
+        return self._bit_rate(zip(*self._log(node)), duration, window)
 
     def cumulative_bandwidth_bits(self, node, until=None) -> float:
-        return sum((b for t, b in self._receptions(node)
-                    if until is None or t <= until), 0.0)
+        times, bits = self._log(node)
+        end = len(times) if until is None else bisect_right(times, until)
+        return sum(bits[:end], 0.0)  # a float even when nothing arrived
 
     def deliveries(self, flow) -> list:
         return list(self._deliveries.get(flow, []))

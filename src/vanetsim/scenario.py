@@ -416,15 +416,22 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
     The simulation runs in this process, single-threaded; without out_dir
     it gets no trace sink and builds no trace. With out_dir, a sink (see
     ``tracewriter``) writes every file of the run, in a writer process
-    or, where only one CPU is usable, in this one: ``trace.txt`` while
-    the simulation runs, then each flow's ``.dat`` series as soon as it
-    is built, then ``summary.csv``, ``paths.log`` and ``report.txt``. The
-    trace is never held whole. A ``trace.txt`` that cannot be opened
-    raises OSError before the simulation is built; a file that cannot be
-    written later raises OSError ``cannot write <path>: <reason>``.
-    Whenever run raises, none of its manifest files and none of the
-    directories it made, parents included, is left (see
-    ``all_or_none``). Each flow's series are built once.
+    or, where only one CPU is usable, in this one. While the simulation
+    runs, each packed trace block goes to ``trace.txt``, followed by each
+    flow's delay and cwnd points recorded since the last block, appended
+    to its ``delay.dat`` and ``cwnd.dat``; the points left after the run,
+    and every series still without a file, follow it. Then each flow's
+    windowed series (throughput, jitter, destination bandwidth) goes to
+    its ``.dat`` as soon as it is built after the run, then
+    ``summary.csv``, ``paths.log`` and ``report.txt``. The trace is never
+    held whole. A ``trace.txt`` that cannot be opened raises OSError
+    before the simulation is built; a file that cannot be written later
+    raises OSError ``cannot write <path>: <reason>`` as soon as a send
+    finds the sink failed, so a delay or cwnd file may fail the run while
+    it simulates. Whenever run
+    raises, none of its manifest files and none of the directories it
+    made, parents included, is left (see ``all_or_none``). Each point is
+    sent once.
     """
     check_window(window, config.duration)
     if out_dir is None:
@@ -437,14 +444,33 @@ def run(config: ScenarioConfig, out_dir=None, window=1.0) -> RunReport:
         sink.send((out("metrics", flow, f"{metric}.dat"), series.unit,
                    series.points))
 
+    streamed = {}  # (flow, metric) -> points of the series sent so far
+
+    def stream(final=False):
+        """Send each flow's delay and cwnd points recorded since the last
+        call; the final call also sends each series not sent yet, so
+        every file is made."""
+        ledger = sim.ledger
+        for fc in config.flows:
+            for metric, build in (("delay", ledger.delay_series),
+                                  ("cwnd", ledger.cwnd_series)):
+                key = fc.flow, metric
+                sent = streamed.get(key, 0)
+                series = build(fc.flow, sent)  # raw points: the sink nudges ties
+                if series.points or (final and key not in streamed):
+                    streamed[key] = sent + len(series.points)
+                    send(fc.flow, metric, series)
+
+    def trace(block):
+        sink.send(block)
+        stream()
+
     files = manifest(config)
     with all_or_none([out(rel) for rel in files]), \
             trace_sink(out("trace.txt")) as sink:
-        ledger = build_simulation(config, trace=sink.send).run(
-            config.duration).ledger
-        for fc in config.flows:  # raw points: the sink nudges their ties
-            send(fc.flow, "delay", ledger.delay_series(fc.flow))
-            send(fc.flow, "cwnd", ledger.cwnd_series(fc.flow))
+        sim = build_simulation(config, trace=trace)
+        ledger = sim.run(config.duration).ledger
+        stream(final=True)
         flow_stats = _flow_stats(config, ledger, window, send)
         report = RunReport(config, flow_stats, ledger.paths_taken(), files)
         sink.send((out("summary.csv"), _summary_csv(flow_stats)))

@@ -8,12 +8,17 @@ line ``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``.
 ``format_block`` is the one place a block becomes text, for
 ``trace.txt`` and for a trace kept in memory (``metrics.KeptTrace``);
 ``parse_mobility_trace`` reads the mobility records back, so that
-``format_block`` of them is their lines. ``write_series`` is the one
-place a plot series becomes a file, its ties in t nudged. ``TraceFile``
-is the one writer of a run's files. It takes three kinds of message: a
-trace block, appended to the trace file, and a series ``(path, unit,
-points)`` or a text ``(path, text)``, written to its own file by
-``write_text``.
+``format_block`` of them is their lines. ``format_series`` is the one
+place plot series points become text, their ties in t nudged by
+``nudge_ties``; ``write_series`` writes a whole series with it.
+``TraceFile`` is the one writer of a run's files. It takes three kinds
+of message: a trace block, appended to the trace file; a text ``(path,
+text)``, written to its own file; and a series ``(path, unit, points)``,
+appended to its own file. A series may arrive in several messages: the
+first for a path makes the file, ``# unit`` goes before its first
+point, and ties are nudged across messages as over the whole series, so
+the file is the one ``write_series`` makes of all the points at once.
+No series file is held open between messages.
 
 ``trace_sink`` picks where a ``TraceFile`` runs. Where this process may
 run on two CPUs or more, ``TraceWriter`` runs it in a writer process on
@@ -58,8 +63,11 @@ PIPE_BYTES = 1 << 20
 # formats a float as {:.7f} does and %s an int as str() does
 _RECORD = "%s %.7f %s %s %s %s %s\n"
 _MOTION = "%s %.5f %s (%.2f, %.2f, %.2f), (%.2f, %.2f), %.2f\n"
-_M_LINE = re.compile(r"^M (\S+) (\d+) \((\S+), (\S+), (\S+)\), "
-                     r"\((\S+), (\S+)\), (\S+)$")
+# a mobility line's fields, ASCII decimals only: no exponent, sign, "_",
+# nan or inf, which float() and int() would also read
+_NUM = r"(-?[0-9]+\.[0-9]+)"
+_M_LINE = re.compile(rf"^M {_NUM} ([0-9]+) \({_NUM}, {_NUM}, {_NUM}\), "
+                     rf"\({_NUM}, {_NUM}\), {_NUM}$")
 
 
 class TraceFormatError(ValueError):
@@ -77,8 +85,9 @@ def parse_mobility_trace(text):
 
     Each record is the tuple ``format_block`` formats as its line. Lines
     of other types (packet events and so on) are skipped and counted; a
-    line that starts like a mobility line but does not parse raises
-    TraceFormatError naming the line number.
+    line that starts like a mobility line but is not exactly the line
+    ``format_block`` makes of its record raises TraceFormatError naming
+    the line number.
     """
     records = []
     skipped = 0
@@ -89,43 +98,50 @@ def parse_mobility_trace(text):
             skipped += 1
             continue
         m = _M_LINE.match(line)
-        if not m:
+        record = m and ("M", float(m[1]), int(m[2]),
+                        *[float(m[i]) for i in range(3, 9)])
+        # only the writer's own text: "1.5" or "007.00" would read too
+        if not m or format_block([record]) != line + "\n":
             raise TraceFormatError(f"line {lineno}: malformed mobility line: {line!r}")
-        try:
-            records.append(("M", float(m[1]), int(m[2]),
-                            *[float(m[i]) for i in range(3, 9)]))
-        except ValueError:
-            raise TraceFormatError(
-                f"line {lineno}: non-numeric field in mobility line: {line!r}"
-            ) from None
+        records.append(record)
     return records, skipped
 
 
-def nudge_ties(points) -> list:
-    """Shift repeated x-values forward by 1 ns so plots stay functions."""
+def nudge_ties(points, prev=float("-inf")) -> list:
+    """Shift repeated x-values forward by 1 ns so plots stay functions;
+    prev is the x-value of the point written before points, if any."""
     out = []
-    prev = float("-inf")
     for t, v in points:
         prev = prev + 1e-9 if t <= prev else t
         out.append((prev, v))
     return out
 
 
-def write_text(path, text) -> None:
-    """Write text to the file at path as given; OSError names path."""
+def format_series(unit, points, last=None):
+    """The text of points appended to a plot series whose last written
+    x-value is last (None before its first point), and the new last:
+    ``# unit`` before the first point, then one ``t v`` line of reprs per
+    point, ties in t nudged across appends as over the whole series."""
+    if not points:
+        return "", last
+    points = nudge_ties(points, float("-inf") if last is None else last)
+    head = f"# {unit}\n" if last is None else ""
+    return head + "".join([f"{t!r} {v!r}\n" for t, v in points]), points[-1][0]
+
+
+def write_text(path, text, mode="w") -> None:
+    """Write text to the file at path as given, or append it with mode
+    "a"; OSError names path."""
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, mode, newline="") as fh:
             fh.write(text)
     except OSError as e:  # a failed write or close names no file
         raise cannot_write(path, e) from None
 
 
 def write_series(path, unit, points) -> None:
-    """Write a plot series file: ``# unit`` if there are points, then one
-    ``t v`` line of reprs per point, ties in t nudged first."""
-    points = nudge_ties(points)
-    write_text(path, f"# {unit}\n" + "".join(
-        [f"{t!r} {v!r}\n" for t, v in points]) if points else "")
+    """Write a plot series file, as ``format_series`` formats it."""
+    write_text(path, format_series(unit, points)[0])
 
 
 def cannot_write(path, e) -> OSError:
@@ -155,10 +171,14 @@ class TraceFile:
     def __init__(self, path, fd=None):
         self.path = path
         self._file = open(path if fd is None else fd, "w")
+        # series path -> its last x-value written, None before its first
+        # point; no series file is held open between messages
+        self._series = {}
 
     def send(self, message) -> None:
-        """Write a message: a trace block (a list) to the trace, a series
-        ``(path, unit, points)`` or a text ``(path, text)`` to path."""
+        """Write a message: a trace block (a list) to the trace, a text
+        ``(path, text)`` to path, or a series ``(path, unit, points)``
+        appended to path (see ``_append_series``)."""
         if type(message) is list:
             try:
                 self._file.write(format_block(message))
@@ -167,7 +187,17 @@ class TraceFile:
         elif len(message) == 2:
             write_text(*message)
         else:
-            write_series(*message)
+            self._append_series(*message)
+
+    def _append_series(self, path, unit, points) -> None:
+        """Append points to the series at path: its first message creates
+        the file, and the file its messages make is the one
+        ``write_series`` makes of all their points at once."""
+        first = path not in self._series
+        text, self._series[path] = format_series(unit, points,
+                                                 self._series.get(path))
+        if first or text:
+            write_text(path, text, "w" if first else "a")
 
     def __enter__(self):
         return self

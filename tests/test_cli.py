@@ -399,3 +399,20 @@ def test_trace_parse_subcommand(scenario_file, tmp_path, capsys):
     assert main(["trace-parse", str(mangled)]) == 1
 
     assert main(["trace-parse", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize("line", [
+    "M 1e3 \u0663 (nan, 1_0, 0), (+5, -0), inf",
+    "M 0.00000 2 (nan, 290.00, 0.00), (550.00, 290.00), 0.00",
+    "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), inf",
+    "M 0.00000 2 (550.00, 29_0.00, 0.00), (550.00, 290.00), 0.00",
+    "M 1e3 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
+    "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), +5.00",
+    "M 0.00000 \u0662 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
+])
+def test_trace_parse_rejects_a_line_the_writer_never_writes(tmp_path, capsys,
+                                                            line):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"s 0.5000000 DATA 0 0 15 512\n{line}\n", encoding="utf-8")
+    assert main(["trace-parse", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")

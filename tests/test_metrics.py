@@ -544,6 +544,34 @@ def test_parse_rejects_malformed_mobility_line():
         parse_mobility_trace("s 0.1 DATA 0 0 1 512\nM x y\n")
 
 
+_GOOD_M = "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00"
+# mobility lines float() and int() read but the writer never writes
+NOT_WRITTEN_M = [
+    "M 1e3 \u0663 (nan, 1_0, 0), (+5, -0), inf",
+    _GOOD_M.replace("(550.00, 290", "(nan, 290"),
+    _GOOD_M.replace("), 0.00", "), inf"),
+    _GOOD_M.replace("290.00, 0.00", "29_0.00, 0.00"),
+    _GOOD_M.replace("M 0.00000", "M 1e3"),
+    _GOOD_M.replace("), 0.00", "), +5.00"),
+    _GOOD_M.replace(" 2 ", " \u0662 "),  # ARABIC-INDIC DIGIT TWO
+    _GOOD_M.replace("M 0.00000", "M 0.0"),  # reads, but not to 5 decimals
+    _GOOD_M.replace(" 2 ", " 02 "),
+]
+
+
+def test_parse_accepts_the_writers_line():
+    assert parse_mobility_trace(_GOOD_M + "\n")[0] == [
+        ("M", 0.0, 2, 550.0, 290.0, 0.0, 550.0, 290.0, 0.0)]
+
+
+@pytest.mark.parametrize("line", NOT_WRITTEN_M)
+def test_parse_rejects_a_line_the_writer_never_writes(line):
+    """A mobility line is read only if format_block of its record is the
+    line; otherwise TraceFormatError names its line number."""
+    with pytest.raises(TraceFormatError, match="^line 2: "):
+        parse_mobility_trace(f"{_GOOD_M}\n{line}\n")
+
+
 def test_ledger_emits_interleaved_trace_lines():
     led = MetricsLedger(trace=KeptTrace())
     led.on_motion_state(0.0, 2, (550.0, 290.0), (550.0, 290.0), 0.0)

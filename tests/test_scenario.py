@@ -865,15 +865,29 @@ def test_one_cpu_run_formats_its_trace_in_process(tmp_path, monkeypatch):
 @pytest.mark.parametrize("sink", ["writer", "file"])
 def test_series_files_equal_the_in_memory_series(tmp_path, monkeypatch, sink):
     """Whichever sink writes them, the metrics/*.dat of both builtins hold
-    the bytes write_series writes for the in-memory ledger's series;
-    a flow that delivers nothing gets empty delay and jitter files."""
+    the bytes write_series writes for the in-memory ledger's series, the
+    delay and cwnd series streamed in many chunks during the run; a flow
+    that delivers nothing gets empty delay and jitter files."""
+    monkeypatch.setattr(metrics, "TRACE_BLOCK_LINES", 64)
     writers = use_sink(monkeypatch, sink)
+    chunks = []  # (flow, start) of each delay chunk streamed with points
+    delay_series = MetricsLedger.delay_series
+
+    def noted(ledger, flow, start=0):
+        series = delay_series(ledger, flow, start)
+        if series.points:
+            chunks.append((flow, start))
+        return series
+
+    monkeypatch.setattr(MetricsLedger, "delay_series", noted)
     expected = tmp_path / "expected.dat"
     for name, protocol in (("long-distance", "AODV"), ("short-distance", "DSDV")):
         config = dataclasses.replace(builtin_scenario(name, protocol),
                                      duration=60.0)
         out = tmp_path / name
+        chunks.clear()
         run(config, out_dir=str(out))
+        assert len(chunks) > 20, name
         ledger = build_simulation(config).run(60.0).ledger
         for fc in config.flows:
             for metric, series in (
@@ -913,6 +927,59 @@ def test_sinks_nudge_a_tied_series_as_the_ledger_does(tmp_path, sink_class):
     assert "\n0.500000001 1\n" in text
 
 
+@pytest.mark.parametrize("sink_class", [TraceWriter, TraceFile])
+@pytest.mark.parametrize("chunks", [
+    [[(0.0, 1), (0.5, 2), (0.5, 1)], [(0.5, 3), (1.0, 2)]],  # a straddling tie
+    [[], [(0.0, 1), (0.5, 2), (0.5, 3)]],  # an empty first message
+    [[(0.5, 1)], [], [(0.5, 2)], [(0.25, 3)]],  # a tie across an empty one
+    [[], []],  # no point at all: an empty file
+])
+def test_series_sent_in_chunks_is_the_single_write_file(tmp_path, sink_class,
+                                                        chunks):
+    """A series sent to a sink as several messages is the file
+    write_series writes of all their points: the first message makes it,
+    ``# unit`` comes before its first point, and ties are nudged across
+    messages."""
+    with sink_class(str(tmp_path / "trace.txt")) as sink:
+        for points in chunks:
+            sink.send((str(tmp_path / "cwnd.dat"), "packets", points))
+    write_series(tmp_path / "expected.dat", "packets",
+                 [point for points in chunks for point in points])
+    assert ((tmp_path / "cwnd.dat").read_bytes()
+            == (tmp_path / "expected.dat").read_bytes())
+
+
+@pytest.mark.parametrize("sink_class", [TraceWriter, TraceFile])
+def test_series_paths_hold_no_descriptor(tmp_path, sink_class):
+    """A sink keeps no series file open between messages: under a limit of
+    a few more descriptors than are open, it writes 500 series twice each,
+    and the descriptors open in this process do not grow with them."""
+    resource = pytest.importorskip("resource")
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    paths = [str(tmp_path / f"s{i}.dat") for i in range(500)]
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    # a writer process inherits the limit
+    resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds() + 16, hard))
+    try:
+        with sink_class(str(tmp_path / "trace.txt")) as sink:
+            sink.send((paths[0], "packets", [(0.0, 1)]))
+            after_one = open_fds()
+            for t in (0.0, 1.0):
+                for path in paths:
+                    sink.send((path, "packets", [(t, 2)]))
+            assert open_fds() == after_one
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert (Path(paths[0]).read_text()
+            == "# packets\n0.0 1\n1e-09 2\n1.0 2\n")
+    assert Path(paths[-1]).read_text() == "# packets\n0.0 2\n1.0 2\n"
+
+
 def test_writer_names_the_trace_for_an_error_that_is_no_os_error(tmp_path):
     """A message the writer process cannot handle, here a series tuple of
     the wrong length, fails the join with an OSError naming the trace, the
@@ -928,7 +995,8 @@ def test_writer_names_the_trace_for_an_error_that_is_no_os_error(tmp_path):
 
 @pytest.mark.parametrize("sink", ["writer", "file"])
 @pytest.mark.parametrize("target", ["trace.txt", "metrics/f0/cwnd.dat",
-                                    "summary.csv", "paths.log", "report.txt"])
+                                    "metrics/f0/delay.dat", "summary.csv",
+                                    "paths.log", "report.txt"])
 def test_unwritable_file_leaves_no_manifest_file(tmp_path, monkeypatch, sink,
                                                  target):
     """A two-node run whose trace fits in one pipe write fails only when
@@ -950,6 +1018,42 @@ def test_unwritable_file_leaves_no_manifest_file(tmp_path, monkeypatch, sink,
     assert sorted(out.rglob("*")) == made_here
     if sink == "writer":
         assert_reaped(writers)
+
+
+@pytest.mark.parametrize("sink", ["writer", "file"])
+def test_unwritable_series_fails_during_the_run(tmp_path, monkeypatch, sink):
+    """A delay.dat that cannot be written fails the run while it simulates:
+    its points are sent with the trace blocks, so the one-CPU sink raises
+    from inside Simulation.run, and a writer process fails then too (at
+    the next send or, at the latest, at the join). Either way run raises
+    OSError naming the file and leaves none of its files."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    writers = use_sink(monkeypatch, sink)
+    raised = []
+    sim_run = Simulation.run
+
+    def noted_run(sim, until):
+        try:
+            return sim_run(sim, until)
+        except OSError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(Simulation, "run", noted_run)
+    config = dataclasses.replace(
+        builtin_scenario("long-distance", "AODV"), duration=60.0)
+    target = tmp_path / "metrics" / "f0" / "delay.dat"
+    target.parent.mkdir(parents=True)
+    target.symlink_to("/dev/full")
+    with pytest.raises(OSError, match=f"^cannot write {re.escape(str(target))}: "):
+        run(config, out_dir=str(tmp_path))
+    if sink == "file":
+        assert raised
+    else:
+        assert_reaped(writers)
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+        Path("metrics"), Path("metrics/f0")]
 
 
 @pytest.mark.parametrize("sink", ["writer", "file"])
