@@ -2,10 +2,10 @@
 
 Subcommands: `run` executes one scenario and writes its artifacts,
 `compare` runs both protocols on one scenario and prints the verdict
-table, `trace-parse` validates a mobility trace file with the reader in
-``tracewriter``. Exit codes: 0 success, 1 validation problem (a
-malformed flag among them), 2 I/O problem, each error one ``error: ``
-line on stderr.
+table, `trace-parse` validates every line of a trace file with
+``tracewriter.parse_trace``. Documents and trace files are read in UTF-8.
+Exit codes: 0 success, 1 validation problem (a malformed flag or trace
+line among them), 2 I/O problem, each error one ``error: `` line on stderr.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .scenario import (
     run,
 )
 from .simulation import PROTOCOLS
-from .tracewriter import parse_mobility_trace, write_text
+from .tracewriter import parse_trace, write_text
 
 PROTOCOL_CHOICES = [name.lower() for name in PROTOCOLS]
 
@@ -72,7 +72,7 @@ def build_parser():
                            help="run both protocols on one scenario")
     _add_common_flags(cmp_p)
 
-    tp = sub.add_parser("trace-parse", help="validate a mobility trace file")
+    tp = sub.add_parser("trace-parse", help="validate every line of a trace file")
     tp.add_argument("trace_file", help="path to a trace file")
     return parser
 
@@ -97,7 +97,7 @@ def _resolve_config(args, protocol):
             raise ConfigError(
                 f"scenario {args.scenario!r} is neither a builtin "
                 f"({', '.join(BUILTIN_SCENARIOS)}) nor a file")
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             config = load_config(fh.read())
         if protocol is not None:
             config = dataclasses.replace(config, protocol=protocol)
@@ -137,11 +137,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace_parse(args) -> int:
-    with open(args.trace_file) as fh:
-        records, skipped = parse_mobility_trace(fh.read())
-    sys.stdout.write(
-        f"{args.trace_file}: {len(records)} motion records, "
-        f"{skipped} other lines\n")
+    with open(args.trace_file, encoding="utf-8") as fh:
+        ops = [record[0] for record in parse_trace(fh.read())]
+    sys.stdout.write(f"{args.trace_file}: {ops.count('M')} motion records, "
+                     f"{len(ops) - ops.count('M')} other lines\n")
     return 0
 
 

@@ -43,11 +43,12 @@ only nodes whose bandwidth a run reports; asking for any other node's
 raises ValueError. Each sink's receptions are two
 ``array('d')``s (times, bits); bit counts are integers below 2**53, so
 each converts to a float exactly and the bandwidth sums equal those over
-the ints. A sequence's handoff times are dropped at its first delivery,
-and later ones skipped. The ledger keeps no delivered set: it reads
-each flow's sink's (``TcpSink.received``, a contiguous floor plus a
-sparse set), which ``Simulation`` hands it in ``delivered``. So delivery
-bookkeeping grows with the sequences still in flight, not with the run.
+the ints. A sequence keeps only its latest handoff time, dropped at its
+first delivery; later handoffs are skipped. The ledger keeps no
+delivered set: it reads each flow's sink's (``TcpSink.received``, a
+contiguous floor plus a sparse set), which ``Simulation`` hands it in
+``delivered``. So delivery bookkeeping grows with the sequences still in
+flight, not with the run.
 """
 
 import math
@@ -184,8 +185,8 @@ class MetricsLedger:
         # records go straight onto the pending list, one list.append each
         self._lines = self.trace_lines.pending
         self._next_frame_id = 0
-        # handoff times of each (flow, seq) not yet delivered
-        self._handoffs: dict[tuple[str, int], list[float]] = {}
+        # the latest handoff time of each (flow, seq) not yet delivered
+        self._handoffs: dict[tuple[str, int], float] = {}
         self._deliveries: dict[str, list] = {}  # flow -> [(t, delay, seq, bits)]
         self.delivered = {}  # flow -> its sink's delivered seqs, TcpSink.received
         self._drops: dict[str, dict[str, int]] = {}  # flow -> reason -> count
@@ -241,19 +242,19 @@ class MetricsLedger:
     def on_data_handoff(self, flow: str, seq: int, t: float) -> None:
         # a delivered sequence's handoffs are never read again
         if seq not in self.delivered.get(flow, ()):
-            self._handoffs.setdefault((flow, seq), []).append(t)
+            self._handoffs[(flow, seq)] = t
 
     def on_sink_delivery(self, flow: str, seq: int, size: int, t: float) -> None:
         """Record the first end-to-end arrival of a sequence; the sink
         reports no other (see ``TcpSink.on_data``).
 
-        Delay is measured from the latest handoff of this sequence that
-        precedes the arrival, so a retransmitted packet is charged for
-        the attempt that actually got through.
+        Delay is measured from the latest handoff of this sequence, which
+        precedes the arrival, as the clock never runs back; so a
+        retransmitted packet is charged from its last attempt, which need
+        not be the one that got through. One never handed off has delay 0.
         """
-        handoffs = self._handoffs.pop((flow, seq), ())
-        i = bisect_right(handoffs, t) - 1
-        delay = t - handoffs[i] if i >= 0 else 0.0
+        handoff = self._handoffs.pop((flow, seq), None)
+        delay = 0.0 if handoff is None else t - handoff
         self._deliveries.setdefault(flow, []).append((t, delay, seq, size * 8))
 
     def on_flow_drop(self, flow: str, seq: int, t: float, reason: str) -> None:

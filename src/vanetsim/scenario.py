@@ -155,7 +155,7 @@ def builtin_scenario(name: str, protocol: str) -> ScenarioConfig:
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown builtin scenario {name!r}")
     path = os.path.join(os.path.dirname(__file__), f"{name}.json")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return dataclasses.replace(load_config(fh.read()), protocol=protocol)
 
 
@@ -311,7 +311,8 @@ def load_config(text: str) -> ScenarioConfig:
         if node in placements:
             raise FieldError(path, f"duplicate node id {node}")
         placements[node] = item[1]
-    if "nodes" in doc and doc["nodes"] != len(placements):
+    if "nodes" in doc and check_number(doc["nodes"], "nodes",
+                                       integer=True) != len(placements):
         raise FieldError(
             "nodes", f"declares {doc['nodes']} nodes but "
             f"placements lists {len(placements)}")

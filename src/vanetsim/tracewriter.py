@@ -7,18 +7,13 @@ record is ``("M", t, node, x, y, z, dest_x, dest_y, speed)``, and its
 line ``M <t> <node> (<x>, <y>, <z>), (<dest_x>, <dest_y>), <speed>``.
 ``format_block`` is the one place a block becomes text, for
 ``trace.txt`` and for a trace kept in memory (``metrics.KeptTrace``);
-``parse_mobility_trace`` reads the mobility records back, so that
-``format_block`` of them is their lines. ``format_series`` is the one
+``parse_trace`` reads every record back, so that a lossless read is
+``format_block(parse_trace(text)) == text``. ``format_series`` is the one
 place plot series points become text, their ties in t nudged by
 ``nudge_ties``; ``write_series`` writes a whole series with it.
-``TraceFile`` is the one writer of a run's files. It takes three kinds
-of message: a trace block, appended to the trace file; a text ``(path,
-text)``, written to its own file; and a series ``(path, unit, points)``,
-appended to its own file. A series may arrive in several messages: the
-first for a path makes the file, ``# unit`` goes before its first
-point, and ties are nudged across messages as over the whole series, so
-the file is the one ``write_series`` makes of all the points at once.
-No series file is held open between messages.
+``TraceFile`` is the one writer of a run's files. It writes each message
+as it is sent: a trace block to the trace file, a text or a series to
+its own file, a series over several messages (see ``TraceFile.send``).
 
 ``trace_sink`` picks where a ``TraceFile`` runs. Where this process may
 run on two CPUs or more, ``TraceWriter`` runs it in a writer process on
@@ -28,6 +23,7 @@ the simulation's own CPU time and add the cost of sending the blocks
 one core of a 2-core x86-64 host, CPython 3.11), so the ``TraceFile``
 runs in this process. Either sink raises OSError
 ``cannot write <path>: <reason>`` naming the file it could not write.
+Every file is written in UTF-8, whatever the locale and whichever sink.
 
 ``TraceWriter`` starts this file as a standalone script in a fresh
 interpreter (``python -I -S tracewriter.py FD PATH``), so the writer
@@ -43,8 +39,8 @@ stderr, which ``TraceWriter`` reads.
 
 import contextlib
 import marshal
+import math
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -63,11 +59,6 @@ PIPE_BYTES = 1 << 20
 # formats a float as {:.7f} does and %s an int as str() does
 _RECORD = "%s %.7f %s %s %s %s %s\n"
 _MOTION = "%s %.5f %s (%.2f, %.2f, %.2f), (%.2f, %.2f), %.2f\n"
-# a mobility line's fields, ASCII decimals only: no exponent, sign, "_",
-# nan or inf, which float() and int() would also read
-_NUM = r"(-?[0-9]+\.[0-9]+)"
-_M_LINE = re.compile(rf"^M {_NUM} ([0-9]+) \({_NUM}, {_NUM}, {_NUM}\), "
-                     rf"\({_NUM}, {_NUM}\), {_NUM}$")
 
 
 class TraceFormatError(ValueError):
@@ -80,31 +71,41 @@ def format_block(records) -> str:
                     for record in records])
 
 
-def parse_mobility_trace(text):
-    """Extract mobility records; returns (records, skipped_line_count).
+def _checked(read, ok):
+    """A reader of a field by read whose value ok must accept."""
+    def checked(field):
+        if ok(value := read(field)):
+            return value
+        raise ValueError(field)
+    return checked
 
-    Each record is the tuple ``format_block`` formats as its line. Lines
-    of other types (packet events and so on) are skipped and counted; a
-    line that starts like a mobility line but is not exactly the line
-    ``format_block`` makes of its record raises TraceFormatError naming
-    the line number.
-    """
+
+_REAL, _COUNT = _checked(float, math.isfinite), _checked(int, lambda n: n >= 0)
+_KIND = _checked(str, str.isalpha)
+_DST = _checked(lambda f: f if f == "*" else int(f), lambda d: d == "*" or d >= 0)
+# the readers of the fields after each op, one per field of its record
+_FIELDS = {"M": (_REAL, _COUNT, *[_REAL] * 6), "r": (_REAL, _KIND, *[_COUNT] * 4)}
+_FIELDS["s"] = _FIELDS["l"] = (_REAL, _KIND, _COUNT, _COUNT, _DST, _COUNT)
+_UNPUNCTUATE = str.maketrans("", "", "(),\n")
+
+
+def parse_trace(text) -> list:
+    """Every record of a trace, in order: ``format_block`` of them is text.
+    A line whose fields do not read as its op's (``_FIELDS``), or that is
+    not ``format_block`` of its record, raises TraceFormatError naming it."""
     records = []
-    skipped = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if not line.startswith("M "):
-            skipped += 1
-            continue
-        m = _M_LINE.match(line)
-        record = m and ("M", float(m[1]), int(m[2]),
-                        *[float(m[i]) for i in range(3, 9)])
-        # only the writer's own text: "1.5" or "007.00" would read too
-        if not m or format_block([record]) != line + "\n":
-            raise TraceFormatError(f"line {lineno}: malformed mobility line: {line!r}")
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+        op, *fields = line.translate(_UNPUNCTUATE).split(" ")
+        try:
+            record = (op, *[read(field) for read, field in
+                            zip(_FIELDS[op], fields, strict=True)])
+            if format_block([record]) != line:  # int() also reads "007"
+                raise ValueError(line)
+        except (KeyError, ValueError):
+            raise TraceFormatError(f"line {lineno}: not a trace line: "
+                                   f"{line.rstrip()!r}") from None
         records.append(record)
-    return records, skipped
+    return records
 
 
 def nudge_ties(points, prev=float("-inf")) -> list:
@@ -133,7 +134,7 @@ def write_text(path, text, mode="w") -> None:
     """Write text to the file at path as given, or append it with mode
     "a"; OSError names path."""
     try:
-        with open(path, mode, newline="") as fh:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as e:  # a failed write or close names no file
         raise cannot_write(path, e) from None
@@ -170,7 +171,7 @@ class TraceFile:
 
     def __init__(self, path, fd=None):
         self.path = path
-        self._file = open(path if fd is None else fd, "w")
+        self._file = open(path if fd is None else fd, "w", encoding="utf-8")
         # series path -> its last x-value written, None before its first
         # point; no series file is held open between messages
         self._series = {}

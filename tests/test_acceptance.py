@@ -21,7 +21,7 @@ from vanetsim.mobility import FieldConfig, MobilityModel
 from vanetsim.radio import RadioMedium
 from vanetsim.scenario import (build_simulation, builtin_scenario, compare,
                                format_comparison, run)
-from vanetsim.tracewriter import format_block, parse_mobility_trace
+from vanetsim.tracewriter import format_block, parse_trace
 from vanetsim.transport import DataPacket
 
 from make_golden import (GOLDEN, WINDOW, combo_key, comparison_key, digests,
@@ -335,15 +335,13 @@ def test_c07_trace_format_golden_lines_and_round_trip(audited_sims):
         if emitted.get(node) != golden:
             problems.append(f"node {node}: {emitted.get(node)!r} != {golden!r}")
 
-    # write -> parse -> rewrite is lossless on a full mobile run
+    # write -> parse -> rewrite is lossless on every line of a full mobile run
     trace = audited_sims[("long-distance", "AODV")].ledger.trace_text()
-    original = [l for l in trace.splitlines() if l.startswith("M ")]
-    records, _skipped = parse_mobility_trace(trace)
-    rebuilt = format_block(records).splitlines()
-    if rebuilt != original:
-        problems.append(
-            f"round trip changed {sum(a != b for a, b in zip(rebuilt, original))}"
-            f" of {len(original)} lines")
+    rebuilt = format_block(parse_trace(trace))
+    if rebuilt != trace:
+        pairs = zip(rebuilt.splitlines(), trace.splitlines())
+        problems.append(f"round trip changed {sum(a != b for a, b in pairs)}"
+                        f" of {len(trace.splitlines())} lines")
     verdict("c07 27 golden placement lines byte-exact; trace round trip "
             "lossless", problems)
 

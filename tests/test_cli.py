@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import vanetsim
 from vanetsim import cli, tracewriter
 from vanetsim.cli import main
 
@@ -391,8 +394,11 @@ def test_trace_parse_subcommand(scenario_file, tmp_path, capsys):
 
     code = main(["trace-parse", str(out / "trace.txt")])
     assert code == 0
-    stdout = capsys.readouterr().out
-    assert "motion records" in stdout
+    lines = (out / "trace.txt").read_text().splitlines()
+    motions = sum(line.startswith("M ") for line in lines)
+    assert capsys.readouterr().out == (
+        f"{out / 'trace.txt'}: {motions} motion records, "
+        f"{len(lines) - motions} other lines\n")
 
     mangled = tmp_path / "mangled.txt"
     mangled.write_text("M 0.00000 7 (bad line\n")
@@ -409,10 +415,56 @@ def test_trace_parse_subcommand(scenario_file, tmp_path, capsys):
     "M 1e3 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
     "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), +5.00",
     "M 0.00000 \u0662 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
+    "M 0.0 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
+    "M 0.00000 02 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
+    "M 0.00000 -2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00",
+    "r 0.5000000 DATA 1 2 * 4",
+    "s 0.5000000 DATA -1 2 3 4",
+    "sr 0.5000000 DATA 1 2 3 4",
+    "",
+    "s 0.5000000 DATA 1 2 3",
+    "s nan DATA 1 2 3 4",
+    "s garbage",
 ])
 def test_trace_parse_rejects_a_line_the_writer_never_writes(tmp_path, capsys,
                                                             line):
+    """Every line is read, a packet line as strictly as a mobility one."""
     trace = tmp_path / "trace.txt"
     trace.write_text(f"s 0.5000000 DATA 0 0 15 512\n{line}\n", encoding="utf-8")
     assert main(["trace-parse", str(trace)]) == 1
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+# runs the command line in a fresh interpreter with sys.argv[1] usable
+# CPUs, so 1 picks the in-process TraceFile and 2 the writer process
+RUN_WITH_CPUS = """
+import sys
+from vanetsim import cli, tracewriter
+tracewriter._usable_cpus = lambda: int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_documents_and_run_files_are_utf8_under_an_ascii_locale(tmp_path, cpus):
+    """A document is read, and every run file written, in UTF-8 whatever
+    the locale and whichever sink writes them: under the C locale, with
+    locale coercion and UTF-8 mode off, both sinks write the bytes of a
+    run in this process."""
+    doc = tmp_path / "cafe.json"
+    doc.write_text(json.dumps(dict(MINI_DOC, name="caf\u00e9"),
+                              ensure_ascii=False), encoding="utf-8")
+    assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "here")]) == 0
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONIOENCODING="utf-8",  # stdout prints the report
+               PYTHONPATH=os.path.dirname(os.path.dirname(vanetsim.__file__)))
+    subprocess.run([sys.executable, "-X", "utf8=0", "-c", RUN_WITH_CPUS, str(cpus),
+                    "run", "--scenario", str(doc), "--out", str(tmp_path / "c")],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    here = sorted(p.relative_to(tmp_path / "here")
+                  for p in (tmp_path / "here").rglob("*") if p.is_file())
+    assert here == sorted(p.relative_to(tmp_path / "c")
+                          for p in (tmp_path / "c").rglob("*") if p.is_file())
+    for rel in here:
+        assert (tmp_path / "c" / rel).read_bytes() == (tmp_path / "here" / rel).read_bytes(), rel
+    assert "caf\u00e9".encode() in (tmp_path / "c" / "report.txt").read_bytes()

@@ -34,7 +34,7 @@ from vanetsim.scenario import (build_simulation, builtin_scenario, check_window,
 from vanetsim.scenario import run as scenario_run
 from vanetsim.simulation import Simulation
 from vanetsim.tracewriter import (TraceFormatError, format_block, nudge_ties,
-                                  parse_mobility_trace, write_series)
+                                  parse_trace, write_series)
 from vanetsim.transport import DataPacket, FlowConfig, TcpSink
 
 
@@ -222,9 +222,11 @@ class SetLedger:
 
 
 FLOWS = ("f0", "f1")
+# the hooks are called as the clock runs, which never runs back
 ledger_ops = st.lists(st.tuples(
     st.sampled_from(["handoff", "delivery"]), st.sampled_from(FLOWS),
-    st.integers(-3, 12), st.floats(0.0, 50.0)), max_size=80)
+    st.integers(-3, 12), st.floats(0.0, 50.0)), max_size=80).map(
+        lambda ops: sorted(ops, key=lambda op: op[3]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,7 +244,7 @@ ledger_ops = st.lists(st.tuples(
 def test_delivery_bookkeeping_equals_a_set_of_every_seq(ops):
     """A ledger fed by each flow's sink, whose delivered set it reads, has
     the deliveries and delays of the keep-everything rule, and only
-    undelivered sequences keep their handoff times."""
+    undelivered sequences keep a handoff time, their latest."""
     led, ref = MetricsLedger(), SetLedger()
     sinks = {flow: sink_reporting_to(led, flow) for flow in FLOWS}
     for op, flow, seq, t in ops:
@@ -254,7 +256,7 @@ def test_delivery_bookkeeping_equals_a_set_of_every_seq(ops):
             ref.on_sink_delivery(flow, seq, 512, t)
     for flow in FLOWS:
         assert led.deliveries(flow) == ref.deliveries.get(flow, [])
-    assert led._handoffs == {key: times for key, times in ref.handoffs.items()
+    assert led._handoffs == {key: times[-1] for key, times in ref.handoffs.items()
                              if key not in ref.seen}
 
 
@@ -509,39 +511,49 @@ def test_mobility_trace_round_trip():
         ("M", 10.0, 15, 140.0, 450.0, 0.0, 2788.0, 450.0, 12.97),
     ]
     text = format_block(records)
-    parsed, skipped = parse_mobility_trace(text)
+    parsed = parse_trace(text)
     assert parsed == records
-    assert skipped == 0
     assert format_block(parsed) == text
 
 
 def test_random_waypoint_trace_round_trip():
-    """The mobility lines of a run whose coordinates and speeds are
-    arbitrary floats read back to records that format to those lines."""
+    """Every line of a run whose coordinates and speeds are arbitrary
+    floats reads back to records that format to the whole trace."""
     config = load_config(random_waypoint_document(7, 50, 10, 60.0))
     trace = Simulation(config, trace=KeptTrace()).run(60.0).ledger.trace_text()
-    text = "".join(line + "\n" for line in trace.splitlines()
-                   if line.startswith("M "))
-    records, skipped = parse_mobility_trace(trace)
-    assert len(records) > 50  # the waypoint legs, not only the placements
-    assert skipped == len(trace.splitlines()) - len(records)
-    assert format_block(records) == text
+    records = parse_trace(trace)
+    assert sum(record[0] == "M" for record in records) > 50  # waypoint legs too
+    assert len(records) == len(trace.splitlines())
+    assert format_block(records) == trace
 
 
-def test_parse_skips_packet_lines_and_counts_them():
-    text = (
-        "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00\n"
-        "s 0.5000000 DATA 0 0 15 512\n"
-        "r 0.5004596 DATA 0 0 15 512\n"
-    )
-    records, skipped = parse_mobility_trace(text)
-    assert len(records) == 1
-    assert skipped == 2
+def test_parse_returns_packet_lines_as_records():
+    """Packet lines are records too, broadcasts with dst "*", in order."""
+    records = [
+        ("M", 0.0, 2, 550.0, 290.0, 0.0, 550.0, 290.0, 0.0),
+        ("s", 0.5, "DATA", 0, 0, 15, 512),
+        ("r", 0.5004596, "DATA", 0, 0, 15, 512),
+        ("s", 0.75, "RREQ", 1, 3, "*", 48),
+        ("l", 0.75, "RREQ", 1, 3, "*", 48),
+    ]
+    text = format_block(records)
+    assert text.splitlines()[1:] == ["s 0.5000000 DATA 0 0 15 512",
+                                     "r 0.5004596 DATA 0 0 15 512",
+                                     "s 0.7500000 RREQ 1 3 * 48",
+                                     "l 0.7500000 RREQ 1 3 * 48"]
+    assert parse_trace(text) == records
 
 
 def test_parse_rejects_malformed_mobility_line():
     with pytest.raises(TraceFormatError, match="line 2"):
-        parse_mobility_trace("s 0.1 DATA 0 0 1 512\nM x y\n")
+        parse_trace("s 0.1000000 DATA 0 0 1 512\nM x y\n")
+
+
+def test_parse_rejects_a_last_line_without_its_newline():
+    """The writer ends every line, so a read text is format_block's."""
+    assert parse_trace("") == []
+    with pytest.raises(TraceFormatError, match="^line 2: "):
+        parse_trace("s 0.5000000 DATA 0 0 15 512\ns 0.5000000 DATA 1 0 15 512")
 
 
 _GOOD_M = "M 0.00000 2 (550.00, 290.00, 0.00), (550.00, 290.00), 0.00"
@@ -557,19 +569,35 @@ NOT_WRITTEN_M = [
     _GOOD_M.replace("M 0.00000", "M 0.0"),  # reads, but not to 5 decimals
     _GOOD_M.replace(" 2 ", " 02 "),
 ]
+# other lines a split-and-reformat reader would read, and lines of no
+# record: each field must read as its record's, and the line must be its
+# record's text
+NOT_WRITTEN = NOT_WRITTEN_M + [
+    _GOOD_M.replace(" 2 ", " -2 "),  # a node is a non-negative int
+    "r 0.5000000 DATA 1 2 * 4",  # only an s or l line is a broadcast
+    "s 0.5000000 DATA -1 2 3 4",
+    "sr 0.5000000 DATA 1 2 3 4",  # an op is one of M, s, r, l
+    "",
+    "s 0.5000000 DATA 1 2 3",
+    "s nan DATA 1 2 3 4",
+    "s 0.5000000 * 1 2 3 4",  # a kind is a word
+    "s 0.5000000  1 2 3 4",
+    "s 0.5000000 DATA 1 2 3 4 ",
+    "s 0.5000000 DATA 1 2 3 4\r",
+]
 
 
 def test_parse_accepts_the_writers_line():
-    assert parse_mobility_trace(_GOOD_M + "\n")[0] == [
+    assert parse_trace(_GOOD_M + "\n") == [
         ("M", 0.0, 2, 550.0, 290.0, 0.0, 550.0, 290.0, 0.0)]
 
 
-@pytest.mark.parametrize("line", NOT_WRITTEN_M)
+@pytest.mark.parametrize("line", NOT_WRITTEN)
 def test_parse_rejects_a_line_the_writer_never_writes(line):
-    """A mobility line is read only if format_block of its record is the
-    line; otherwise TraceFormatError names its line number."""
+    """A line is read only if format_block of its record is the line;
+    otherwise TraceFormatError names its line number."""
     with pytest.raises(TraceFormatError, match="^line 2: "):
-        parse_mobility_trace(f"{_GOOD_M}\n{line}\n")
+        parse_trace(f"{_GOOD_M}\n{line}\n")
 
 
 def test_ledger_emits_interleaved_trace_lines():

@@ -35,8 +35,8 @@ from vanetsim.scenario import (
     serialize_config,
 )
 from vanetsim.simulation import Motion, Simulation
-from vanetsim.tracewriter import (TraceFile, TraceWriter, parse_mobility_trace,
-                                  write_series)
+from vanetsim.tracewriter import (TraceFile, TraceWriter, format_block,
+                                  parse_trace, write_series)
 from vanetsim.transport import FlowConfig
 
 MINI_DOC = {
@@ -390,6 +390,10 @@ DOCUMENT_ERRORS = [
     cross_field({"duration": 10**6},
                            "flows[0].send_interval: 0.2 would tick more than 1000000 "
                            "times before duration 1000000.0"),
+    # nodes is an int like every other count, not a string, bool or float
+    ({"nodes": "3"}, "nodes: expected a non-negative int, got '3'"),
+    ({"nodes": True}, "nodes: expected a non-negative int, got True"),
+    ({"nodes": 3.0}, "nodes: expected a non-negative int, got 3.0"),
 ]
 
 
@@ -626,8 +630,8 @@ def test_run_writes_complete_artifact_set(tmp_path):
     assert report.flows[1].first_delivery is None
     assert report.paths["f0"][0][1] == (0, 1, 2)
 
-    records, _ = parse_mobility_trace((out / "trace.txt").read_text())
-    assert {record[2] for record in records} == {0, 1, 2, 3}
+    records = parse_trace((out / "trace.txt").read_text())
+    assert {record[2] for record in records if record[0] == "M"} == {0, 1, 2, 3}
 
     with open(out / "summary.csv", newline="") as fh:
         header, *cells = csv.reader(fh)
@@ -774,6 +778,25 @@ def test_streamed_trace_equals_in_memory_trace(tmp_path, monkeypatch):
         run(config, out_dir=str(out))
         assert (out / "trace.txt").read_text() == expected, name
         assert_reaped(writers)
+
+
+@pytest.mark.parametrize("protocol", ["AODV", "DSDV"])
+@pytest.mark.parametrize("source", ["long-distance", "short-distance", 3, 7])
+def test_every_trace_line_reads_back(source, protocol):
+    """parse_trace reads every line of a run's trace, so that format_block
+    of its records is the trace: both builtins at 60 s, and two
+    random-waypoint documents (seeds 3 and 7), under both protocols."""
+    if isinstance(source, str):
+        config = builtin_scenario(source, protocol)
+    else:
+        config = dataclasses.replace(load_config(random_waypoint_document(
+            source, 50, 10, 60.0)), protocol=protocol)
+    config = dataclasses.replace(config, duration=60.0)
+    trace = build_simulation(config, trace=KeptTrace()).run(
+        60.0).ledger.trace_text()
+    records = parse_trace(trace)
+    assert {"M", "s", "r"} <= {record[0] for record in records}
+    assert format_block(records) == trace
 
 
 def _agent_raising_after(monkeypatch, t, error):

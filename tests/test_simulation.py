@@ -9,7 +9,7 @@ from vanetsim.metrics import KeptTrace
 from vanetsim.scenario import (BUILTIN_SCENARIOS, ConfigError, build_simulation,
                                builtin_scenario, load_config, run)
 from vanetsim.simulation import PROTOCOLS, Simulation
-from vanetsim.tracewriter import parse_mobility_trace
+from vanetsim.tracewriter import parse_trace
 
 CHAIN = [[0, [100.0, 400.0]], [1, [300.0, 400.0]], [2, [500.0, 400.0]]]
 
@@ -59,8 +59,8 @@ def test_motion_emits_state_lines():
     sim = Simulation(chain_config(
         flow={"start_t": 10.0}, motions=[[1, 2.0, [300.0, 900.0], 10.0]],
     ), trace=KeptTrace()).run(5.0)
-    records, skipped = parse_mobility_trace(sim.ledger.trace_text())
-    assert skipped == 0
+    records = parse_trace(sim.ledger.trace_text())
+    assert {record[0] for record in records} == {"M"}
     assert [r[1:3] for r in records] == [
         (0.0, 0), (0.0, 1), (0.0, 2), (2.0, 1)]
     # parked nodes report their own position as the destination
